@@ -19,7 +19,6 @@ from .driver import (
 from .estimators import (
     ErrorIndicators,
     K_OVERLAP,
-    overall,
     parametric_indicators,
     spatial_indicators,
 )

@@ -25,6 +25,7 @@ from .driver import (
     reference_solution,
     run_adaptive,
 )
+from .galerkin import SolverError
 from .marking import CRITERIA, MarkingParams
 from .mesh import initial_lshape, read_mesh
 from .problem import ProblemSpec, amplitude_from_tau, parse_config, spec_from_config
@@ -34,6 +35,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CAP = 2
+EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
 CSV_HEADER = (
@@ -273,6 +275,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"sgfem: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (SolverError, AssertionError) as exc:
+        # solver breakdown or a failed online check of the adaptive loop
+        print(f"sgfem: error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .galerkin import (
 )
 from .indices import IndexSet, detail_index_set
 from .marking import MarkingDecision, MarkingParams, decide
-from .mesh import Mesh, initial_lshape, refine, uniform_refine
+from .mesh import Mesh, TwoLevelOverlay, initial_lshape, refine, uniform_refine
 from .problem import ProblemSpec, contrast_bounds
 
 __all__ = [
@@ -88,7 +88,6 @@ class AdaptiveTrace:
     final_indices: IndexSet | None = None
     final_detail: IndexSet | None = None
     final_solution: GalerkinSolution | None = None
-    contraction_ratios: list[float] = field(default_factory=list)
 
     @property
     def reached_tol(self) -> bool:
@@ -129,7 +128,8 @@ def run_adaptive(
 ) -> AdaptiveTrace:
     """Run the adaptive loop until the estimate drops below `tol` or a cap
     trips.  With ``check`` the energy identities and the per-step reduction
-    lower bound are asserted online (raises AssertionError on violation)."""
+    lower bound are asserted online (raises AssertionError on violation); a
+    non-finite energy or estimate raises AssertionError in any case."""
     params = params or MarkingParams()
     params.validate(criterion)
     mesh = mesh if mesh is not None else initial_lshape()
@@ -155,6 +155,8 @@ def run_adaptive(
             guess = prolong(prev_solution, mesh, indices, system)
         solution = solve(system, tol=solver_tol, initial=guess)
         energy = b_energy(solution, solution)
+        if not math.isfinite(energy):
+            raise AssertionError(f"non-finite energy at level {level}: {energy}")
 
         if prev_solution is not None and guess is not None:
             diff = GalerkinSolution(
@@ -178,28 +180,31 @@ def run_adaptive(
                     reduction_ratio=ratio,
                 )
             )
+            # written as not (x <= bound), so that NaN fails them
             if check:
-                if increment < -1e-8 * max(energy, 1.0):
+                if not (-increment <= 1e-8 * max(energy, 1.0)):
                     raise AssertionError(
                         f"energy decreased at level {level}: {increment}"
                     )
-                if pyth_dev > _CHECK_SLACK:
+                if not (pyth_dev <= _CHECK_SLACK):
                     raise AssertionError(
                         f"energy orthogonality violated at level {level}: {pyth_dev}"
                     )
-                if lower > (1.0 + _CHECK_SLACK) * diff_energy:
+                if not (lower <= (1.0 + _CHECK_SLACK) * diff_energy):
                     raise AssertionError(
                         f"error-reduction lower bound violated at level {level}: "
                         f"{lower} > {diff_energy}"
                     )
 
-        overlay = uniform_refine(mesh)
+        overlay = TwoLevelOverlay(mesh)
         indicators = ErrorIndicators(
             spatial=spatial_indicators(solution, overlay, spec),
             parametric=parametric_indicators(solution, detail, spec),
             overlay=overlay,
             detail=detail,
         )
+        if not math.isfinite(indicators.eta):
+            raise AssertionError(f"non-finite estimate at level {level}: {indicators.eta}")
 
         decision: MarkingDecision | None = None
         refine_type = "final"
@@ -217,7 +222,9 @@ def run_adaptive(
             if decision.kind == "terminate":
                 stop = "estimator_zero"
             elif decision.kind == "spatial":
-                next_mesh = refine(mesh, decision.spatial_marked, overlay)
+                next_mesh = decision.refined
+                if next_mesh is None:
+                    next_mesh = refine(mesh, decision.spatial_marked, overlay)
                 realized = [
                     overlay.edge_position[e]
                     for e in next_mesh.new_vertex_edge.values()

@@ -83,14 +83,14 @@ def triangle_quadrature(order: int = 5):
     return _QP_DEG5, _QW_DEG5
 
 
-def _triangle_geometry(mesh: Mesh):
-    """Areas and P1 basis gradients, vectorized over triangles."""
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+def element_geometry(p: np.ndarray):
+    """Areas and P1 basis gradients of triangles with vertex coordinates
+    ``p`` of shape (nt, 3, 2), vectorized over triangles."""
     area = 0.5 * (
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
     )
-    grads = np.empty((mesh.num_triangles, 3, 2))
+    grads = np.empty((p.shape[0], 3, 2))
     for i in range(3):
         a = p[:, (i + 1) % 3]
         b = p[:, (i + 2) % 3]
@@ -98,6 +98,34 @@ def _triangle_geometry(mesh: Mesh):
         grads[:, i, 1] = b[:, 0] - a[:, 0]
     grads /= (2.0 * area)[:, None, None]
     return area, grads
+
+
+def quadrature_points(p: np.ndarray, quad_order: int = 5) -> np.ndarray:
+    """Points of the symmetric rule of `quad_order` in triangles with vertex
+    coordinates ``p``, shape (nt, #points, 2)."""
+    qp, _ = triangle_quadrature(quad_order)
+    return np.einsum("qk,tkd->tqd", qp, p)
+
+
+def element_integrals(points: np.ndarray, area: np.ndarray, coefficient, quad_order: int = 5):
+    """int_T a dx per triangle, by the symmetric rule of `quad_order` at its
+    ``points`` (see ``quadrature_points``)."""
+    _, qw = triangle_quadrature(quad_order)
+    cvals = np.asarray(coefficient(points), dtype=np.float64)
+    if cvals.shape != points.shape[:2]:
+        cvals = np.broadcast_to(cvals, points.shape[:2])
+    return area * (cvals @ qw)
+
+
+def element_load(p: np.ndarray, area: np.ndarray, f, quad_order: int = 5) -> np.ndarray:
+    """int_T f phi_i per triangle and local vertex, shape (nt, 3); ``f=None``
+    means f == 1, integrated exactly (area / 3)."""
+    if f is None:
+        return np.repeat(area / 3.0, 3).reshape(-1, 3)
+    qp, qw = triangle_quadrature(quad_order)
+    fvals = np.asarray(f(quadrature_points(p, quad_order)), dtype=np.float64)
+    # int_T f phi_i = area * sum_q w_q f(x_q) lambda_i(x_q)
+    return np.einsum("t,tq,qi->ti", area, fvals, qp * qw[:, None])
 
 
 def assemble_stiffness(
@@ -112,13 +140,9 @@ def assemble_stiffness(
     rule (gradients are elementwise constant).  With ``restrict`` the matrix
     lives on the free (interior) nodes, otherwise on all vertices.
     """
-    area, grads = _triangle_geometry(mesh)
-    qp, qw = triangle_quadrature(quad_order)
-    points = np.einsum("qk,tkd->tqd", qp, mesh.vertices[mesh.triangles])
-    cvals = np.asarray(coefficient(points), dtype=np.float64)
-    if cvals.shape != points.shape[:2]:
-        cvals = np.broadcast_to(cvals, points.shape[:2])
-    weights = area * (cvals @ qw)  # int_T a dx per triangle
+    p = mesh.vertices[mesh.triangles]
+    area, grads = element_geometry(p)
+    weights = element_integrals(quadrature_points(p, quad_order), area, coefficient, quad_order)
 
     local = np.einsum("t,tid,tjd->tij", weights, grads, grads)
     tri = mesh.triangles
@@ -172,17 +196,10 @@ def assemble_load(mesh: Mesh, f, indices: IndexSet, quad_order: int = 5) -> np.n
     if ZERO not in indices:
         return F
     col = indices.position(ZERO)
-    area, _ = _triangle_geometry(mesh)
+    p = mesh.vertices[mesh.triangles]
+    area, _ = element_geometry(p)
     full = np.zeros(mesh.num_vertices)
-    if f is None:
-        np.add.at(full, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
-    else:
-        qp, qw = triangle_quadrature(quad_order)
-        points = np.einsum("qk,tkd->tqd", qp, mesh.vertices[mesh.triangles])
-        fvals = np.asarray(f(points), dtype=np.float64)
-        # int_T f phi_i = area * sum_q w_q f(x_q) lambda_i(x_q)
-        contrib = np.einsum("t,tq,qi->ti", area, fvals, qp * qw[:, None])
-        np.add.at(full, mesh.triangles.ravel(), contrib.ravel())
+    np.add.at(full, mesh.triangles.ravel(), element_load(p, area, f, quad_order).ravel())
     F[:, col] = full[mesh.free_nodes]
     return F
 
@@ -269,18 +286,28 @@ class GalerkinSolution:
 
 
 def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
-    """Preconditioned CG on arrays; returns (x, relative residual, iters)."""
+    """Preconditioned CG on arrays; returns (x, relative residual, iters).
+
+    Raises SolverError on breakdown: a non-finite preconditioned norm, or a
+    curvature p.Ap that is non-finite or not positive (the operator or the
+    preconditioner is not positive definite)."""
+
+    def finite(name, value, positive=False):
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            raise SolverError(f"PCG breakdown: {name} = {value} at iteration {it}", history)
+        return value
+
+    it, history = 0, []
     zb = precond(b)
-    denom = math.sqrt(max(float(np.vdot(b, zb)), 0.0))
+    denom = math.sqrt(max(finite("b.Mb", float(np.vdot(b, zb))), 0.0))
     if denom == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - apply_op(x)
     z = precond(r)
-    rho = float(np.vdot(r, z))
+    rho = finite("r.Mr", float(np.vdot(r, z)))
     p = z.copy()
-    history = [math.sqrt(max(rho, 0.0)) / denom]
-    it = 0
+    history.append(math.sqrt(max(rho, 0.0)) / denom)
     while history[-1] > tol:
         if it >= maxiter:
             raise SolverError(
@@ -289,11 +316,11 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
                 history,
             )
         Ap = apply_op(p)
-        alpha = rho / float(np.vdot(p, Ap))
+        alpha = rho / finite("p.Ap", float(np.vdot(p, Ap)), positive=True)
         x += alpha * p
         r -= alpha * Ap
         z = precond(r)
-        rho_new = float(np.vdot(r, z))
+        rho_new = finite("r.Mr", float(np.vdot(r, z)))
         p = z + (rho_new / rho) * p
         rho = rho_new
         it += 1

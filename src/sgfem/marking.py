@@ -61,13 +61,16 @@ class MarkingParams:
 @dataclass(frozen=True)
 class MarkingDecision:
     """Outcome of a marking step: exactly one nonempty marked set, or
-    termination when the estimate vanishes."""
+    termination when the estimate vanishes.  Criteria B and D build the
+    refinement of the mesh by ``spatial_marked`` to decide; a spatial
+    decision carries it as ``refined``."""
 
     kind: str  # "spatial" | "parametric" | "terminate"
     spatial_marked: tuple[int, ...] = ()
     parametric_marked: tuple[int, ...] = ()
     case: str | None = None
     diagnostics: dict = field(default_factory=dict)
+    refined: Mesh | None = None
 
 
 def doerfler(values: np.ndarray, theta: float) -> list[int]:
@@ -152,19 +155,20 @@ def _check_weak_marking_max(values, marked, theta_p) -> None:
         )
 
 
-def _trial_refinement_positions(
+def _trial_refinement(
     mesh: Mesh, overlay: TwoLevelOverlay, trial_marked: list[int]
-) -> list[int]:
-    """Positions of N+ realized by the trial refinement (marked plus closure)."""
+) -> tuple[Mesh, list[int]]:
+    """The trial refinement and the positions of N+ it realizes (marked plus
+    closure)."""
     if not trial_marked:
-        return []
+        return mesh, []
     trial = refine(mesh, trial_marked, overlay)
     pos = [
         overlay.edge_position[e]
         for e in trial.new_vertex_edge.values()
         if e in overlay.edge_position
     ]
-    return sorted(pos)
+    return trial, sorted(pos)
 
 
 def decide(
@@ -204,7 +208,7 @@ def decide(
     else:
         trial_param = maximum_mark(indicators.parametric, params.theta_p)
     trial_spatial = doerfler(indicators.spatial, params.theta_x)
-    realized = _trial_refinement_positions(mesh, overlay, trial_spatial)
+    trial, realized = _trial_refinement(mesh, overlay, trial_spatial)
     eta_trial_param = _aggregate(indicators.parametric, trial_param)
     eta_realized = math.sqrt(indicators.spatial_subset_sq(realized))
     diag |= {
@@ -216,7 +220,11 @@ def decide(
     }
     if params.vartheta * eta_trial_param <= eta_realized:
         return MarkingDecision(
-            kind="spatial", spatial_marked=tuple(trial_spatial), case="a", diagnostics=diag
+            kind="spatial",
+            spatial_marked=tuple(trial_spatial),
+            case="a",
+            diagnostics=diag,
+            refined=trial,
         )
     return MarkingDecision(
         kind="parametric", parametric_marked=tuple(trial_param), case="b", diagnostics=diag

@@ -150,38 +150,71 @@ class Mesh:
 
 @dataclass(frozen=True)
 class TwoLevelOverlay:
-    """Uniform refinement of a mesh with new-vertex bookkeeping.
+    """The new interior vertices N+ of the uniform refinement of a mesh.
 
-    ``nplus`` holds the fine-mesh vertex ids of the new interior vertices
-    (edge midpoints of interior coarse edges) in parent-edge order;
-    ``nplus_edges`` holds the matching coarse edges.
+    N+ holds the midpoints of the interior edges of ``coarse``; its order is
+    that of ``coarse.interior_edges`` (lexicographic), listed in
+    ``nplus_edges``.  ``triangle_nplus[t, k]`` is the N+ position of local
+    edge ``k`` of triangle ``t``, or -1 for a boundary edge.
+
+    The uniformly refined mesh itself is built only on first access of
+    ``fine``; ``nplus`` then holds the fine-mesh vertex ids of N+ and
+    ``parent_triangle`` the coarse parent of each fine triangle.
     """
 
     coarse: Mesh
-    fine: Mesh
-    nplus: np.ndarray
-    nplus_edges: list[tuple[int, int]]
-    parent_triangle: np.ndarray
+
+    @cached_property
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted edge keys ``a * n + b`` (a < b), their interior flags, and
+        the key index of each (triangle, local edge)."""
+        tri = self.coarse.triangles
+        a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]  # edge k = (v[k+1], v[k+2])
+        keys = np.minimum(a, b) * self.coarse.num_vertices + np.maximum(a, b)
+        uniq, inverse, counts = np.unique(
+            keys.ravel(), return_inverse=True, return_counts=True
+        )
+        return uniq, counts == 2, inverse.reshape(tri.shape)
+
+    @cached_property
+    def triangle_nplus(self) -> np.ndarray:
+        _, interior, inverse = self._edge_table
+        position = np.where(interior, np.cumsum(interior) - 1, -1)
+        return position[inverse]
+
+    @cached_property
+    def nplus_edges(self) -> list[tuple[int, int]]:
+        uniq, interior, _ = self._edge_table
+        a, b = np.divmod(uniq[interior], self.coarse.num_vertices)
+        return list(zip(a.tolist(), b.tolist()))
 
     @property
     def num_new(self) -> int:
-        return self.nplus.size
+        return len(self.nplus_edges)
 
     @cached_property
     def edge_position(self) -> dict[tuple[int, int], int]:
         """Maps an interior coarse edge to its position in the N+ ordering."""
         return {e: i for i, e in enumerate(self.nplus_edges)}
 
+    @cached_property
+    def fine(self) -> Mesh:
+        return _bisect_all(self.coarse, set(self.coarse.edges))
+
+    @cached_property
+    def nplus(self) -> np.ndarray:
+        inv = {e: v for v, e in self.fine.new_vertex_edge.items()}
+        return np.asarray([inv[e] for e in self.nplus_edges], dtype=np.int64)
+
+    @cached_property
+    def parent_triangle(self) -> np.ndarray:
+        # each coarse triangle yields exactly four children, emitted in order
+        return np.repeat(np.arange(self.coarse.num_triangles), 4)
+
     def new_vertices_per_triangle(self) -> np.ndarray:
         """For each coarse triangle, the number of z in N+ whose hat support
         intersects it (equals the triangle's interior-edge count)."""
-        counts = np.zeros(self.coarse.num_triangles, dtype=np.int64)
-        interior = set(self.nplus_edges)
-        for t in range(self.coarse.num_triangles):
-            for k in range(3):
-                if self.coarse.local_edge(t, k) in interior:
-                    counts[t] += 1
-        return counts
+        return (self.triangle_nplus >= 0).sum(axis=1)
 
 
 def _make_initial(coords, boundary, tris, refs) -> Mesh:
@@ -298,21 +331,11 @@ def _closure(mesh: Mesh, marked: set[tuple[int, int]]) -> set[tuple[int, int]]:
 
 
 def uniform_refine(mesh: Mesh) -> TwoLevelOverlay:
-    """Bisect every edge of `mesh` once (three bisections per triangle)."""
-    fine = _bisect_all(mesh, set(mesh.edges))
-    interior = [e for e in mesh.edges if mesh.edge_counts[e] == 2]
-    inv = {e: v for v, e in fine.new_vertex_edge.items()}
-    nplus = np.asarray([inv[e] for e in interior], dtype=np.int64)
-
-    # each coarse triangle yields exactly four children, emitted in order
-    parent_triangle = np.repeat(np.arange(mesh.num_triangles), 4)
-    return TwoLevelOverlay(
-        coarse=mesh,
-        fine=fine,
-        nplus=nplus,
-        nplus_edges=interior,
-        parent_triangle=parent_triangle,
-    )
+    """Bisect every edge of `mesh` once (three bisections per triangle); the
+    overlay's ``fine`` mesh is built here rather than on first access."""
+    overlay = TwoLevelOverlay(mesh)
+    overlay.fine  # built now, so that its cost falls inside this call
+    return overlay
 
 
 def refine(mesh: Mesh, marked, overlay: TwoLevelOverlay | None = None) -> Mesh:
@@ -321,7 +344,7 @@ def refine(mesh: Mesh, marked, overlay: TwoLevelOverlay | None = None) -> Mesh:
     Parameters
     ----------
     marked : iterable of positions into the N+ ordering of `overlay`
-        (midpoints of interior edges, see ``uniform_refine``).
+        (midpoints of interior edges, see ``TwoLevelOverlay``).
     overlay : reused if supplied, otherwise recomputed.
 
     Every triangle adjacent to a marked parent edge is refined by three
@@ -332,7 +355,7 @@ def refine(mesh: Mesh, marked, overlay: TwoLevelOverlay | None = None) -> Mesh:
     if not marked:
         return mesh
     if overlay is None:
-        overlay = uniform_refine(mesh)
+        overlay = TwoLevelOverlay(mesh)
     if marked[0] < 0 or marked[-1] >= overlay.num_new:
         raise ValueError(
             f"marked vertex id out of range 0..{overlay.num_new - 1}"

@@ -4,7 +4,9 @@ Everything here is written from scratch against the mathematical definitions,
 deliberately avoiding the library's assembly and evaluation routines: dense
 loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
-instead of closed-form coupling coefficients.
+instead of closed-form coupling coefficients.  The one exception is the
+fine-mesh spatial estimator at the end, a former library implementation kept
+as the reference for its replacement.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ import math
 
 import numpy as np
 from scipy.special import eval_legendre, roots_jacobi, roots_legendre
+
+from sgfem.galerkin import (
+    assemble_coupling,
+    assemble_load,
+    assemble_stiffness,
+    prolongation_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,37 @@ def exhaustive_bulk(values: np.ndarray, theta: float, sums: np.ndarray | None = 
     if sums is None:
         sums = subset_sums(sq)
     popcount = np.array([bin(mask).count("1") for mask in range(1 << n)])
-    feasible = (sums >= goal) | np.isclose(sums, goal, rtol=1e-12)
+    feasible = (sums >= goal) | np.isclose(sums, goal, rtol=1e-12, atol=0.0)
     k = int(popcount[feasible].min())
     mask_k = feasible & (popcount == k)
     return k, float(sums[mask_k].max())
+
+
+# ---------------------------------------------------------------------------
+# two-level spatial indicators on the assembled fine mesh, with the library's
+# assembly (checked against the dense oracles in test_galerkin), so that the
+# element-local estimator must agree with it to rounding
+
+def fine_mesh_spatial_indicators(u, overlay, spec, quad_order: int = 5) -> np.ndarray:
+    """eta(z) for all z in N+, in overlay order, from the full residual on the
+    uniformly refined mesh: prolong u there, assemble the fine stiffness
+    matrices and load, and read the rows of the new interior vertices."""
+    fine = overlay.fine
+    n_modes = u.indices.max_dimension()
+    A_fine = [
+        assemble_stiffness(fine, spec.coefficient(m), quad_order)
+        for m in range(n_modes + 1)
+    ]
+    P = prolongation_matrix(u.mesh, fine)
+    U1 = P @ u.coeffs
+    R = assemble_load(fine, spec.rhs, u.indices, quad_order)
+    R -= A_fine[0] @ U1
+    for m in range(1, n_modes + 1):
+        G = assemble_coupling(u.indices, u.indices, m)
+        if G.nnz:
+            R -= A_fine[m] @ (G @ U1.T).T
+
+    rows = fine.free_index[overlay.nplus]
+    assert np.all(rows >= 0), "new interior vertex flagged as boundary"
+    denom = A_fine[0].diagonal()[rows]
+    return np.sqrt((R[rows] ** 2).sum(axis=1) / denom)

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from sgfem import write_mesh
+import sgfem.driver
+from sgfem import SolverError, write_mesh
 from sgfem.mesh import initial_lshape
 from sgfem.cli import (
     CSV_HEADER,
     EXIT_CAP,
     EXIT_ERROR,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     _parse_range,
@@ -103,6 +107,33 @@ class TestErrors:
         assert main(RUN_ARGS + ["--config", str(cfg), "--output", str(out)]) == EXIT_OK
         main(RUN_ARGS + ["--output", str(ref)])
         assert out.read_bytes() == ref.read_bytes()
+
+
+class TestNumericFailure:
+    @staticmethod
+    def failing_solve(*args, **kwargs):
+        raise SolverError("PCG breakdown: r.Mr = nan at iteration 0", [])
+
+    def test_solver_error_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sgfem.driver, "solve", self.failing_solve)
+        out = tmp_path / "trace.csv"
+        assert main(RUN_ARGS + ["--output", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["sgfem: error: PCG breakdown: r.Mr = nan at iteration 0"]
+        assert not out.exists()
+
+    def test_failed_online_check_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sgfem.driver, "b_energy", lambda u, v: math.nan)
+        out = tmp_path / "trace.csv"
+        assert main(RUN_ARGS + ["--output", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: non-finite energy")
+
+    def test_sweep_solver_error_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sgfem.driver, "solve", self.failing_solve)
+        code = main(["sweep", "--tol", "5e-2", "--output-dir", str(tmp_path / "sweep")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("sgfem: error: PCG breakdown")
 
 
 class TestSweep:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import sgfem.driver
+import sgfem.marking
+import sgfem.mesh
 from sgfem import (
     AdaptiveTrace,
     IterationRecord,
@@ -104,6 +107,73 @@ class TestStops:
         assert tr.reached_tol
         assert all(r.refine_type in ("spatial", "final") for r in tr.records)
         assert all(r.card_p == 1 for r in tr.records)
+
+
+class TestNoFineMeshInLoop:
+    @pytest.mark.parametrize("criterion", ["A", "B"])
+    def test_only_refine_bisects(self, monkeypatch, criterion):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("uniform_refine called by the adaptive loop")
+
+        monkeypatch.setattr(sgfem.driver, "uniform_refine", forbidden)
+        calls = {"bisect": 0, "driver": 0, "marking": 0}
+        bisect = sgfem.mesh._bisect_all
+
+        def counted_bisect(*args):
+            calls["bisect"] += 1
+            return bisect(*args)
+
+        monkeypatch.setattr(sgfem.mesh, "_bisect_all", counted_bisect)
+        for name, module in (("driver", sgfem.driver), ("marking", sgfem.marking)):
+
+            def counted_refine(*args, _name=name, _refine=module.refine):
+                calls[_name] += 1
+                return _refine(*args)
+
+            monkeypatch.setattr(module, "refine", counted_refine)
+
+        trace = run_adaptive(lshape_benchmark(), criterion, tol=5e-2)
+        spatial = sum(r.refine_type == "spatial" for r in trace.records)
+        assert spatial > 0
+        assert calls["bisect"] == calls["driver"] + calls["marking"]
+        if criterion == "B":
+            # the driver takes the mesh that decide() refined to compare
+            assert calls["driver"] == 0
+        else:
+            assert calls["driver"] == spatial
+
+
+class TestNonFinite:
+    def test_nan_energy_raises(self, monkeypatch):
+        monkeypatch.setattr(sgfem.driver, "b_energy", lambda u, v: math.nan)
+        with pytest.raises(AssertionError, match="non-finite energy"):
+            run_adaptive(lshape_benchmark(), "A", tol=5e-2)
+
+    def test_nan_estimate_raises(self, monkeypatch):
+        def nan_indicators(u, overlay, spec):
+            return np.full(overlay.num_new, math.nan)
+
+        monkeypatch.setattr(sgfem.driver, "spatial_indicators", nan_indicators)
+        with pytest.raises(AssertionError, match="non-finite estimate"):
+            run_adaptive(lshape_benchmark(), "A", tol=5e-2, check=False)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_nan_fails_online_check(self, monkeypatch, check):
+        # calls: level 0 energy, level 1 energy, level 1 step difference
+        energy = sgfem.driver.b_energy
+        calls = []
+
+        def nan_difference(u, v):
+            calls.append(u)
+            return math.nan if len(calls) == 3 else energy(u, v)
+
+        monkeypatch.setattr(sgfem.driver, "b_energy", nan_difference)
+        if check:
+            with pytest.raises(AssertionError, match="orthogonality"):
+                run_adaptive(lshape_benchmark(), "A", tol=5e-2)
+        else:
+            trace = run_adaptive(lshape_benchmark(), "A", tol=5e-2, check=False)
+            assert math.isnan(trace.checks[0].diff_energy_sq)
 
 
 class TestReference:

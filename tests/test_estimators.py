@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,21 +6,24 @@ import pytest
 
 from sgfem import (
     ErrorIndicators,
+    GalerkinSolution,
     IndexSet,
     K_OVERLAP,
     TensorSystem,
+    TwoLevelOverlay,
     ZERO,
     detail_index_set,
     initial_lshape,
     lshape_benchmark,
-    overall,
     parametric_indicators,
     prolongation_matrix,
+    refine,
     solve,
     solve_enhanced,
     spatial_indicators,
     uniform_refine,
     unit_index,
+    unit_square,
 )
 
 import oracles
@@ -94,6 +98,96 @@ class TestSpatialIndicators:
             spatial_indicators(u, other, spec)
 
 
+def nvb_chain(mesh, steps, seed):
+    """Meshes along a random NVB refinement chain starting at `mesh`."""
+    rng = np.random.default_rng(seed)
+    chain = []
+    for _ in range(steps):
+        overlay = TwoLevelOverlay(mesh)
+        k = int(rng.integers(1, max(2, overlay.num_new // 2)))
+        mesh = refine(mesh, rng.choice(overlay.num_new, size=k, replace=False), overlay)
+        chain.append(mesh)
+    return chain
+
+
+# four active dimensions and a second-degree coupling
+RICH_INDICES = IndexSet(
+    [
+        ZERO,
+        unit_index(1),
+        unit_index(2),
+        unit_index(3),
+        unit_index(4),
+        unit_index(1, 2),
+        unit_index(1).bump(2, 1),
+    ]
+)
+
+
+def wavy_rhs(x):
+    return np.exp(x[..., 0]) * np.cos(3.0 * x[..., 1]) + 0.5
+
+
+class TestElementLocalEstimator:
+    """The element-local estimator against the fine-mesh residual oracle."""
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    @pytest.mark.parametrize("quad_order", [1, 2, 5])
+    @pytest.mark.parametrize("rhs", [None, wavy_rhs])
+    def test_matches_fine_mesh_oracle_on_nvb_chains(self, start, quad_order, rhs):
+        spec = dataclasses.replace(lshape_benchmark(), rhs=rhs)
+        rng = np.random.default_rng(quad_order)
+        for mesh in nvb_chain(start(), 7, seed=quad_order):
+            overlay = TwoLevelOverlay(mesh)
+            u = GalerkinSolution(
+                mesh=mesh,
+                indices=RICH_INDICES,
+                coeffs=rng.standard_normal((mesh.free_nodes.size, len(RICH_INDICES))),
+            )
+            got = spatial_indicators(u, overlay, spec, quad_order)
+            want = oracles.fine_mesh_spatial_indicators(u, overlay, spec, quad_order)
+            assert got.shape == (overlay.num_new,)
+            if want.size:
+                assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_matches_oracle_at_galerkin_solution(self, spec):
+        # the residual of a Galerkin solution cancels most of the load, the
+        # least favourable case for agreement to rounding
+        P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(3)])
+        for mesh in nvb_chain(initial_lshape(), 6, seed=11)[2:]:
+            u = solve(TensorSystem(mesh, P, spec), tol=1e-12)
+            overlay = TwoLevelOverlay(mesh)
+            got = spatial_indicators(u, overlay, spec)
+            want = oracles.fine_mesh_spatial_indicators(u, overlay, spec)
+            assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_nonconstant_mean_field(self):
+        spec = dataclasses.replace(
+            lshape_benchmark(),
+            a0=lambda x: 1.0 + 0.5 * x[..., 0] ** 2,
+            a0_max=1.5,
+            rhs=wavy_rhs,
+        )
+        mesh = nvb_chain(initial_lshape(), 5, seed=5)[-1]
+        overlay = TwoLevelOverlay(mesh)
+        u = GalerkinSolution(
+            mesh=mesh,
+            indices=RICH_INDICES,
+            coeffs=np.random.default_rng(5).standard_normal(
+                (mesh.free_nodes.size, len(RICH_INDICES))
+            ),
+        )
+        got = spatial_indicators(u, overlay, spec)
+        want = oracles.fine_mesh_spatial_indicators(u, overlay, spec)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_builds_no_fine_mesh(self, solved, spec):
+        u, _, _ = solved
+        overlay = TwoLevelOverlay(u.mesh)
+        spatial_indicators(u, overlay, spec)
+        assert "fine" not in overlay.__dict__
+
+
 class TestParametricIndicators:
     def test_matches_dense_oracle(self, solved, spec):
         u, P, Q = solved
@@ -131,18 +225,18 @@ class TestParametricIndicators:
 class TestErrorIndicators:
     def test_pythagoras_totals(self):
         ind = ErrorIndicators(spatial=np.array([3.0, 4.0]), parametric=np.zeros(0))
-        assert overall(ind) == (5.0, 5.0, 0.0)
+        assert (ind.eta, ind.eta_spatial, ind.eta_parametric) == (5.0, 5.0, 0.0)
 
     def test_both_empty(self):
         ind = ErrorIndicators(spatial=np.zeros(0), parametric=np.zeros(0))
-        assert overall(ind) == (0.0, 0.0, 0.0)
+        assert (ind.eta, ind.eta_spatial, ind.eta_parametric) == (0.0, 0.0, 0.0)
 
     def test_mixed_totals(self):
         ind = ErrorIndicators(
             spatial=np.array([1.0, 2.0, 2.0]),
             parametric=np.array([2.0 * math.sqrt(2.0)] * 2),
         )
-        eta, eta_x, eta_q = overall(ind)
+        eta, eta_x, eta_q = ind.eta, ind.eta_spatial, ind.eta_parametric
         assert (eta, eta_x, eta_q) == pytest.approx((5.0, 3.0, 4.0), abs=1e-12)
         assert eta**2 == pytest.approx(eta_x**2 + eta_q**2, abs=1e-12)
 

@@ -24,6 +24,7 @@ from sgfem import (
     unit_index,
     unit_square,
 )
+from sgfem.galerkin import _pcg
 from sgfem.mesh import Mesh
 
 import oracles
@@ -180,6 +181,23 @@ class TestSolve:
         system = TensorSystem(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
         with pytest.raises(SolverError):
             solve(system, tol=1e-14, maxiter=2)
+
+    def test_nan_operator_raises(self, mesh2, spec):
+        system = TensorSystem(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
+        system.A[1].data[:] = np.nan
+        with pytest.raises(SolverError, match="breakdown"):
+            solve(system)
+
+    def test_nan_preconditioner_raises(self, mesh2, spec):
+        system = TensorSystem(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
+        system.precondition = lambda R: np.full_like(R, np.nan)
+        with pytest.raises(SolverError, match="breakdown"):
+            solve(system)
+
+    def test_indefinite_operator_raises(self):
+        b = np.ones((4, 2))
+        with pytest.raises(SolverError, match="p.Ap"):
+            _pcg(lambda x: -x, lambda r: r, b)
 
     def test_warm_start_reduces_iterations(self, mesh1, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])

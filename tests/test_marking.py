@@ -73,6 +73,14 @@ class TestDoerfler:
                 assert got_sum == pytest.approx(best_sum, rel=1e-12)
 
 
+    @pytest.mark.parametrize("values", [[1.0, 1e-4], [1e-3, 1e-6]])
+    def test_exhaustive_oracle_agrees_at_theta_one(self, values):
+        # an absolute tolerance in the oracle once counted the small entry
+        # as negligible here
+        k, _ = oracles.exhaustive_bulk(np.asarray(values), 1.0)
+        assert k == len(doerfler(values, 1.0)) == 2
+
+
 class TestMaximumMark:
     def test_threshold_inclusive(self):
         marked = maximum_mark(np.array([1.0, 0.5, 0.49]), 0.5)
@@ -229,6 +237,24 @@ class TestDecide:
                 if e in overlay.edge_position
             )
             assert realized == sorted(out.diagnostics["realized_spatial"])
+
+    @pytest.mark.parametrize("criterion", ["B", "D"])
+    def test_spatial_decision_carries_the_refined_mesh(self, context, criterion):
+        mesh, overlay, ind = context
+        out = decide(criterion, ind, MarkingParams(vartheta=1e-6), mesh, overlay)
+        assert out.kind == "spatial"
+        again = refine(mesh, out.spatial_marked, overlay)
+        assert np.array_equal(out.refined.vertices, again.vertices)
+        assert np.array_equal(out.refined.triangles, again.triangles)
+        assert np.array_equal(out.refined.ref_edge, again.ref_edge)
+
+    @pytest.mark.parametrize(
+        "criterion, vartheta", [("A", 1e-6), ("C", 1e-6), ("B", 1e6), ("D", 1e6)]
+    )
+    def test_no_refined_mesh_otherwise(self, context, criterion, vartheta):
+        mesh, overlay, ind = context
+        out = decide(criterion, ind, MarkingParams(vartheta=vartheta), mesh, overlay)
+        assert out.refined is None
 
     def test_invalid_params_propagate(self, context):
         mesh, overlay, ind = context

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgfem import (
+    TwoLevelOverlay,
     initial_lshape,
     mesh_audit,
     read_mesh,
@@ -81,6 +82,21 @@ class TestUniformRefine:
     def test_areas_preserved(self, lmesh):
         fine = uniform_refine(lmesh).fine
         assert fine.signed_areas().sum() == pytest.approx(3.0, abs=1e-13)
+
+    def test_overlay_tables_match_mesh_edges(self, lmesh):
+        rng = np.random.default_rng(7)
+        mesh = lmesh
+        for _ in range(6):
+            overlay = TwoLevelOverlay(mesh)
+            assert overlay.nplus_edges == mesh.interior_edges
+            for t in range(mesh.num_triangles):
+                for k in range(3):
+                    pos = overlay.triangle_nplus[t, k]
+                    edge = mesh.local_edge(t, k)
+                    assert pos == overlay.edge_position.get(edge, -1)
+            assert "fine" not in overlay.__dict__
+            marked = rng.choice(overlay.num_new, size=max(1, overlay.num_new // 3), replace=False)
+            mesh = refine(mesh, marked, overlay)
 
     def test_parent_triangle_map(self, lmesh):
         overlay = uniform_refine(lmesh)
