@@ -225,12 +225,9 @@ def run_adaptive(
                 next_mesh = decision.refined
                 if next_mesh is None:
                     next_mesh = refine(mesh, decision.spatial_marked, overlay)
-                realized = [
-                    overlay.edge_position[e]
-                    for e in next_mesh.new_vertex_edge.values()
-                    if e in overlay.edge_position
-                ]
-                pending_marked_sq = indicators.spatial_subset_sq(realized)
+                pending_marked_sq = indicators.spatial_subset_sq(
+                    overlay.realized(next_mesh)
+                )
                 refine_type = "spatial"
                 n_marked = len(decision.spatial_marked)
             else:

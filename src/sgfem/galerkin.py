@@ -285,6 +285,13 @@ class GalerkinSolution:
         return full
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean inner product of two equally shaped arrays.  Not np.vdot:
+    a threaded BLAS ddot pays a thread hand-off per call on long vectors and
+    sums in an order that depends on the thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
     """Preconditioned CG on arrays; returns (x, relative residual, iters).
 
@@ -299,13 +306,13 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
 
     it, history = 0, []
     zb = precond(b)
-    denom = math.sqrt(max(finite("b.Mb", float(np.vdot(b, zb))), 0.0))
+    denom = math.sqrt(max(finite("b.Mb", _inner(b, zb)), 0.0))
     if denom == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - apply_op(x)
     z = precond(r)
-    rho = finite("r.Mr", float(np.vdot(r, z)))
+    rho = finite("r.Mr", _inner(r, z))
     p = z.copy()
     history.append(math.sqrt(max(rho, 0.0)) / denom)
     while history[-1] > tol:
@@ -316,11 +323,11 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
                 history,
             )
         Ap = apply_op(p)
-        alpha = rho / finite("p.Ap", float(np.vdot(p, Ap)), positive=True)
+        alpha = rho / finite("p.Ap", _inner(p, Ap), positive=True)
         x += alpha * p
         r -= alpha * Ap
         z = precond(r)
-        rho_new = finite("r.Mr", float(np.vdot(r, z)))
+        rho_new = finite("r.Mr", _inner(r, z))
         p = z + (rho_new / rho) * p
         rho = rho_new
         it += 1
@@ -364,13 +371,9 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     prev = coarse
     for step in chain:
         n_old, n_new = prev.num_vertices, step.num_vertices
-        rows = list(range(n_old))
-        cols = list(range(n_old))
-        data = [1.0] * n_old
-        for v, (a, b) in step.new_vertex_edge.items():
-            rows += [v, v]
-            cols += [a, b]
-            data += [0.5, 0.5]
+        rows = np.concatenate([np.arange(n_old), np.repeat(np.arange(n_old, n_new), 2)])
+        cols = np.concatenate([np.arange(n_old), step.new_vertex_edge.ravel()])
+        data = np.concatenate([np.ones(n_old), np.full(2 * (n_new - n_old), 0.5)])
         P = sp.csr_matrix((data, (rows, cols)), shape=(n_new, n_old)) @ P
         prev = step
     return P[fine.free_nodes][:, coarse.free_nodes].tocsr()
@@ -412,13 +415,13 @@ def _matching_system(u: GalerkinSolution, v: GalerkinSolution) -> TensorSystem:
 def b_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
     """Full bilinear form B(u, v) via the Kronecker operator."""
     system = _matching_system(u, v)
-    return float(np.vdot(u.coeffs, system.apply(v.coeffs)))
+    return _inner(u.coeffs, system.apply(v.coeffs))
 
 
 def b0_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
     """Mean-field bilinear form B_0(u, v)."""
     system = _matching_system(u, v)
-    return float(np.vdot(u.coeffs, system.apply_mean(v.coeffs)))
+    return _inner(u.coeffs, system.apply_mean(v.coeffs))
 
 
 class EnhancedSystem:
@@ -517,7 +520,7 @@ class EnhancedSolution:
 
     def energy_sq(self) -> float:
         # the detail block carries no load (loads are deterministic)
-        return float(np.vdot(self.system.load_fine, self.fine_coeffs))
+        return _inner(self.system.load_fine, self.fine_coeffs)
 
 
 def solve_enhanced(

@@ -155,22 +155,6 @@ def _check_weak_marking_max(values, marked, theta_p) -> None:
         )
 
 
-def _trial_refinement(
-    mesh: Mesh, overlay: TwoLevelOverlay, trial_marked: list[int]
-) -> tuple[Mesh, list[int]]:
-    """The trial refinement and the positions of N+ it realizes (marked plus
-    closure)."""
-    if not trial_marked:
-        return mesh, []
-    trial = refine(mesh, trial_marked, overlay)
-    pos = [
-        overlay.edge_position[e]
-        for e in trial.new_vertex_edge.values()
-        if e in overlay.edge_position
-    ]
-    return trial, sorted(pos)
-
-
 def decide(
     criterion: str,
     indicators: ErrorIndicators,
@@ -208,7 +192,8 @@ def decide(
     else:
         trial_param = maximum_mark(indicators.parametric, params.theta_p)
     trial_spatial = doerfler(indicators.spatial, params.theta_x)
-    trial, realized = _trial_refinement(mesh, overlay, trial_spatial)
+    trial = refine(mesh, trial_spatial, overlay)
+    realized = overlay.realized(trial).tolist()
     eta_trial_param = _aggregate(indicators.parametric, trial_param)
     eta_realized = math.sqrt(indicators.spatial_subset_sq(realized))
     diag |= {

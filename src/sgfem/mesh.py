@@ -3,18 +3,21 @@
 A mesh stores vertex coordinates, a per-vertex boundary flag, triangles as
 vertex-id triples, and a local reference-edge marker per triangle.  Edge ``k``
 of triangle ``(v0, v1, v2)`` is the edge opposite local vertex ``k``, i.e. the
-pair ``(v[(k+1)%3], v[(k+2)%3])``.
+pair ``(v[(k+1)%3], v[(k+2)%3])``.  Each mesh keeps one edge table: the sorted
+edge keys ``a * n + b`` (a < b, n vertices), the number of triangles on each
+edge and the edge id of each (triangle, local edge); edges are numbered in
+lexicographic order of their vertex pairs.
 
 Refinement follows the 2D NVB rule: a triangle is bisected at its reference
 edge and the reference edges of the two children are opposite the new vertex.
+It runs as array passes over the edge table, with no loop over triangles.
 Midpoint coordinates are exact averages, so all vertices of meshes refined
 from a dyadic initial mesh are exactly representable in float64.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,10 +36,6 @@ __all__ = [
 ]
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation with NVB state.
@@ -49,8 +48,10 @@ class Mesh:
     ref_edge : (m,) int array of local reference-edge markers in {0, 1, 2}.
     generation : (m,) int array of bisection depths.
     parent : the mesh this one was refined from, or None.
-    new_vertex_edge : maps each vertex id created by the refinement step
-        that produced this mesh to the parent-edge endpoints ``(a, b)``.
+    new_vertex_edge : (k, 2) int array, or None without a parent; row i holds
+        the parent-edge endpoints ``(a, b)``, a < b, of vertex
+        ``parent.num_vertices + i``, the vertices created by the refinement
+        step that produced this mesh.
     """
 
     vertices: np.ndarray
@@ -59,7 +60,7 @@ class Mesh:
     ref_edge: np.ndarray
     generation: np.ndarray
     parent: "Mesh | None" = None
-    new_vertex_edge: dict[int, tuple[int, int]] = field(default_factory=dict)
+    new_vertex_edge: np.ndarray | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -70,32 +71,44 @@ class Mesh:
         return self.triangles.shape[0]
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted vertex pairs, in lexicographic order."""
-        seen = set()
-        for tri in self.triangles:
-            v0, v1, v2 = (int(v) for v in tri)
-            seen.add(_edge_key(v1, v2))
-            seen.add(_edge_key(v2, v0))
-            seen.add(_edge_key(v0, v1))
-        return sorted(seen)
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted edge keys, the triangle count of each edge, and the edge id
+        of each (triangle, local edge)."""
+        tri = self.triangles
+        a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]  # edge k = (v[k+1], v[k+2])
+        keys = np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
+        uniq, inverse, counts = np.unique(
+            keys.ravel(), return_inverse=True, return_counts=True
+        )
+        return uniq, counts, inverse.reshape(tri.shape)
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """(e,) sorted keys ``a * num_vertices + b`` of the edges (a < b)."""
+        return self._edge_table[0]
+
+    @property
+    def edge_counts(self) -> np.ndarray:
+        """(e,) number of triangles on each edge: 1 on the boundary, 2 inside."""
+        return self._edge_table[1]
+
+    @property
+    def triangle_edges(self) -> np.ndarray:
+        """(m, 3) edge id of local edge k of each triangle."""
+        return self._edge_table[2]
 
     @cached_property
-    def edge_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            v0, v1, v2 = (int(v) for v in tri)
-            for e in (_edge_key(v1, v2), _edge_key(v2, v0), _edge_key(v0, v1)):
-                counts[e] = counts.get(e, 0) + 1
-        return counts
+    def edges(self) -> np.ndarray:
+        """(e, 2) sorted vertex pairs of all edges, in lexicographic order."""
+        return np.stack(np.divmod(self.edge_keys, self.num_vertices), axis=1)
 
-    @cached_property
-    def interior_edges(self) -> list[tuple[int, int]]:
-        return [e for e in self.edges if self.edge_counts[e] == 2]
+    @property
+    def interior_edges(self) -> np.ndarray:
+        return self.edges[self.edge_counts == 2]
 
-    @cached_property
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        return [e for e in self.edges if self.edge_counts[e] == 1]
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        return self.edges[self.edge_counts == 1]
 
     @cached_property
     def free_nodes(self) -> np.ndarray:
@@ -108,10 +121,6 @@ class Mesh:
         idx = np.full(self.num_vertices, -1, dtype=np.int64)
         idx[self.free_nodes] = np.arange(self.free_nodes.size)
         return idx
-
-    def local_edge(self, t: int, k: int) -> tuple[int, int]:
-        tri = self.triangles[t]
-        return _edge_key(int(tri[(k + 1) % 3]), int(tri[(k + 2) % 3]))
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
@@ -158,53 +167,51 @@ class TwoLevelOverlay:
     edge ``k`` of triangle ``t``, or -1 for a boundary edge.
 
     The uniformly refined mesh itself is built only on first access of
-    ``fine``; ``nplus`` then holds the fine-mesh vertex ids of N+ and
+    ``fine``; ``nplus`` holds the fine-mesh vertex ids of N+ and
     ``parent_triangle`` the coarse parent of each fine triangle.
     """
 
     coarse: Mesh
 
     @cached_property
-    def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted edge keys ``a * n + b`` (a < b), their interior flags, and
-        the key index of each (triangle, local edge)."""
-        tri = self.coarse.triangles
-        a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]  # edge k = (v[k+1], v[k+2])
-        keys = np.minimum(a, b) * self.coarse.num_vertices + np.maximum(a, b)
-        uniq, inverse, counts = np.unique(
-            keys.ravel(), return_inverse=True, return_counts=True
-        )
-        return uniq, counts == 2, inverse.reshape(tri.shape)
+    def nplus_ids(self) -> np.ndarray:
+        """Edge ids (into ``coarse.edges``) of the N+ edges, ascending."""
+        return np.flatnonzero(self.coarse.edge_counts == 2)
 
     @cached_property
     def triangle_nplus(self) -> np.ndarray:
-        _, interior, inverse = self._edge_table
+        interior = self.coarse.edge_counts == 2
         position = np.where(interior, np.cumsum(interior) - 1, -1)
-        return position[inverse]
+        return position[self.coarse.triangle_edges]
 
-    @cached_property
-    def nplus_edges(self) -> list[tuple[int, int]]:
-        uniq, interior, _ = self._edge_table
-        a, b = np.divmod(uniq[interior], self.coarse.num_vertices)
-        return list(zip(a.tolist(), b.tolist()))
+    @property
+    def nplus_edges(self) -> np.ndarray:
+        return self.coarse.edges[self.nplus_ids]
 
     @property
     def num_new(self) -> int:
-        return len(self.nplus_edges)
+        return self.nplus_ids.size
 
-    @cached_property
-    def edge_position(self) -> dict[tuple[int, int], int]:
-        """Maps an interior coarse edge to its position in the N+ ordering."""
-        return {e: i for i, e in enumerate(self.nplus_edges)}
+    def realized(self, refined: Mesh) -> np.ndarray:
+        """N+ positions, ascending, of the vertices that one refinement step
+        from ``coarse`` to `refined` created (marked plus closure)."""
+        if refined is self.coarse:
+            return np.zeros(0, dtype=np.int64)
+        if refined.parent is not self.coarse:
+            raise ValueError("refined mesh is not one step from the overlay's mesh")
+        a, b = refined.new_vertex_edge.T
+        ids = np.searchsorted(self.coarse.edge_keys, a * self.coarse.num_vertices + b)
+        return np.searchsorted(self.nplus_ids, ids[self.coarse.edge_counts[ids] == 2])
 
     @cached_property
     def fine(self) -> Mesh:
-        return _bisect_all(self.coarse, set(self.coarse.edges))
+        marked = np.ones(self.coarse.edge_keys.size, dtype=bool)
+        return _bisect(self.coarse, marked)
 
-    @cached_property
+    @property
     def nplus(self) -> np.ndarray:
-        inv = {e: v for v, e in self.fine.new_vertex_edge.items()}
-        return np.asarray([inv[e] for e in self.nplus_edges], dtype=np.int64)
+        # with every edge bisected, edge e gets vertex num_vertices + e
+        return self.coarse.num_vertices + self.nplus_ids
 
     @cached_property
     def parent_triangle(self) -> np.ndarray:
@@ -265,69 +272,78 @@ def unit_square() -> Mesh:
     return _make_initial(coords, [True] * 4, tris, refs)
 
 
-def _bisect_all(mesh: Mesh, marked_edges: set[tuple[int, int]]) -> Mesh:
-    """Bisect every marked edge of `mesh`; `marked_edges` must be closed under
-    the NVB rule (if a triangle has a marked edge, its reference edge is
-    marked too)."""
-    n = mesh.num_vertices
-    order = sorted(marked_edges)
-    midpoint_id = {e: n + i for i, e in enumerate(order)}
-    counts = mesh.edge_counts
+# Bisection of T = (a, b, c) = (v[r], v[r+1], v[r+2]), r the reference edge,
+# with m = mid(b, c), w1 = mid(a, b), w2 = mid(c, a), by which edges are
+# marked: case = [bc] + 2 [ab] + 4 [ca].  The children, in the depth-first
+# order of recursive bisection, as indices into (a, b, c, m, w1, w2), and their
+# generation increments; every child has reference edge 2.  Case 0 keeps T
+# as it is.  Cases 2, 4 and 6 (a marked edge without the reference edge)
+# cannot occur in a closed marking.
+_NUM_CHILDREN = np.array([1, 2, 0, 3, 0, 3, 0, 4])
+_CHILD_SLOTS = np.zeros((8, 4, 3), dtype=np.int64)
+_CHILD_GENERATION = np.zeros((8, 4), dtype=np.int64)
+for _case, _children in {
+    1: [((0, 1, 3), 1), ((2, 0, 3), 1)],
+    3: [((3, 0, 4), 2), ((1, 3, 4), 2), ((2, 0, 3), 1)],
+    5: [((0, 1, 3), 1), ((3, 2, 5), 2), ((0, 3, 5), 2)],
+    7: [((3, 0, 4), 2), ((1, 3, 4), 2), ((3, 2, 5), 2), ((0, 3, 5), 2)],
+}.items():
+    for _j, (_slots, _dgen) in enumerate(_children):
+        _CHILD_SLOTS[_case, _j] = _slots
+        _CHILD_GENERATION[_case, _j] = _dgen
 
-    new_coords = np.empty((len(order), 2))
-    new_bdry = np.empty(len(order), dtype=bool)
-    for i, (a, b) in enumerate(order):
-        new_coords[i] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        new_bdry[i] = counts[(a, b)] == 1
 
-    tris_out: list[tuple[int, int, int]] = []
-    refs_out: list[int] = []
-    gen_out: list[int] = []
+def _bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
+    """Bisect every edge flagged in the mask `marked` over ``mesh.edges``;
+    the marking must be closed under the NVB rule (if a triangle has a
+    marked edge, its reference edge is marked too).  New vertices are
+    numbered in edge order."""
+    n, nt = mesh.num_vertices, mesh.num_triangles
+    bisected = np.flatnonzero(marked)
+    midpoint = np.where(marked, n + np.cumsum(marked) - 1, -1)
+    new_edges = mesh.edges[bisected]
+    new_coords = 0.5 * (mesh.vertices[new_edges[:, 0]] + mesh.vertices[new_edges[:, 1]])
 
-    def split(v: tuple[int, int, int], r: int, gen: int) -> None:
-        e = _edge_key(v[(r + 1) % 3], v[(r + 2) % 3])
-        w = midpoint_id.get(e)
-        if w is None:
-            tris_out.append(v)
-            refs_out.append(r)
-            gen_out.append(gen)
-            return
-        # children ordering: the child keeping the (r+1) vertex first
-        c1 = (v[r], v[(r + 1) % 3], w)
-        c2 = (v[(r + 2) % 3], v[r], w)
-        split(c1, 2, gen + 1)
-        split(c2, 2, gen + 1)
-
-    for t in range(mesh.num_triangles):
-        v = tuple(int(x) for x in mesh.triangles[t])
-        split(v, int(mesh.ref_edge[t]), int(mesh.generation[t]))
+    rows = np.arange(nt)[:, None]
+    r = mesh.ref_edge[:, None]
+    abc = mesh.triangles[rows, (r + np.arange(3)) % 3]
+    # midpoints of bc, ab, ca: local edges r, r+2, r+1
+    mids = midpoint[mesh.triangle_edges[rows, (r + np.array([0, 2, 1])) % 3]]
+    case = (mids >= 0) @ np.array([1, 2, 4])
+    count = _NUM_CHILDREN[case]
+    if not count.all():
+        raise ValueError("marked edges are not closed under the NVB rule")
+    parent = np.repeat(np.arange(nt), count)
+    child = np.arange(parent.size) - np.repeat(np.cumsum(count) - count, count)
+    case = case[parent]
+    six = np.concatenate([abc, mids], axis=1)
+    triangles = six[parent[:, None], _CHILD_SLOTS[case, child]]
+    ref_edge = np.full(parent.size, 2, dtype=np.int64)
+    kept = case == 0
+    triangles[kept] = mesh.triangles[parent[kept]]
+    ref_edge[kept] = mesh.ref_edge[parent[kept]]
 
     return Mesh(
         vertices=np.vstack([mesh.vertices, new_coords]),
-        boundary=np.concatenate([mesh.boundary, new_bdry]),
-        triangles=np.asarray(tris_out, dtype=np.int64),
-        ref_edge=np.asarray(refs_out, dtype=np.int64),
-        generation=np.asarray(gen_out, dtype=np.int64),
+        boundary=np.concatenate([mesh.boundary, mesh.edge_counts[bisected] == 1]),
+        triangles=triangles,
+        ref_edge=ref_edge,
+        generation=mesh.generation[parent] + _CHILD_GENERATION[case, child],
         parent=mesh,
-        new_vertex_edge={midpoint_id[e]: e for e in order},
+        new_vertex_edge=new_edges,
     )
 
 
-def _closure(mesh: Mesh, marked: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Close an edge set under the rule: a triangle with a marked edge gets
-    its reference edge marked."""
-    marked = set(marked)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(mesh.num_triangles):
-            ref = mesh.local_edge(t, int(mesh.ref_edge[t]))
-            if ref in marked:
-                continue
-            if any(mesh.local_edge(t, k) in marked for k in range(3)):
-                marked.add(ref)
-                changed = True
-    return marked
+def _closure(mesh: Mesh, marked: np.ndarray) -> np.ndarray:
+    """Close an edge mask, in place, under the rule: a triangle with a
+    marked edge gets its reference edge marked."""
+    edges = mesh.triangle_edges
+    ref = edges[np.arange(mesh.num_triangles), mesh.ref_edge]
+    while True:
+        grow = ref[marked[edges].any(axis=1) & ~marked[ref]]
+        if grow.size == 0:
+            return marked
+        marked[grow] = True
 
 
 def uniform_refine(mesh: Mesh) -> TwoLevelOverlay:
@@ -351,8 +367,8 @@ def refine(mesh: Mesh, marked, overlay: TwoLevelOverlay | None = None) -> Mesh:
     bisections; NVB reference-edge closure then restores conformity.  With all
     of N+ marked this reproduces the uniform refinement exactly.
     """
-    marked = sorted(set(int(i) for i in marked))
-    if not marked:
+    marked = np.unique(np.fromiter(marked, dtype=np.int64))
+    if marked.size == 0:
         return mesh
     if overlay is None:
         overlay = TwoLevelOverlay(mesh)
@@ -361,14 +377,12 @@ def refine(mesh: Mesh, marked, overlay: TwoLevelOverlay | None = None) -> Mesh:
             f"marked vertex id out of range 0..{overlay.num_new - 1}"
         )
 
-    marked_edges = {overlay.nplus_edges[i] for i in marked}
-    full = set(marked_edges)
-    for t in range(mesh.num_triangles):
-        tri_edges = [mesh.local_edge(t, k) for k in range(3)]
-        if any(e in marked_edges for e in tri_edges):
-            full.update(tri_edges)
-    closed = _closure(mesh, full)
-    return _bisect_all(mesh, closed)
+    edges = mesh.triangle_edges
+    seed = np.zeros(mesh.edge_keys.size, dtype=bool)
+    seed[overlay.nplus_ids[marked]] = True
+    full = seed.copy()
+    full[edges[seed[edges].any(axis=1)]] = True
+    return _bisect(mesh, _closure(mesh, full))
 
 
 @dataclass(frozen=True)
@@ -391,20 +405,16 @@ class MeshAudit:
 def mesh_audit(mesh: Mesh) -> MeshAudit:
     """Run invariant checks; used by the fuzz tests and the mesh reader."""
     counts = mesh.edge_counts
-    conforming = all(c in (1, 2) for c in counts.values())
+    conforming = bool(np.all((counts == 1) | (counts == 2)))
 
     # NVB hanging nodes sit at midpoints of once-counted edges
     if conforming:
-        coord_set = {(float(x), float(y)) for x, y in mesh.vertices}
-        for (a, b), c in counts.items():
-            if c == 1:
-                mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-                if (float(mid[0]), float(mid[1])) in coord_set:
-                    conforming = False
-                    break
-                if not (mesh.boundary[a] and mesh.boundary[b]):
-                    conforming = False
-                    break
+        a, b = mesh.boundary_edges.T
+        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        points = np.concatenate([mesh.vertices, mid])
+        _, which = np.unique(points, axis=0, return_inverse=True)
+        hanging = np.isin(which[mesh.num_vertices:], which[: mesh.num_vertices])
+        conforming = bool(np.all(mesh.boundary[a] & mesh.boundary[b])) and not hanging.any()
 
     oriented = bool(np.all(mesh.signed_areas() > 0.0))
     refs_valid = bool(

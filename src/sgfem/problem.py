@@ -8,7 +8,7 @@ field and the right-hand side default to constant one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,6 +67,11 @@ def amplitude_from_tau(tau: float, sigma: float) -> float:
     return tau / float(zeta(sigma))
 
 
+def _unit_field(x):
+    """The default mean field, one; a module-level function, so that it pickles."""
+    return np.ones(np.asarray(x).shape[:-1])
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Affine diffusion problem on a 2D domain.
@@ -77,7 +82,7 @@ class ProblemSpec:
 
     sigma: float
     amplitude: float
-    a0: Callable = field(default=lambda x: np.ones(np.asarray(x).shape[:-1]))
+    a0: Callable = _unit_field
     a0_min: float = 1.0
     a0_max: float = 1.0
     rhs: Callable | None = None  # None means f == 1 (handled exactly)

@@ -4,9 +4,10 @@ Everything here is written from scratch against the mathematical definitions,
 deliberately avoiding the library's assembly and evaluation routines: dense
 loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
-instead of closed-form coupling coefficients.  The one exception is the
-fine-mesh spatial estimator at the end, a former library implementation kept
-as the reference for its replacement.
+instead of closed-form coupling coefficients.  The exceptions are former
+library implementations kept as references for their replacements: the
+fine-mesh spatial estimator and the loop-based newest-vertex bisection at the
+end.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import numpy as np
 from scipy.special import eval_legendre, roots_jacobi, roots_legendre
 
+from sgfem.mesh import Mesh
 from sgfem.galerkin import (
     assemble_coupling,
     assemble_load,
@@ -240,3 +242,123 @@ def fine_mesh_spatial_indicators(u, overlay, spec, quad_order: int = 5) -> np.nd
     assert np.all(rows >= 0), "new interior vertex flagged as boundary"
     denom = A_fine[0].diagonal()[rows]
     return np.sqrt((R[rows] ** 2).sum(axis=1) / denom)
+
+
+# ---------------------------------------------------------------------------
+# newest-vertex bisection with Python loops over triangles and edge sets, the
+# former library implementation; the array-based `sgfem.mesh.refine` must
+# reproduce its meshes bit for bit
+
+def _edge_key(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def local_edge(mesh, t: int, k: int) -> tuple[int, int]:
+    tri = mesh.triangles[t]
+    return _edge_key(int(tri[(k + 1) % 3]), int(tri[(k + 2) % 3]))
+
+
+def edge_counts(mesh) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for tri in mesh.triangles:
+        v0, v1, v2 = (int(v) for v in tri)
+        for e in (_edge_key(v1, v2), _edge_key(v2, v0), _edge_key(v0, v1)):
+            counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def interior_edges(mesh) -> list[tuple[int, int]]:
+    """Interior edges as sorted vertex pairs, in lexicographic order."""
+    return sorted(e for e, c in edge_counts(mesh).items() if c == 2)
+
+
+def _bisect_all(mesh, marked_edges: set[tuple[int, int]]) -> Mesh:
+    """Bisect every marked edge of `mesh`; `marked_edges` must be closed under
+    the NVB rule (if a triangle has a marked edge, its reference edge is
+    marked too)."""
+    n = mesh.num_vertices
+    order = sorted(marked_edges)
+    midpoint_id = {e: n + i for i, e in enumerate(order)}
+    counts = edge_counts(mesh)
+
+    new_coords = np.empty((len(order), 2))
+    new_bdry = np.empty(len(order), dtype=bool)
+    for i, (a, b) in enumerate(order):
+        new_coords[i] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        new_bdry[i] = counts[(a, b)] == 1
+
+    tris_out: list[tuple[int, int, int]] = []
+    refs_out: list[int] = []
+    gen_out: list[int] = []
+
+    def split(v: tuple[int, int, int], r: int, gen: int) -> None:
+        e = _edge_key(v[(r + 1) % 3], v[(r + 2) % 3])
+        w = midpoint_id.get(e)
+        if w is None:
+            tris_out.append(v)
+            refs_out.append(r)
+            gen_out.append(gen)
+            return
+        # children ordering: the child keeping the (r+1) vertex first
+        c1 = (v[r], v[(r + 1) % 3], w)
+        c2 = (v[(r + 2) % 3], v[r], w)
+        split(c1, 2, gen + 1)
+        split(c2, 2, gen + 1)
+
+    for t in range(mesh.num_triangles):
+        v = tuple(int(x) for x in mesh.triangles[t])
+        split(v, int(mesh.ref_edge[t]), int(mesh.generation[t]))
+
+    return Mesh(
+        vertices=np.vstack([mesh.vertices, new_coords]),
+        boundary=np.concatenate([mesh.boundary, new_bdry]),
+        triangles=np.asarray(tris_out, dtype=np.int64),
+        ref_edge=np.asarray(refs_out, dtype=np.int64),
+        generation=np.asarray(gen_out, dtype=np.int64),
+        parent=mesh,
+        new_vertex_edge={midpoint_id[e]: e for e in order},
+    )
+
+
+def _closure(mesh, marked: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Close an edge set under the rule: a triangle with a marked edge gets
+    its reference edge marked."""
+    marked = set(marked)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(mesh.num_triangles):
+            ref = local_edge(mesh, t, int(mesh.ref_edge[t]))
+            if ref in marked:
+                continue
+            if any(local_edge(mesh, t, k) in marked for k in range(3)):
+                marked.add(ref)
+                changed = True
+    return marked
+
+
+def loop_refine(mesh, marked) -> Mesh:
+    """Refine `mesh` so that every marked new vertex (positions into the
+    lexicographic list of interior edges) becomes a mesh vertex."""
+    marked = sorted(set(int(i) for i in marked))
+    if not marked:
+        return mesh
+    nplus_edges = interior_edges(mesh)
+    if marked[0] < 0 or marked[-1] >= len(nplus_edges):
+        raise ValueError(
+            f"marked vertex id out of range 0..{len(nplus_edges) - 1}"
+        )
+
+    marked_edges = {nplus_edges[i] for i in marked}
+    full = set(marked_edges)
+    for t in range(mesh.num_triangles):
+        tri_edges = [local_edge(mesh, t, k) for k in range(3)]
+        if any(e in marked_edges for e in tri_edges):
+            full.update(tri_edges)
+    closed = _closure(mesh, full)
+    return _bisect_all(mesh, closed)
+
+
+def loop_uniform_refine(mesh) -> Mesh:
+    """Bisect every edge of `mesh` once."""
+    return _bisect_all(mesh, set(edge_counts(mesh)))

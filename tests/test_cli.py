@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgfem
 import sgfem.driver
 from sgfem import SolverError, write_mesh
 from sgfem.mesh import initial_lshape
@@ -61,6 +66,23 @@ class TestRun:
         filled = [float(z) for z in zetas if z != ""]
         assert filled
         assert all(0.0 < z < 2.0 for z in filled)
+
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        # the smallest run whose CSV changed with the BLAS thread count when
+        # inner products went through threaded BLAS ddot (the zeta column)
+        argv = ["run", "--criterion", "A", "--tol", "6e-2", "--with-reference"]
+        src = str(Path(sgfem.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"trace-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            subprocess.run(
+                [sys.executable, "-m", "sgfem.cli", *argv, "--output", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_max_dof_cap(self, tmp_path):
         out = tmp_path / "trace.csv"

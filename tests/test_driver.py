@@ -117,13 +117,13 @@ class TestNoFineMeshInLoop:
 
         monkeypatch.setattr(sgfem.driver, "uniform_refine", forbidden)
         calls = {"bisect": 0, "driver": 0, "marking": 0}
-        bisect = sgfem.mesh._bisect_all
+        bisect = sgfem.mesh._bisect
 
         def counted_bisect(*args):
             calls["bisect"] += 1
             return bisect(*args)
 
-        monkeypatch.setattr(sgfem.mesh, "_bisect_all", counted_bisect)
+        monkeypatch.setattr(sgfem.mesh, "_bisect", counted_bisect)
         for name, module in (("driver", sgfem.driver), ("marking", sgfem.marking)):
 
             def counted_refine(*args, _name=name, _refine=module.refine):

@@ -220,7 +220,7 @@ class TestProlongation:
         full_c[mesh1.free_nodes] = u
         full_f = np.zeros(fine.num_vertices)
         full_f[fine.free_nodes] = uf
-        for v, (a, b) in fine.new_vertex_edge.items():
+        for v, (a, b) in enumerate(fine.new_vertex_edge, start=mesh1.num_vertices):
             if not fine.boundary[v]:
                 assert full_f[v] == pytest.approx(0.5 * (full_c[a] + full_c[b]), abs=1e-14)
 

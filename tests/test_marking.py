@@ -231,10 +231,11 @@ class TestDecide:
         out = decide("B", ind, MarkingParams(), mesh, overlay)
         if out.kind == "spatial":
             nxt = refine(mesh, out.spatial_marked, overlay)
+            position = {tuple(e): i for i, e in enumerate(overlay.nplus_edges.tolist())}
             realized = sorted(
-                overlay.edge_position[e]
-                for e in nxt.new_vertex_edge.values()
-                if e in overlay.edge_position
+                position[tuple(e)]
+                for e in nxt.new_vertex_edge.tolist()
+                if tuple(e) in position
             )
             assert realized == sorted(out.diagnostics["realized_spatial"])
 

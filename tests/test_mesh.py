@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+import sgfem.mesh
 from sgfem import (
     TwoLevelOverlay,
     initial_lshape,
@@ -36,7 +38,7 @@ class TestInitialMeshes:
     def test_lshape_reference_edges_are_diagonals(self, lmesh):
         # every reference edge has length sqrt(2)
         for t in range(lmesh.num_triangles):
-            a, b = lmesh.local_edge(t, int(lmesh.ref_edge[t]))
+            a, b = lmesh.edges[lmesh.triangle_edges[t, lmesh.ref_edge[t]]]
             d = lmesh.vertices[a] - lmesh.vertices[b]
             assert np.hypot(*d) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
@@ -66,7 +68,8 @@ class TestUniformRefine:
     def test_new_vertices_are_midpoints(self, lmesh):
         overlay = uniform_refine(lmesh)
         fine = overlay.fine
-        for v, (a, b) in fine.new_vertex_edge.items():
+        assert fine.new_vertex_edge.shape == (fine.num_vertices - lmesh.num_vertices, 2)
+        for v, (a, b) in enumerate(fine.new_vertex_edge, start=lmesh.num_vertices):
             mid = 0.5 * (lmesh.vertices[a] + lmesh.vertices[b])
             assert np.allclose(fine.vertices[v], mid)
 
@@ -88,12 +91,18 @@ class TestUniformRefine:
         mesh = lmesh
         for _ in range(6):
             overlay = TwoLevelOverlay(mesh)
-            assert overlay.nplus_edges == mesh.interior_edges
+            counts = oracles.edge_counts(mesh)
+            assert [tuple(e) for e in mesh.edges.tolist()] == sorted(counts)
+            assert mesh.edge_counts.tolist() == [counts[e] for e in sorted(counts)]
+            nplus = oracles.interior_edges(mesh)
+            assert [tuple(e) for e in overlay.nplus_edges.tolist()] == nplus
+            assert np.array_equal(overlay.nplus_edges, mesh.interior_edges)
+            position = {e: i for i, e in enumerate(nplus)}
             for t in range(mesh.num_triangles):
                 for k in range(3):
-                    pos = overlay.triangle_nplus[t, k]
-                    edge = mesh.local_edge(t, k)
-                    assert pos == overlay.edge_position.get(edge, -1)
+                    edge = oracles.local_edge(mesh, t, k)
+                    assert tuple(mesh.edges[mesh.triangle_edges[t, k]]) == edge
+                    assert overlay.triangle_nplus[t, k] == position.get(edge, -1)
             assert "fine" not in overlay.__dict__
             marked = rng.choice(overlay.num_new, size=max(1, overlay.num_new // 3), replace=False)
             mesh = refine(mesh, marked, overlay)
@@ -135,6 +144,14 @@ class TestRefine:
             out = refine(lmesh, [pos], overlay)
             target = overlay.fine.vertices[overlay.nplus[pos]]
             assert np.any(np.all(np.isclose(out.vertices, target), axis=1))
+
+    def test_realized_needs_one_step(self, lmesh):
+        overlay = TwoLevelOverlay(lmesh)
+        once = refine(lmesh, [0], overlay)
+        assert overlay.realized(lmesh).size == 0
+        assert 0 in overlay.realized(once)
+        with pytest.raises(ValueError, match="one step"):
+            overlay.realized(refine(once, [0]))
 
     def test_out_of_range_mark_rejected(self, lmesh):
         overlay = uniform_refine(lmesh)
@@ -210,3 +227,89 @@ class TestIO:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_mesh(tmp_path / "nope.txt")
+
+
+def assert_same_as_oracle(new, old):
+    """`new` (array refinement) equals `old` (loop oracle) bit for bit."""
+    for name in ("vertices", "boundary", "triangles", "ref_edge", "generation"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    n = new.parent.num_vertices
+    assert {
+        n + i: tuple(e) for i, e in enumerate(new.new_vertex_edge.tolist())
+    } == old.new_vertex_edge
+
+
+class TestLoopOracle:
+    """The array refinement against the former loop implementation, kept in
+    tests/oracles.py, along seeded refinement chains."""
+
+    @staticmethod
+    def step(mesh, marked):
+        overlay = TwoLevelOverlay(mesh)
+        new = refine(mesh, marked, overlay)
+        assert_same_as_oracle(new, oracles.loop_refine(mesh, marked))
+        # the realized positions are those of the bisected interior edges
+        position = {e: i for i, e in enumerate(oracles.interior_edges(mesh))}
+        realized = sorted(
+            position[tuple(e)] for e in new.new_vertex_edge.tolist() if tuple(e) in position
+        )
+        assert overlay.realized(new).tolist() == realized
+        return new
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
+    def test_random_chains(self, start, fraction):
+        rng = np.random.default_rng(11 + int(10 * fraction))
+        mesh = start()
+        for _ in range(7):
+            num_new = TwoLevelOverlay(mesh).num_new
+            k = max(1, int(fraction * num_new))
+            mesh = self.step(mesh, rng.choice(num_new, size=k, replace=False))
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    def test_uniform(self, start):
+        mesh = start()
+        for _ in range(5):
+            fine = uniform_refine(mesh).fine
+            assert_same_as_oracle(fine, oracles.loop_uniform_refine(mesh))
+            all_marked = self.step(mesh, range(TwoLevelOverlay(mesh).num_new))
+            assert_same_as_oracle(all_marked, oracles.loop_uniform_refine(mesh))
+            mesh = fine
+
+    def test_single_marks_at_deep_generations(self):
+        # grade the mesh towards the reentrant corner by marking one edge at
+        # a time, then mark single edges across the graded region, whose
+        # closure runs through dozens of generations
+        mesh = initial_lshape()
+        for _ in range(40):
+            edges = TwoLevelOverlay(mesh).nplus_edges
+            mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+            mesh = self.step(mesh, [int(np.argmin(np.hypot(*mid.T)))])
+        assert mesh.generation.max() >= 60
+        overlay = TwoLevelOverlay(mesh)
+        rng = np.random.default_rng(5)
+        longest = 0
+        for pos in rng.choice(overlay.num_new, size=25, replace=False):
+            out = self.step(mesh, [pos])
+            longest = max(longest, overlay.realized(out).size)
+        assert longest > 50
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    def test_chain_past_30k_triangles(self, start):
+        rng = np.random.default_rng(2024)
+        mesh = start()
+        while mesh.num_triangles <= 30_000:
+            num_new = TwoLevelOverlay(mesh).num_new
+            k = max(1, num_new // 4)
+            mesh = self.step(mesh, rng.choice(num_new, size=k, replace=False))
+        assert mesh_audit(mesh).ok
+
+    def test_open_marking_rejected(self, lmesh):
+        # a marked edge without its reference edge would leave a hanging node
+        marked = np.zeros(lmesh.edge_keys.size, dtype=bool)
+        t = 0
+        marked[lmesh.triangle_edges[t, (lmesh.ref_edge[t] + 1) % 3]] = True
+        with pytest.raises(ValueError, match="not closed"):
+            sgfem.mesh._bisect(lmesh, marked)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -79,6 +80,14 @@ class TestProblemSpec:
         spec = lshape_benchmark()
         x = np.array([[0.3, -0.2], [0.9, 0.1]])
         assert np.allclose(spec.coefficient(0)(x), 1.0)
+
+    def test_pickle_roundtrip(self):
+        spec = lshape_benchmark(sigma=1.5, tau=0.7)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(30, 2))
+        for m in (0, 1, 2, 7):
+            assert np.array_equal(back.coefficient(m)(x), spec.coefficient(m)(x))
 
     def test_mode_amplitude_decay(self):
         spec = lshape_benchmark()
