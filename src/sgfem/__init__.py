@@ -41,7 +41,6 @@ from .indices import (
     IndexSet,
     MultiIndex,
     ZERO,
-    active_dimension,
     detail_index_set,
     unit_index,
 )

@@ -9,6 +9,7 @@ online on every run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,9 @@ from .estimators import (
     spatial_indicators,
 )
 from .galerkin import (
+    Coupling,
     GalerkinSolution,
+    MeshOperator,
     TensorSystem,
     b_energy,
     prolong,
@@ -143,12 +146,19 @@ def run_adaptive(
     prev_energy: float | None = None
     pending_marked_sq: float | None = None
     level = 0
+    # a step changes the mesh or the index set, never both: keep what the
+    # other one determines, and replace the rest
+    operator: MeshOperator | None = None
+    coupling: Coupling | None = None
 
     while True:
         t0 = time.perf_counter()
-        detail = detail_index_set(indices)
-        n_modes = max(indices.max_dimension(), detail.max_dimension())
-        system = TensorSystem(mesh, indices, spec, n_modes=n_modes)
+        if operator is None:
+            operator = MeshOperator(mesh, spec)
+        if coupling is None:
+            detail = detail_index_set(indices)
+            coupling = Coupling(indices, detail)
+        system = TensorSystem(mesh, indices, spec, operator=operator, coupling=coupling)
 
         guess = None
         if prev_solution is not None:
@@ -273,8 +283,13 @@ def run_adaptive(
             trace.final_solution = solution
             return trace
 
-        prev_solution = solution
+        # without its system, so that a replaced operator goes with its mesh
+        prev_solution = dataclasses.replace(solution, system=None)
         prev_energy = energy
+        if next_mesh is not mesh:
+            operator = None
+        if next_indices is not indices:
+            coupling = None
         mesh = next_mesh
         indices = next_indices
         level += 1
@@ -297,8 +312,7 @@ def reference_solution(
     fine = uniform_refine(trace.final_mesh).fine
     once = trace.final_indices.union(trace.final_detail)
     indices = once.union(detail_index_set(once))
-    n_modes = indices.max_dimension()
-    system = TensorSystem(fine, indices, spec, n_modes=n_modes)
+    system = TensorSystem(fine, indices, spec)
     guess = prolong(trace.final_solution, fine, indices, system)
     return solve(system, tol=solver_tol, initial=guess)
 

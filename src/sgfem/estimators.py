@@ -9,6 +9,12 @@ an edge midpoint lives on the children of the two triangles next to that
 edge, and the solution's gradient is constant on each triangle.  Parametric
 indicators solve one mean-field problem per detail index for the residual
 component in that direction.
+
+Both read the per-mesh operator and the coupling blocks of the solution's
+system (``u.system``), where the loop keeps them across levels: the child
+terms of a mode and the stiffness matrix of a detail direction are built
+once per mesh, the coupling blocks once per index set.  A solution without a
+system, or estimated under another problem or rule, gets fresh ones.
 """
 
 from __future__ import annotations
@@ -20,13 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .galerkin import (
+    Coupling,
     GalerkinSolution,
-    assemble_coupling,
-    assemble_stiffness,
+    MeshOperator,
+    assemble_stiffness,  # noqa: F401 -- perfbench's tracer wraps this name
     element_geometry,
-    element_integrals,
-    element_load,
-    quadrature_points,
 )
 from .indices import ZERO, IndexSet
 from .mesh import TwoLevelOverlay
@@ -44,19 +48,20 @@ __all__ = [
 K_OVERLAP = 3
 
 
-# NVB uniform refinement of T = (a, b, c) = (v[r], v[r+1], v[r+2]), r the
-# reference edge, with m = mid(b, c), w1 = mid(a, b), w2 = mid(c, a): the four
-# children, in the vertex order of the refined mesh, as indices into
-# (a, b, c, m, w1, w2)
-_CHILDREN = np.array([[3, 0, 4], [1, 3, 4], [3, 2, 5], [0, 3, 5]])
-# per midpoint m, w1, w2: the (child, local vertex) pairs where it sits
-_MIDPOINT_SLOTS = (
-    ((0, 0), (1, 1), (2, 0), (3, 1)),
-    ((0, 2), (1, 2)),
-    ((2, 2), (3, 2)),
-)
-# the local edge of T holding m, w1, w2, as an offset from r
-_MIDPOINT_EDGE = np.array([0, 2, 1])
+def _operator_and_coupling(
+    u: GalerkinSolution, spec: ProblemSpec, quad_order: int, detail: IndexSet | None = None
+) -> tuple[MeshOperator, Coupling]:
+    """The operator and coupling of u's system where they were built for
+    this problem, rule and detail set; fresh ones otherwise."""
+    system = u.system
+    fits = system is not None and system.mesh is u.mesh and system.indices == u.indices
+    operator = system.operator if fits else None
+    if operator is None or operator.spec != spec or operator.quad_order != quad_order:
+        operator = MeshOperator(u.mesh, spec, quad_order)
+    coupling = system.coupling if fits else None
+    if coupling is None or (detail is not None and coupling.detail != detail):
+        coupling = Coupling(u.indices, detail)
+    return operator, coupling
 
 
 def spatial_indicators(
@@ -71,36 +76,13 @@ def spatial_indicators(
     residual of u tested against phi_z P_nu and phi_z is the hat of z on the
     uniformly refined mesh.  Each coarse triangle contributes the integrals
     over its four children (with the same quadrature as the stiffness
-    assembly) for the midpoints of its interior edges; the contributions are
-    summed per z.
+    assembly, kept by the mesh operator) for the midpoints of its interior
+    edges; the contributions are summed per z.
     """
     mesh = u.mesh
     if overlay.coarse is not mesh:
         raise ValueError("overlay was not built from the solution's mesh")
-    nt = mesh.num_triangles
-    rows = np.arange(nt)[:, None]
-    r = mesh.ref_edge[:, None]
-    p3 = mesh.vertices[mesh.triangles[rows, (r + np.arange(3)) % 3]]  # (a, b, c)
-    p6 = np.concatenate([p3, 0.5 * (p3[:, [1, 0, 2]] + p3[:, [2, 1, 0]])], axis=1)
-    child = p6[:, _CHILDREN].reshape(4 * nt, 3, 2)
-    child_area, grads = element_geometry(child)
-    grads = grads.reshape(nt, 4, 3, 2)
-    points = quadrature_points(child, quad_order)
-
-    def per_midpoint(values):
-        """Sum child-vertex values (nt, 4, 3, ...) into values at the
-        midpoints m, w1, w2 (nt, 3, ...)."""
-        return np.stack(
-            [sum(values[:, c, k] for c, k in slots) for slots in _MIDPOINT_SLOTS],
-            axis=1,
-        )
-
-    def hat_terms(m):
-        """int a_m grad phi_z over the children, per midpoint (nt, 3, 2), and
-        the per-child integrals of a_m (nt, 4)."""
-        w = element_integrals(points, child_area, spec.coefficient(m), quad_order)
-        w = w.reshape(nt, 4)
-        return per_midpoint(w[:, :, None, None] * grads), w
+    operator, coupling = _operator_and_coupling(u, spec, quad_order)
 
     def tested(terms, g):
         """Contract (nt, 3, 2) hat terms with (nt, 2, #indices) gradients."""
@@ -110,30 +92,29 @@ def spatial_indicators(
     _, coarse_grads = element_geometry(mesh.vertices[mesh.triangles])
     grad_u = np.einsum("tjd,tjk->tdk", coarse_grads, u.vertex_values()[mesh.triangles])
 
-    res = np.zeros((nt, 3, len(u.indices)))
+    terms, diagonal, load = operator.child_terms(u.indices.max_dimension())
+    res = np.zeros((mesh.num_triangles, 3, len(u.indices)))
     if ZERO in u.indices:
-        load = element_load(child, child_area, spec.rhs, quad_order)
-        res[:, :, u.indices.position(ZERO)] = per_midpoint(load.reshape(nt, 4, 3))
-    terms, w0 = hat_terms(0)
-    res -= tested(terms, grad_u)
+        res[:, :, u.indices.position(ZERO)] = load
+    res -= tested(terms[0], grad_u)
     flat = grad_u.reshape(-1, grad_u.shape[2])
-    for m in range(1, u.indices.max_dimension() + 1):
-        G = assemble_coupling(u.indices, u.indices, m)
+    for m in range(1, len(terms)):
+        G = coupling.block(m)
         if G.nnz:
-            res -= tested(hat_terms(m)[0], (G @ flat.T).T.reshape(grad_u.shape))
-    diag = per_midpoint(w0[:, :, None] * (grads**2).sum(axis=3))
+            res -= tested(terms[m], (G @ flat.T).T.reshape(grad_u.shape))
 
     # scatter the two triangles' contributions to each z in N+
-    position = overlay.triangle_nplus[rows, (r + _MIDPOINT_EDGE) % 3].ravel()
+    rows = np.arange(mesh.num_triangles)[:, None]
+    position = overlay.triangle_nplus[rows, operator.midpoint_edges].ravel()
     keep = position >= 0
     position = position[keep]
 
     def gather(values):
         return np.bincount(position, weights=values[keep], minlength=overlay.num_new)
 
-    res = res.reshape(3 * nt, -1)
+    res = res.reshape(-1, res.shape[2])
     num = sum(gather(res[:, k]) ** 2 for k in range(res.shape[1]))
-    return np.sqrt(num / gather(diag.ravel()))
+    return np.sqrt(num / gather(diagonal.ravel()))
 
 
 def parametric_indicators(
@@ -149,27 +130,16 @@ def parametric_indicators(
     """
     if len(detail) == 0:
         return np.zeros(0)
+    operator, coupling = _operator_and_coupling(u, spec, quad_order, detail)
     n_modes = max(u.indices.max_dimension(), detail.max_dimension())
-    system = u.system
-    if system is not None and system.n_modes >= n_modes:
-        A = system.A
-        a0_solver = system.a0_solver
-    else:
-        A = [
-            assemble_stiffness(u.mesh, spec.coefficient(m), quad_order)
-            for m in range(n_modes + 1)
-        ]
-        from scipy.sparse.linalg import splu
-
-        a0_solver = splu(A[0].tocsc())
 
     # residual r[z, nu] = -B(u, phi_z P_nu); the load vanishes off the zero index
     R = np.zeros((u.coeffs.shape[0], len(detail)))
     for m in range(1, n_modes + 1):
-        G = assemble_coupling(u.indices, detail, m)
+        G = coupling.block(m, detail=True)
         if G.nnz:
-            R -= A[m] @ (G.T @ u.coeffs.T).T
-    E = a0_solver.solve(R)
+            R -= operator.stiffness(m) @ (G.T @ u.coeffs.T).T
+    E = operator.a0_solver.solve(R)
     return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 
 

@@ -6,6 +6,16 @@ G_m (tridiagonal in each parameter degree) act on the index-set component.
 The operator is applied matrix-free as sum_m A_m U G_m on coefficient arrays
 U of shape (free nodes, #indices); solves use PCG with the mean-based
 preconditioner A_0 x I.
+
+A system reads its matrices from two objects that outlive it.  A
+``MeshOperator`` holds what depends on the mesh alone: geometry, quadrature
+points, the free-node CSR pattern with its scatter map, A_m per mode (built
+on first use), the LU of A_0 and the spatial estimator's per-mode terms.  A
+``Coupling`` holds the blocks G_m of one index set, against itself and
+against its detail set.  An adaptive step changes either the mesh or the
+index set, so the loop keeps one object and drops the other: the operator
+goes with its mesh on refinement, the coupling with its index set on
+enrichment.  Nothing is cached on the mesh or at module level.
 """
 
 from __future__ import annotations
@@ -28,6 +38,9 @@ __all__ = [
     "GalerkinSolution",
     "EnhancedSolution",
     "TensorSystem",
+    "MeshOperator",
+    "Coupling",
+    "StiffnessPattern",
     "triangle_quadrature",
     "assemble_stiffness",
     "assemble_coupling",
@@ -104,7 +117,7 @@ def quadrature_points(p: np.ndarray, quad_order: int = 5) -> np.ndarray:
     """Points of the symmetric rule of `quad_order` in triangles with vertex
     coordinates ``p``, shape (nt, #points, 2)."""
     qp, _ = triangle_quadrature(quad_order)
-    return np.einsum("qk,tkd->tqd", qp, p)
+    return np.matmul(qp, p)
 
 
 def element_integrals(points: np.ndarray, area: np.ndarray, coefficient, quad_order: int = 5):
@@ -117,15 +130,52 @@ def element_integrals(points: np.ndarray, area: np.ndarray, coefficient, quad_or
     return area * (cvals @ qw)
 
 
-def element_load(p: np.ndarray, area: np.ndarray, f, quad_order: int = 5) -> np.ndarray:
-    """int_T f phi_i per triangle and local vertex, shape (nt, 3); ``f=None``
-    means f == 1, integrated exactly (area / 3)."""
+def element_load(points: np.ndarray, area: np.ndarray, f, quad_order: int = 5) -> np.ndarray:
+    """int_T f phi_i per triangle and local vertex, shape (nt, 3), by the
+    rule of `quad_order` at its ``points``; ``f=None`` means f == 1,
+    integrated exactly (area / 3)."""
     if f is None:
         return np.repeat(area / 3.0, 3).reshape(-1, 3)
     qp, qw = triangle_quadrature(quad_order)
-    fvals = np.asarray(f(quadrature_points(p, quad_order)), dtype=np.float64)
+    fvals = np.asarray(f(points), dtype=np.float64)
     # int_T f phi_i = area * sum_q w_q f(x_q) lambda_i(x_q)
     return np.einsum("t,tq,qi->ti", area, fvals, qp * qw[:, None])
+
+
+class StiffnessPattern:
+    """What P1 stiffness matrices on one mesh share, whatever the coefficient:
+    areas, quadrature points, products of basis gradients, and the CSR pattern
+    with a scatter map from (triangle, i, j) to data slots.  A matrix then
+    costs one coefficient evaluation and one ``bincount``.  With ``restrict``
+    the matrices live on the free (interior) nodes, otherwise on all
+    vertices."""
+
+    def __init__(self, mesh: Mesh, quad_order: int = 5, restrict: bool = True):
+        p = mesh.vertices[mesh.triangles]
+        self.area, grads = element_geometry(p)
+        self.points = quadrature_points(p, quad_order)
+        index = mesh.free_index if restrict else np.arange(mesh.num_vertices)
+        n = mesh.free_nodes.size if restrict else mesh.num_vertices
+        local = index[mesh.triangles]
+        rows = np.repeat(local, 3, axis=1).ravel()
+        cols = np.tile(local, (1, 3)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        # entry (t, i, j) of the local matrices is weight_t * grad_i . grad_j
+        self._products = np.einsum("tid,tjd->tij", grads, grads).ravel()[keep]
+        self._element = np.repeat(np.arange(mesh.num_triangles, dtype=np.int32), 9)[keep]
+        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        self._slot = slot.astype(np.int32)
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.shape = (n, n)
+
+    def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
+        """The stiffness matrix of per-triangle weights int_T a dx."""
+        data = np.bincount(
+            self._slot, weights=weights[self._element] * self._products,
+            minlength=self._indices.size,
+        )
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
 
 
 def assemble_stiffness(
@@ -133,29 +183,20 @@ def assemble_stiffness(
     coefficient,
     quad_order: int = 5,
     restrict: bool = True,
+    pattern: StiffnessPattern | None = None,
 ) -> sp.csr_matrix:
     """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j).
 
     The coefficient is integrated per element with a symmetric quadrature
     rule (gradients are elementwise constant).  With ``restrict`` the matrix
-    lives on the free (interior) nodes, otherwise on all vertices.
+    lives on the free (interior) nodes, otherwise on all vertices.  A
+    ``pattern`` built for the mesh, rule and restriction saves rebuilding it.
     """
-    p = mesh.vertices[mesh.triangles]
-    area, grads = element_geometry(p)
-    weights = element_integrals(quadrature_points(p, quad_order), area, coefficient, quad_order)
-
-    local = np.einsum("t,tid,tjd->tij", weights, grads, grads)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices),
-    ).tocsr()
-    if restrict:
-        free = mesh.free_nodes
-        mat = mat[free][:, free].tocsr()
-    return mat
+    if pattern is None:
+        pattern = StiffnessPattern(mesh, quad_order, restrict)
+    return pattern.matrix(
+        element_integrals(pattern.points, pattern.area, coefficient, quad_order)
+    )
 
 
 def assemble_coupling(rows: IndexSet, cols: IndexSet, m: int) -> sp.csr_matrix:
@@ -199,13 +240,135 @@ def assemble_load(mesh: Mesh, f, indices: IndexSet, quad_order: int = 5) -> np.n
     p = mesh.vertices[mesh.triangles]
     area, _ = element_geometry(p)
     full = np.zeros(mesh.num_vertices)
-    np.add.at(full, mesh.triangles.ravel(), element_load(p, area, f, quad_order).ravel())
+    points = None if f is None else quadrature_points(p, quad_order)
+    load = element_load(points, area, f, quad_order)
+    np.add.at(full, mesh.triangles.ravel(), load.ravel())
     F[:, col] = full[mesh.free_nodes]
     return F
 
 
+# NVB uniform refinement of T = (a, b, c) = (v[r], v[r+1], v[r+2]), r the
+# reference edge, with m = mid(b, c), w1 = mid(a, b), w2 = mid(c, a): the four
+# children, in the vertex order of the refined mesh, as indices into
+# (a, b, c, m, w1, w2)
+_CHILDREN = np.array([[3, 0, 4], [1, 3, 4], [3, 2, 5], [0, 3, 5]])
+# per midpoint m, w1, w2: the (child, local vertex) pairs where it sits
+_MIDPOINT_SLOTS = (
+    ((0, 0), (1, 1), (2, 0), (3, 1)),
+    ((0, 2), (1, 2)),
+    ((2, 2), (3, 2)),
+)
+# the local edge of T holding m, w1, w2, as an offset from r
+_MIDPOINT_EDGE = np.array([0, 2, 1])
+
+
+def _per_midpoint(values: np.ndarray) -> np.ndarray:
+    """Sum child-vertex values (nt, 4, 3, ...) into values at the midpoints
+    m, w1, w2 (nt, 3, ...)."""
+    return np.stack(
+        [sum(values[:, c, k] for c, k in slots) for slots in _MIDPOINT_SLOTS], axis=1
+    )
+
+
+class MeshOperator:
+    """What the Galerkin system and the two-level spatial estimator need of
+    one mesh, whatever the index set.  Each part is built on first use and
+    kept while the operator lives; the adaptive loop replaces the operator
+    when it refines the mesh.
+
+    Coarse side: the stiffness pattern (areas, quadrature points, CSR
+    scatter), A_m per mode and the LU of A_0.  Estimator side, on the NVB
+    children of each triangle (the uniform refinement, never built as a
+    mesh): per midpoint m, w1, w2 of each triangle the hat terms
+    int a_m grad phi_z per mode, the fine A_0 diagonal and the load.
+    """
+
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, quad_order: int = 5):
+        self.mesh = mesh
+        self.spec = spec
+        self.quad_order = quad_order
+        self._stiffness: dict[int, sp.csr_matrix] = {}
+        self._hat_terms: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def pattern(self) -> StiffnessPattern:
+        return StiffnessPattern(self.mesh, self.quad_order)
+
+    def stiffness(self, m: int) -> sp.csr_matrix:
+        """A_m on the free nodes, assembled once."""
+        if m not in self._stiffness:
+            self._stiffness[m] = assemble_stiffness(
+                self.mesh, self.spec.coefficient(m), self.quad_order, pattern=self.pattern
+            )
+        return self._stiffness[m]
+
+    @cached_property
+    def a0_solver(self):
+        return splu(self.stiffness(0).tocsc())
+
+    def _children(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Areas (4 nt), basis gradients (nt, 4, 3, 2) and quadrature points
+        (4 nt, #points, 2) of the four NVB children of every triangle."""
+        mesh = self.mesh
+        nt = mesh.num_triangles
+        r = mesh.ref_edge[:, None]
+        p3 = mesh.vertices[mesh.triangles[np.arange(nt)[:, None], (r + np.arange(3)) % 3]]
+        p6 = np.concatenate([p3, 0.5 * (p3[:, [1, 0, 2]] + p3[:, [2, 1, 0]])], axis=1)
+        child = p6[:, _CHILDREN].reshape(4 * nt, 3, 2)
+        area, grads = element_geometry(child)
+        return area, grads.reshape(nt, 4, 3, 2), quadrature_points(child, self.quad_order)
+
+    @property
+    def midpoint_edges(self) -> np.ndarray:
+        """Local edge (nt, 3) of each triangle that holds m, w1, w2."""
+        return (self.mesh.ref_edge[:, None] + _MIDPOINT_EDGE) % 3
+
+    def child_terms(self, n_modes: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Per triangle and midpoint z: the hat terms int a_m grad phi_z
+        (nt, 3, 2) for m = 0..n_modes, and the parts of B_0(phi_z, phi_z) and
+        of int f phi_z (nt, 3).  The children's geometry is four times the
+        mesh's and cheap to rebuild, so it is built only when a mode is
+        missing, and not kept."""
+        missing = [m for m in range(n_modes + 1) if m not in self._hat_terms]
+        if missing:
+            area, grads, points = self._children()
+            for m in missing:
+                w = element_integrals(points, area, self.spec.coefficient(m), self.quad_order)
+                w = w.reshape(-1, 4)
+                self._hat_terms[m] = _per_midpoint(w[:, :, None, None] * grads)
+                if m == 0:
+                    self._diagonal = _per_midpoint(w[:, :, None] * (grads**2).sum(axis=3))
+                    load = element_load(points, area, self.spec.rhs, self.quad_order)
+                    self._load = _per_midpoint(load.reshape(-1, 4, 3))
+        return [self._hat_terms[m] for m in range(n_modes + 1)], self._diagonal, self._load
+
+
+class Coupling:
+    """Coupling blocks G_m of one index set P, each assembled on first use
+    and kept while the object lives: on P x P, and on P x Q for the detail
+    set Q.  The adaptive loop replaces the object when it enriches P."""
+
+    def __init__(self, indices: IndexSet, detail: IndexSet | None = None):
+        self.indices = indices
+        self.detail = detail
+        self._blocks: dict[tuple[int, bool], sp.csr_matrix] = {}
+
+    def block(self, m: int, detail: bool = False) -> sp.csr_matrix:
+        """G_m on P x P, or on P x Q with ``detail``."""
+        key = (m, detail)
+        if key not in self._blocks:
+            cols = self.detail if detail else self.indices
+            self._blocks[key] = assemble_coupling(self.indices, cols, m)
+        return self._blocks[key]
+
+
 class TensorSystem:
-    """Assembled Galerkin system on (free nodes of a mesh) x (index set)."""
+    """Assembled Galerkin system on (free nodes of a mesh) x (index set).
+
+    The stiffness matrices come from a per-mesh ``operator`` and the coupling
+    blocks from a per-index-set ``coupling``; fresh ones are built when none
+    are given.
+    """
 
     def __init__(
         self,
@@ -214,20 +377,22 @@ class TensorSystem:
         spec: ProblemSpec,
         n_modes: int | None = None,
         quad_order: int = 5,
+        operator: MeshOperator | None = None,
+        coupling: Coupling | None = None,
     ):
         self.mesh = mesh
         self.indices = indices
         self.spec = spec
         self.n_modes = indices.max_dimension() if n_modes is None else n_modes
         self.quad_order = quad_order
+        self.operator = MeshOperator(mesh, spec, quad_order) if operator is None else operator
+        self.coupling = Coupling(indices) if coupling is None else coupling
+        if (self.operator.mesh is not mesh or self.operator.spec != spec
+                or self.operator.quad_order != quad_order or self.coupling.indices != indices):
+            raise ValueError("operator or coupling built for another space")
 
-        self.A = [
-            assemble_stiffness(mesh, spec.coefficient(m), quad_order)
-            for m in range(self.n_modes + 1)
-        ]
-        self.G = [
-            assemble_coupling(indices, indices, m) for m in range(self.n_modes + 1)
-        ]
+        self.A = [self.operator.stiffness(m) for m in range(self.n_modes + 1)]
+        self.G = [self.coupling.block(m) for m in range(self.n_modes + 1)]
         self.load = assemble_load(mesh, spec.rhs, indices, quad_order)
 
     @property
@@ -237,10 +402,6 @@ class TensorSystem:
     @property
     def num_dof(self) -> int:
         return self.shape[0] * self.shape[1]
-
-    @cached_property
-    def a0_solver(self):
-        return splu(self.A[0].tocsc())
 
     def apply(self, U: np.ndarray) -> np.ndarray:
         """Matrix-free operator: sum_m A_m U G_m."""
@@ -253,7 +414,7 @@ class TensorSystem:
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """Mean-based preconditioner: A_0^{-1} applied columnwise."""
-        return self.a0_solver.solve(R)
+        return self.operator.a0_solver.solve(R)
 
     def apply_mean(self, U: np.ndarray) -> np.ndarray:
         return self.A[0] @ U
@@ -446,25 +607,15 @@ class EnhancedSystem:
 
         n_modes = max(indices_p.max_dimension(), indices_q.max_dimension())
         self.n_modes = n_modes
-        self.A_fine = [
-            assemble_stiffness(fine, spec.coefficient(m), quad_order)
-            for m in range(n_modes + 1)
-        ]
-        self.A_coarse = [
-            assemble_stiffness(mesh, spec.coefficient(m), quad_order)
-            for m in range(n_modes + 1)
-        ]
+        self.fine_operator = MeshOperator(fine, spec, quad_order)
+        self.coarse_operator = MeshOperator(mesh, spec, quad_order)
+        self.A_fine = [self.fine_operator.stiffness(m) for m in range(n_modes + 1)]
+        self.A_coarse = [self.coarse_operator.stiffness(m) for m in range(n_modes + 1)]
         self.P = prolongation_matrix(mesh, fine)
         self.C = [(Am @ self.P).tocsr() for Am in self.A_fine]
-        self.Gpp = [
-            assemble_coupling(indices_p, indices_p, m) for m in range(n_modes + 1)
-        ]
-        self.Gqq = [
-            assemble_coupling(indices_q, indices_q, m) for m in range(n_modes + 1)
-        ]
-        self.Gpq = [
-            assemble_coupling(indices_p, indices_q, m) for m in range(n_modes + 1)
-        ]
+        self.Gpp = [assemble_coupling(indices_p, indices_p, m) for m in range(n_modes + 1)]
+        self.Gqq = [assemble_coupling(indices_q, indices_q, m) for m in range(n_modes + 1)]
+        self.Gpq = [assemble_coupling(indices_p, indices_q, m) for m in range(n_modes + 1)]
         self.load_fine = assemble_load(fine, spec.rhs, indices_p, quad_order)
         self.shape1 = (fine.free_nodes.size, len(indices_p))
         self.shape2 = (mesh.free_nodes.size, len(indices_q))
@@ -472,14 +623,6 @@ class EnhancedSystem:
     @property
     def num_dof(self) -> int:
         return self.shape1[0] * self.shape1[1] + self.shape2[0] * self.shape2[1]
-
-    @cached_property
-    def _fine_solver(self):
-        return splu(self.A_fine[0].tocsc())
-
-    @cached_property
-    def _coarse_solver(self):
-        return splu(self.A_coarse[0].tocsc())
 
     def split(self, x: np.ndarray):
         k = self.shape1[0] * self.shape1[1]
@@ -505,7 +648,9 @@ class EnhancedSystem:
 
     def precondition(self, x: np.ndarray) -> np.ndarray:
         U1, U2 = self.split(x)
-        return self.join(self._fine_solver.solve(U1), self._coarse_solver.solve(U2))
+        return self.join(
+            self.fine_operator.a0_solver.solve(U1), self.coarse_operator.a0_solver.solve(U2)
+        )
 
 
 @dataclass(frozen=True)

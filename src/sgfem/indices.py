@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-__all__ = ["MultiIndex", "IndexSet", "ZERO", "unit_index", "active_dimension", "detail_index_set"]
+__all__ = ["MultiIndex", "IndexSet", "ZERO", "unit_index", "detail_index_set"]
 
 
 @total_ordering
@@ -174,13 +174,6 @@ class IndexSet:
         return cls(members, require_zero=require_zero)
 
 
-def active_dimension(indices: IndexSet) -> int:
-    """Number of the highest active parameter dimension: 0 for the set
-    containing only the zero index, otherwise the maximal supported
-    dimension over all members."""
-    return indices.max_dimension()
-
-
 def detail_index_set(indices: IndexSet) -> IndexSet:
     """Candidate indices one step outside `indices`.
 
@@ -188,7 +181,7 @@ def detail_index_set(indices: IndexSet) -> IndexSet:
     ``m = 1..M+1`` (M the active dimension) that are not already members and
     have no negative component, in canonical order.
     """
-    m_max = active_dimension(indices) + 1
+    m_max = indices.max_dimension() + 1
     found: set[MultiIndex] = set()
     for nu in indices:
         for m in range(1, m_max + 1):

@@ -86,7 +86,6 @@ class ProblemSpec:
     a0_min: float = 1.0
     a0_max: float = 1.0
     rhs: Callable | None = None  # None means f == 1 (handled exactly)
-    mesh_source: str = "lshape"
 
     def __post_init__(self):
         if self.sigma <= 1.0:
@@ -180,8 +179,4 @@ def spec_from_config(settings: dict) -> ProblemSpec:
             raise ValueError("inadmissible problem: amplitude * zeta(sigma) >= 1")
     else:
         amplitude = amplitude_from_tau(float(settings.get("tau", 0.9)), sigma)
-    return ProblemSpec(
-        sigma=sigma,
-        amplitude=amplitude,
-        mesh_source=settings.get("mesh", "lshape"),
-    )
+    return ProblemSpec(sigma=sigma, amplitude=amplitude)

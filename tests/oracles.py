@@ -6,8 +6,8 @@ loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
-fine-mesh spatial estimator and the loop-based newest-vertex bisection at the
-end.
+fine-mesh spatial estimator, the COO stiffness assembly and the loop-based
+newest-vertex bisection at the end.
 """
 
 from __future__ import annotations
@@ -18,12 +18,17 @@ import math
 import numpy as np
 from scipy.special import eval_legendre, roots_jacobi, roots_legendre
 
+import scipy.sparse as sp
+
 from sgfem.mesh import Mesh
 from sgfem.galerkin import (
     assemble_coupling,
     assemble_load,
     assemble_stiffness,
+    element_geometry,
+    element_integrals,
     prolongation_matrix,
+    triangle_quadrature,
 )
 
 
@@ -242,6 +247,46 @@ def fine_mesh_spatial_indicators(u, overlay, spec, quad_order: int = 5) -> np.nd
     assert np.all(rows >= 0), "new interior vertex flagged as boundary"
     denom = A_fine[0].diagonal()[rows]
     return np.sqrt((R[rows] ** 2).sum(axis=1) / denom)
+
+
+# ---------------------------------------------------------------------------
+# the former stiffness assembly: per call, geometry, einsum quadrature points,
+# COO triplets converted to CSR and sliced to the free nodes; the pattern and
+# scatter assembly must match it to rounding
+
+def einsum_quadrature_points(p: np.ndarray, quad_order: int = 5) -> np.ndarray:
+    qp, _ = triangle_quadrature(quad_order)
+    return np.einsum("qk,tkd->tqd", qp, p)
+
+
+def coo_assemble_stiffness(
+    mesh: Mesh,
+    coefficient,
+    quad_order: int = 5,
+    restrict: bool = True,
+) -> sp.csr_matrix:
+    """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j).
+
+    The coefficient is integrated per element with a symmetric quadrature
+    rule (gradients are elementwise constant).  With ``restrict`` the matrix
+    lives on the free (interior) nodes, otherwise on all vertices.
+    """
+    p = mesh.vertices[mesh.triangles]
+    area, grads = element_geometry(p)
+    weights = element_integrals(einsum_quadrature_points(p, quad_order), area, coefficient, quad_order)
+
+    local = np.einsum("t,tid,tjd->tij", weights, grads, grads)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    mat = sp.coo_matrix(
+        (local.ravel(), (rows, cols)),
+        shape=(mesh.num_vertices, mesh.num_vertices),
+    ).tocsr()
+    if restrict:
+        free = mesh.free_nodes
+        mat = mat[free][:, free].tocsr()
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,20 @@ class TestSweep:
         costs = [float(line.split(",")[2]) for line in summary[1:]]
         assert all(c > 0 for c in costs)
 
+    def test_threaded_points_match_single_runs(self, tmp_path, monkeypatch):
+        # the grid points share the initial mesh; each run keeps its own
+        # mesh operators and coupling blocks, so threads change no output
+        monkeypatch.setenv("SGFEM_THREADS", "2")
+        common = ["--tol", "3e-2", "--sigma", "1.5", "--vartheta", "10"]
+        outdir = tmp_path / "sweep"
+        argv = ["sweep", *common, "--theta-x", "0.4,0.6", "--output-dir", str(outdir)]
+        assert main(argv) == EXIT_OK
+        for tx in ("0.4", "0.6"):
+            single = tmp_path / f"run-{tx}.csv"
+            assert main(["run", *common, "--theta-x", tx, "--output", str(single)]) == EXIT_OK
+            swept = outdir / f"run_thx{tx}_thp0.5.csv"
+            assert swept.read_bytes() == single.read_bytes()
+
     def test_sweep_cap_exit(self, tmp_path):
         outdir = tmp_path / "sweep"
         code = main(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgfem.driver
+import sgfem.galerkin
 import sgfem.marking
 import sgfem.mesh
 from sgfem import (
@@ -141,6 +142,72 @@ class TestNoFineMeshInLoop:
             assert calls["driver"] == 0
         else:
             assert calls["driver"] == spatial
+
+
+class TestRebuildOnlyWhatChanged:
+    """A spatial step keeps the coupling blocks, a parametric step keeps the
+    mesh operator: every (mesh, mode) stiffness matrix and every coupling
+    block is assembled once per run."""
+
+    def test_each_pair_assembled_once(self, monkeypatch):
+        spec = lshape_benchmark(sigma=1.5)
+        modes = {}
+        for m in range(12):
+            a = spec.coefficient(m)
+            modes[(a.__code__, tuple(c.cell_contents for c in a.__closure__ or ()))] = m
+        events = []  # ("level",), ("A", mesh, mode) and ("G", rows, cols, mode)
+        stiffness = sgfem.galerkin.assemble_stiffness
+        coupling = sgfem.galerkin.assemble_coupling
+        system = sgfem.driver.TensorSystem
+
+        def counted_stiffness(mesh, a, *args, **kwargs):
+            key = (a.__code__, tuple(c.cell_contents for c in a.__closure__ or ()))
+            events.append(("A", mesh, modes[key]))
+            return stiffness(mesh, a, *args, **kwargs)
+
+        def counted_coupling(rows, cols, m):
+            events.append(("G", rows, cols, m))
+            return coupling(rows, cols, m)
+
+        def marked_system(*args, **kwargs):
+            # a plain function, as the driver may see under a tracer
+            events.append(("level",))
+            return system(*args, **kwargs)
+
+        monkeypatch.setattr(sgfem.galerkin, "assemble_stiffness", counted_stiffness)
+        monkeypatch.setattr(sgfem.galerkin, "assemble_coupling", counted_coupling)
+        monkeypatch.setattr(sgfem.driver, "TensorSystem", marked_system)
+        trace = run_adaptive(spec, "A", MarkingParams(0.5, 0.5, 10.0), tol=6e-2)
+
+        steps = [r.refine_type for r in trace.records]
+        assert "spatial" in steps and "parametric" in steps
+        levels = []
+        for event in events:
+            if event[0] == "level":
+                levels.append([])
+            else:
+                levels[-1].append(event)
+        assert len(levels) == trace.num_levels
+        stiffness_keys = [(id(e[1]), e[2]) for e in events if e[0] == "A"]
+        coupling_keys = [e[1:] for e in events if e[0] == "G"]
+        assert len(stiffness_keys) == len(set(stiffness_keys))
+        assert len(coupling_keys) == len(set(coupling_keys))
+
+        for level, (record, calls) in enumerate(zip(trace.records, levels)):
+            # the system needs modes 0..M, the detail set one more
+            needed = set(range(record.max_active_dim + 2))
+            assembled = {e[2] for e in calls if e[0] == "A"}
+            blocks = [e for e in calls if e[0] == "G"]
+            step = trace.records[level - 1].refine_type if level else None
+            if step == "parametric":
+                before = set(range(trace.records[level - 1].max_active_dim + 2))
+                assert assembled == needed - before
+                assert blocks
+            else:
+                assert assembled == needed
+                assert all(e[1] is calls[0][1] for e in calls if e[0] == "A")
+                if step == "spatial":
+                    assert blocks == []
 
 
 class TestNonFinite:

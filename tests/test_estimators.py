@@ -26,6 +26,8 @@ from sgfem import (
     unit_square,
 )
 
+from sgfem.galerkin import Coupling, MeshOperator
+
 import oracles
 
 
@@ -220,6 +222,39 @@ class TestParametricIndicators:
         u, _, _ = solved
         empty = IndexSet([], require_zero=False)
         assert parametric_indicators(u, empty, spec).size == 0
+
+
+class TestReuse:
+    def test_kept_operator_and_coupling_give_fresh_indicators(self, spec):
+        mesh = nvb_chain(initial_lshape(), 4, seed=3)[-1]
+        P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(1, 2)])
+        Q = detail_index_set(P)
+        operator, coupling = MeshOperator(mesh, spec), Coupling(P, Q)
+        system = TensorSystem(mesh, P, spec, operator=operator, coupling=coupling)
+        u = solve(system, tol=1e-12)
+        # no system attached: the estimators build a fresh operator and coupling
+        bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=u.coeffs)
+        overlay = TwoLevelOverlay(mesh)
+        for _ in range(2):  # the second pass reads what the first one kept
+            assert np.array_equal(
+                spatial_indicators(u, overlay, spec), spatial_indicators(bare, overlay, spec)
+            )
+            assert np.array_equal(
+                parametric_indicators(u, Q, spec), parametric_indicators(bare, Q, spec)
+            )
+        # another rule than the system's: a fresh operator for that rule
+        assert np.array_equal(
+            spatial_indicators(u, overlay, spec, 2), spatial_indicators(bare, overlay, spec, 2)
+        )
+        # a detail set other than the coupling's: fresh blocks for it (the
+        # block solve may round differently with fewer right-hand sides)
+        sub = IndexSet(Q.members[::2], require_zero=False)
+        assert np.allclose(
+            parametric_indicators(u, sub, spec),
+            parametric_indicators(bare, Q, spec)[::2],
+            rtol=1e-12,
+            atol=0.0,
+        )
 
 
 class TestErrorIndicators:

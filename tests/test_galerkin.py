@@ -24,10 +24,12 @@ from sgfem import (
     unit_index,
     unit_square,
 )
-from sgfem.galerkin import _pcg
+from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _pcg
+from sgfem.indices import detail_index_set
 from sgfem.mesh import Mesh
 
 import oracles
+from test_estimators import nvb_chain
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,74 @@ class TestStiffness:
         assert np.allclose(A0, A0.T, atol=1e-14)
         eig = np.linalg.eigvalsh(A0)
         assert eig.min() > 0
+
+
+def mean_field(x):
+    return 1.0 + 0.5 * x[..., 0] ** 2 - 0.25 * x[..., 1]
+
+
+def same_csr(a, b) -> bool:
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+class TestPatternAssembly:
+    """Pattern-and-scatter assembly against the former COO assembly."""
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    @pytest.mark.parametrize("quad_order", [1, 2, 5])
+    def test_matches_coo_oracle_on_nvb_chains(self, start, quad_order, spec):
+        coefficients = [spec.coefficient(m) for m in (0, 1, 4, 9)] + [mean_field]
+        for mesh in [start()] + nvb_chain(start(), 6, seed=10 + quad_order):
+            for restrict in (True, False):
+                pattern = StiffnessPattern(mesh, quad_order, restrict)
+                for a in coefficients:
+                    got = assemble_stiffness(mesh, a, quad_order, restrict, pattern=pattern)
+                    want = oracles.coo_assemble_stiffness(mesh, a, quad_order, restrict)
+                    assert got.shape == want.shape
+                    if want.nnz:
+                        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+                    # a pattern built on the fly gives the same matrix
+                    fresh = assemble_stiffness(mesh, a, quad_order, restrict)
+                    assert same_csr(got, fresh)
+
+
+class TestReuse:
+    """Systems on a kept operator and coupling equal freshly built ones."""
+
+    def test_reused_operator_and_coupling_give_fresh_system(self, mesh2, spec):
+        P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(1, 2)])
+        operator = MeshOperator(mesh2, spec)
+        coupling = Coupling(P, detail_index_set(P))
+        # filled out of order, as parametric steps and estimators do
+        operator.stiffness(3)
+        operator.a0_solver
+        coupling.block(3, detail=True)
+        first = TensorSystem(mesh2, P, spec, operator=operator, coupling=coupling)
+        again = TensorSystem(mesh2, P, spec, operator=operator, coupling=coupling)
+        fresh = TensorSystem(mesh2, P, spec)
+        U = np.random.default_rng(0).standard_normal(fresh.shape)
+        for system in (first, again):
+            assert all(same_csr(a, b) for a, b in zip(system.A, fresh.A))
+            assert all(same_csr(a, b) for a, b in zip(system.G, fresh.G))
+            assert np.array_equal(system.load, fresh.load)
+            assert np.array_equal(system.apply(U), fresh.apply(U))
+            assert np.array_equal(system.precondition(U), fresh.precondition(U))
+        assert all(a is b for a, b in zip(first.A, again.A))
+        assert all(a is b for a, b in zip(first.G, again.G))
+
+    def test_foreign_operator_or_coupling_rejected(self, mesh1, mesh2, spec):
+        P = IndexSet([ZERO, unit_index(1)])
+        with pytest.raises(ValueError):
+            TensorSystem(mesh1, P, spec, operator=MeshOperator(mesh2, spec))
+        with pytest.raises(ValueError):
+            TensorSystem(mesh1, P, spec, operator=MeshOperator(mesh1, spec, quad_order=2))
+        with pytest.raises(ValueError):
+            TensorSystem(mesh1, P, spec, coupling=Coupling(IndexSet()))
 
 
 class TestCoupling:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgfem import IndexSet, MultiIndex, ZERO, active_dimension, detail_index_set, unit_index
+from sgfem import IndexSet, MultiIndex, ZERO, detail_index_set, unit_index
 
 
 def mi(*pairs):
@@ -63,7 +63,7 @@ class TestIndexSet:
         P = IndexSet()
         assert len(P) == 1
         assert P[0] == ZERO
-        assert active_dimension(P) == 0
+        assert P.max_dimension() == 0
 
     def test_zero_required_and_first(self):
         with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ def index_sets(draw):
 @given(index_sets())
 def test_detail_set_properties(P):
     Q = detail_index_set(P)
-    M = active_dimension(P)
+    M = P.max_dimension()
     assert not set(Q) & set(P)
     for mu in Q:
         assert max(mu.support, default=0) <= M + 1
