@@ -9,7 +9,6 @@ from .driver import (
     AdaptiveTrace,
     IterationRecord,
     StepChecks,
-    contraction_series,
     cumulative_cost,
     effectivity,
     fit_rate,
@@ -23,19 +22,16 @@ from .estimators import (
     spatial_indicators,
 )
 from .galerkin import (
-    EnhancedSolution,
     GalerkinSolution,
     SolverError,
     TensorSystem,
     assemble_coupling,
     assemble_load,
     assemble_stiffness,
-    b0_energy,
     b_energy,
     prolong,
     prolongation_matrix,
     solve,
-    solve_enhanced,
 )
 from .indices import (
     IndexSet,
@@ -49,10 +45,10 @@ from .marking import MarkingDecision, MarkingParams, decide, doerfler, maximum_m
 from .mesh import (
     Mesh,
     MeshAudit,
-    TwoLevelOverlay,
     initial_lshape,
     mesh_audit,
     read_mesh,
+    realized,
     refine,
     uniform_refine,
     unit_square,

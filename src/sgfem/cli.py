@@ -12,6 +12,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -163,6 +164,9 @@ def _parse_range(text: str) -> list[float]:
             lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
         else:
             raise ValueError(f"bad range {text!r}")
+        # a step that never passes hi would append forever
+        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0):
+            raise ValueError(f"bad range {text!r}: bounds must be finite, step positive")
         values = []
         k = 0
         while True:
@@ -212,9 +216,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
     mesh = _load_mesh(args.mesh)
+    grid = [(tx, tp) for tx in _parse_range(args.theta_x) for tp in _parse_range(args.theta_p)]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = [(tx, tp) for tx in _parse_range(args.theta_x) for tp in _parse_range(args.theta_p)]
 
     workers = max(1, int(os.environ.get("SGFEM_THREADS", "1")))
 

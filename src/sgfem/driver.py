@@ -33,7 +33,7 @@ from .galerkin import (
 )
 from .indices import IndexSet, detail_index_set
 from .marking import MarkingDecision, MarkingParams, decide
-from .mesh import Mesh, TwoLevelOverlay, initial_lshape, refine, uniform_refine
+from .mesh import Mesh, initial_lshape, realized, refine, uniform_refine
 from .problem import ProblemSpec, contrast_bounds
 
 __all__ = [
@@ -132,9 +132,15 @@ def run_adaptive(
     """Run the adaptive loop until the estimate drops below `tol` or a cap
     trips.  With ``check`` the energy identities and the per-step reduction
     lower bound are asserted online (raises AssertionError on violation); a
-    non-finite energy or estimate raises AssertionError in any case."""
+    non-finite energy or estimate raises AssertionError in any case; a
+    `tol` that is not finite and positive, or a `solver_tol` outside (0, 1),
+    raises ValueError."""
     params = params or MarkingParams()
     params.validate(criterion)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0.0 < solver_tol < 1.0:
+        raise ValueError(f"solver_tol must lie in (0, 1), got {solver_tol}")
     mesh = mesh if mesh is not None else initial_lshape()
     indices = IndexSet()
     lam = contrast_bounds(spec).lam
@@ -206,12 +212,9 @@ def run_adaptive(
                         f"{lower} > {diff_energy}"
                     )
 
-        overlay = TwoLevelOverlay(mesh)
         indicators = ErrorIndicators(
-            spatial=spatial_indicators(solution, overlay, spec),
+            spatial=spatial_indicators(solution, spec),
             parametric=parametric_indicators(solution, detail, spec),
-            overlay=overlay,
-            detail=detail,
         )
         if not math.isfinite(indicators.eta):
             raise AssertionError(f"non-finite estimate at level {level}: {indicators.eta}")
@@ -228,16 +231,14 @@ def run_adaptive(
         elif level >= max_iter:
             stop = "max_iter"
         else:
-            decision = decide(criterion, indicators, params, mesh, overlay)
+            decision = decide(criterion, indicators, params, mesh)
             if decision.kind == "terminate":
                 stop = "estimator_zero"
             elif decision.kind == "spatial":
                 next_mesh = decision.refined
                 if next_mesh is None:
-                    next_mesh = refine(mesh, decision.spatial_marked, overlay)
-                pending_marked_sq = indicators.spatial_subset_sq(
-                    overlay.realized(next_mesh)
-                )
+                    next_mesh = refine(mesh, decision.spatial_marked)
+                pending_marked_sq = indicators.spatial_subset_sq(realized(mesh, next_mesh))
                 refine_type = "spatial"
                 n_marked = len(decision.spatial_marked)
             else:
@@ -280,7 +281,8 @@ def run_adaptive(
             trace.final_mesh = mesh
             trace.final_indices = indices
             trace.final_detail = detail
-            trace.final_solution = solution
+            # without its system, which holds the last mesh's operator
+            trace.final_solution = dataclasses.replace(solution, system=None)
             return trace
 
         # without its system, so that a replaced operator goes with its mesh
@@ -309,7 +311,7 @@ def reference_solution(
     """
     if trace.final_mesh is None:
         raise ValueError("trace has no final state (run did not finish)")
-    fine = uniform_refine(trace.final_mesh).fine
+    fine = uniform_refine(trace.final_mesh)
     once = trace.final_indices.union(trace.final_detail)
     indices = once.union(detail_index_set(once))
     system = TensorSystem(fine, indices, spec)
@@ -334,13 +336,6 @@ def effectivity(
         else:
             out.append(rec.eta / math.sqrt(gap))
     return out
-
-
-def contraction_series(trace: AdaptiveTrace, u_ref: GalerkinSolution) -> list[float]:
-    """Ratios e_{l+1}/e_l of reference energy errors; logged, not asserted."""
-    ref_energy = b_energy(u_ref, u_ref)
-    errs = [math.sqrt(max(ref_energy - r.energy_sq, 0.0)) for r in trace.records]
-    return [b / a for a, b in zip(errs, errs[1:]) if a > 0.0]
 
 
 def fit_rate(trace: AdaptiveTrace) -> float:

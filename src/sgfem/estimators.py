@@ -2,7 +2,8 @@
 
 Spatial indicators test the residual of the current solution against the hat
 functions of the uniformly refined mesh at the new interior vertices N+ (the
-midpoints of interior edges); the scaling is the corresponding diagonal entry
+midpoints of interior edges, numbered by the mesh: ``Mesh.interior_edge_ids``
+and ``Mesh.triangle_nplus``); the scaling is the corresponding diagonal entry
 of the mean-field stiffness on the refined mesh.  Both are computed element
 by element on the current mesh, without building the refined one: the hat of
 an edge midpoint lives on the children of the two triangles next to that
@@ -33,7 +34,6 @@ from .galerkin import (
     element_geometry,
 )
 from .indices import ZERO, IndexSet
-from .mesh import TwoLevelOverlay
 from .problem import ProblemSpec
 
 __all__ = [
@@ -65,12 +65,9 @@ def _operator_and_coupling(
 
 
 def spatial_indicators(
-    u: GalerkinSolution,
-    overlay: TwoLevelOverlay,
-    spec: ProblemSpec,
-    quad_order: int = 5,
+    u: GalerkinSolution, spec: ProblemSpec, quad_order: int = 5
 ) -> np.ndarray:
-    """Two-level indicators eta(z) for all z in N+, in overlay order.
+    """Two-level indicators eta(z) for all z in N+ of ``u.mesh``, in N+ order.
 
     eta(z)^2 = sum_nu r(z, nu)^2 / B_0(phi_z, phi_z), where r(z, nu) is the
     residual of u tested against phi_z P_nu and phi_z is the hat of z on the
@@ -80,8 +77,6 @@ def spatial_indicators(
     edges; the contributions are summed per z.
     """
     mesh = u.mesh
-    if overlay.coarse is not mesh:
-        raise ValueError("overlay was not built from the solution's mesh")
     operator, coupling = _operator_and_coupling(u, spec, quad_order)
 
     def tested(terms, g):
@@ -105,12 +100,13 @@ def spatial_indicators(
 
     # scatter the two triangles' contributions to each z in N+
     rows = np.arange(mesh.num_triangles)[:, None]
-    position = overlay.triangle_nplus[rows, operator.midpoint_edges].ravel()
+    position = mesh.triangle_nplus[rows, operator.midpoint_edges].ravel()
     keep = position >= 0
     position = position[keep]
+    num_new = mesh.interior_edge_ids.size
 
     def gather(values):
-        return np.bincount(position, weights=values[keep], minlength=overlay.num_new)
+        return np.bincount(position, weights=values[keep], minlength=num_new)
 
     res = res.reshape(-1, res.shape[2])
     num = sum(gather(res[:, k]) ** 2 for k in range(res.shape[1]))
@@ -147,14 +143,13 @@ def parametric_indicators(
 class ErrorIndicators:
     """Per-vertex spatial and per-index parametric indicators with totals.
 
-    ``spatial[i]`` belongs to the i-th member of ``overlay.nplus_edges``;
-    ``parametric[j]`` to the j-th member of ``detail``.
+    ``spatial[i]`` belongs to N+ position i of the estimated mesh (the
+    midpoint of its edge ``interior_edge_ids[i]``); ``parametric[j]`` to
+    the j-th member of the detail set.
     """
 
     spatial: np.ndarray
     parametric: np.ndarray
-    overlay: TwoLevelOverlay | None = None
-    detail: IndexSet | None = None
 
     @cached_property
     def eta_spatial(self) -> float:

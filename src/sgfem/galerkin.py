@@ -30,13 +30,12 @@ from scipy.sparse.linalg import splu
 
 from .indices import IndexSet, ZERO
 from .legendre import coupling_coefficient
-from .mesh import Mesh, TwoLevelOverlay, uniform_refine
+from .mesh import Mesh
 from .problem import ProblemSpec
 
 __all__ = [
     "SolverError",
     "GalerkinSolution",
-    "EnhancedSolution",
     "TensorSystem",
     "MeshOperator",
     "Coupling",
@@ -48,9 +47,7 @@ __all__ = [
     "prolongation_matrix",
     "prolong",
     "solve",
-    "solve_enhanced",
     "b_energy",
-    "b0_energy",
 ]
 
 
@@ -416,9 +413,6 @@ class TensorSystem:
         """Mean-based preconditioner: A_0^{-1} applied columnwise."""
         return self.operator.a0_solver.solve(R)
 
-    def apply_mean(self, U: np.ndarray) -> np.ndarray:
-        return self.A[0] @ U
-
 
 @dataclass(frozen=True)
 class GalerkinSolution:
@@ -577,116 +571,3 @@ def b_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
     """Full bilinear form B(u, v) via the Kronecker operator."""
     system = _matching_system(u, v)
     return _inner(u.coeffs, system.apply(v.coeffs))
-
-
-def b0_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
-    """Mean-field bilinear form B_0(u, v)."""
-    system = _matching_system(u, v)
-    return _inner(u.coeffs, system.apply_mean(v.coeffs))
-
-
-class EnhancedSystem:
-    """Galerkin system on the enhanced space: (fine FEM x current indices)
-    plus (current FEM x detail indices), a direct sum."""
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        indices_p: IndexSet,
-        indices_q: IndexSet,
-        spec: ProblemSpec,
-        overlay: TwoLevelOverlay | None = None,
-        quad_order: int = 5,
-    ):
-        self.mesh = mesh
-        self.indices_p = indices_p
-        self.indices_q = indices_q
-        self.spec = spec
-        self.overlay = uniform_refine(mesh) if overlay is None else overlay
-        fine = self.overlay.fine
-
-        n_modes = max(indices_p.max_dimension(), indices_q.max_dimension())
-        self.n_modes = n_modes
-        self.fine_operator = MeshOperator(fine, spec, quad_order)
-        self.coarse_operator = MeshOperator(mesh, spec, quad_order)
-        self.A_fine = [self.fine_operator.stiffness(m) for m in range(n_modes + 1)]
-        self.A_coarse = [self.coarse_operator.stiffness(m) for m in range(n_modes + 1)]
-        self.P = prolongation_matrix(mesh, fine)
-        self.C = [(Am @ self.P).tocsr() for Am in self.A_fine]
-        self.Gpp = [assemble_coupling(indices_p, indices_p, m) for m in range(n_modes + 1)]
-        self.Gqq = [assemble_coupling(indices_q, indices_q, m) for m in range(n_modes + 1)]
-        self.Gpq = [assemble_coupling(indices_p, indices_q, m) for m in range(n_modes + 1)]
-        self.load_fine = assemble_load(fine, spec.rhs, indices_p, quad_order)
-        self.shape1 = (fine.free_nodes.size, len(indices_p))
-        self.shape2 = (mesh.free_nodes.size, len(indices_q))
-
-    @property
-    def num_dof(self) -> int:
-        return self.shape1[0] * self.shape1[1] + self.shape2[0] * self.shape2[1]
-
-    def split(self, x: np.ndarray):
-        k = self.shape1[0] * self.shape1[1]
-        return x[:k].reshape(self.shape1), x[k:].reshape(self.shape2)
-
-    def join(self, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-        return np.concatenate([U1.ravel(), U2.ravel()])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        U1, U2 = self.split(x)
-        R1 = np.zeros(self.shape1)
-        R2 = np.zeros(self.shape2)
-        for m in range(self.n_modes + 1):
-            Gpp, Gqq, Gpq = self.Gpp[m], self.Gqq[m], self.Gpq[m]
-            if Gpp.nnz:
-                R1 += self.A_fine[m] @ (Gpp @ U1.T).T
-            if Gpq.nnz:
-                R1 += self.C[m] @ (Gpq @ U2.T).T
-                R2 += (Gpq.T @ (self.C[m].T @ U1).T).T
-            if Gqq.nnz:
-                R2 += self.A_coarse[m] @ (Gqq @ U2.T).T
-        return self.join(R1, R2)
-
-    def precondition(self, x: np.ndarray) -> np.ndarray:
-        U1, U2 = self.split(x)
-        return self.join(
-            self.fine_operator.a0_solver.solve(U1), self.coarse_operator.a0_solver.solve(U2)
-        )
-
-
-@dataclass(frozen=True)
-class EnhancedSolution:
-    """Solution in the enhanced space, stored blockwise."""
-
-    system: EnhancedSystem
-    fine_coeffs: np.ndarray
-    detail_coeffs: np.ndarray
-    residual: float
-    iterations: int
-
-    def energy_sq(self) -> float:
-        # the detail block carries no load (loads are deterministic)
-        return _inner(self.system.load_fine, self.fine_coeffs)
-
-
-def solve_enhanced(
-    mesh: Mesh,
-    indices_p: IndexSet,
-    indices_q: IndexSet,
-    spec: ProblemSpec,
-    tol: float = 1e-10,
-    maxiter: int = 100000,
-    overlay: TwoLevelOverlay | None = None,
-    quad_order: int = 5,
-) -> EnhancedSolution:
-    """Galerkin solve in the enhanced space used by the two-sided estimate."""
-    system = EnhancedSystem(mesh, indices_p, indices_q, spec, overlay, quad_order)
-    b = system.join(system.load_fine, np.zeros(system.shape2))
-    x, res, its = _pcg(system.apply, system.precondition, b, tol=tol, maxiter=maxiter)
-    U1, U2 = system.split(x)
-    return EnhancedSolution(
-        system=system,
-        fine_coeffs=U1,
-        detail_coeffs=U2,
-        residual=res,
-        iterations=its,
-    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import ErrorIndicators
-from .mesh import Mesh, TwoLevelOverlay, refine
+from .mesh import Mesh, realized, refine
 
 __all__ = [
     "MarkingParams",
@@ -160,9 +160,8 @@ def decide(
     indicators: ErrorIndicators,
     params: MarkingParams,
     mesh: Mesh,
-    overlay: TwoLevelOverlay,
 ) -> MarkingDecision:
-    """Run one of the four marking criteria on the current indicators."""
+    """Run one of the four marking criteria on the indicators of `mesh`."""
     params.validate(criterion)
     eta_x = indicators.eta_spatial
     eta_q = indicators.eta_parametric
@@ -192,14 +191,14 @@ def decide(
     else:
         trial_param = maximum_mark(indicators.parametric, params.theta_p)
     trial_spatial = doerfler(indicators.spatial, params.theta_x)
-    trial = refine(mesh, trial_spatial, overlay)
-    realized = overlay.realized(trial).tolist()
+    trial = refine(mesh, trial_spatial)
+    trial_realized = realized(mesh, trial).tolist()
     eta_trial_param = _aggregate(indicators.parametric, trial_param)
-    eta_realized = math.sqrt(indicators.spatial_subset_sq(realized))
+    eta_realized = math.sqrt(indicators.spatial_subset_sq(trial_realized))
     diag |= {
         "trial_parametric": tuple(trial_param),
         "trial_spatial": tuple(trial_spatial),
-        "realized_spatial": tuple(realized),
+        "realized_spatial": tuple(trial_realized),
         "eta_trial_parametric": eta_trial_param,
         "eta_realized_spatial": eta_realized,
     }

@@ -8,6 +8,12 @@ edge keys ``a * n + b`` (a < b, n vertices), the number of triangles on each
 edge and the edge id of each (triangle, local edge); edges are numbered in
 lexicographic order of their vertex pairs.
 
+The two-level estimator and ``refine`` number the new interior vertices N+
+of the uniform refinement, the midpoints of the interior edges, in edge
+order: ``interior_edge_ids`` lists their edges and ``triangle_nplus`` the N+
+position of each (triangle, local edge).  Both are derived from the edge
+table on each access, not kept on the mesh.
+
 Refinement follows the 2D NVB rule: a triangle is bisected at its reference
 edge and the reference edges of the two children are opposite the new vertex.
 It runs as array passes over the edge table, with no loop over triangles.
@@ -24,12 +30,12 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "TwoLevelOverlay",
     "MeshAudit",
     "initial_lshape",
     "unit_square",
     "uniform_refine",
     "refine",
+    "realized",
     "mesh_audit",
     "read_mesh",
     "write_mesh",
@@ -103,8 +109,21 @@ class Mesh:
         return np.stack(np.divmod(self.edge_keys, self.num_vertices), axis=1)
 
     @property
+    def interior_edge_ids(self) -> np.ndarray:
+        """Ids of the interior edges, ascending: position i of N+ is the
+        midpoint of edge ``interior_edge_ids[i]``."""
+        return np.flatnonzero(self.edge_counts == 2)
+
+    @property
+    def triangle_nplus(self) -> np.ndarray:
+        """(m, 3) N+ position of local edge k of each triangle, -1 on the
+        boundary."""
+        interior = self.edge_counts == 2
+        return np.where(interior, np.cumsum(interior) - 1, -1)[self.triangle_edges]
+
+    @property
     def interior_edges(self) -> np.ndarray:
-        return self.edges[self.edge_counts == 2]
+        return self.edges[self.interior_edge_ids]
 
     @property
     def boundary_edges(self) -> np.ndarray:
@@ -155,73 +174,6 @@ class Mesh:
             raise ValueError("meshes are not nested (no parent path found)")
         chain.reverse()
         return chain
-
-
-@dataclass(frozen=True)
-class TwoLevelOverlay:
-    """The new interior vertices N+ of the uniform refinement of a mesh.
-
-    N+ holds the midpoints of the interior edges of ``coarse``; its order is
-    that of ``coarse.interior_edges`` (lexicographic), listed in
-    ``nplus_edges``.  ``triangle_nplus[t, k]`` is the N+ position of local
-    edge ``k`` of triangle ``t``, or -1 for a boundary edge.
-
-    The uniformly refined mesh itself is built only on first access of
-    ``fine``; ``nplus`` holds the fine-mesh vertex ids of N+ and
-    ``parent_triangle`` the coarse parent of each fine triangle.
-    """
-
-    coarse: Mesh
-
-    @cached_property
-    def nplus_ids(self) -> np.ndarray:
-        """Edge ids (into ``coarse.edges``) of the N+ edges, ascending."""
-        return np.flatnonzero(self.coarse.edge_counts == 2)
-
-    @cached_property
-    def triangle_nplus(self) -> np.ndarray:
-        interior = self.coarse.edge_counts == 2
-        position = np.where(interior, np.cumsum(interior) - 1, -1)
-        return position[self.coarse.triangle_edges]
-
-    @property
-    def nplus_edges(self) -> np.ndarray:
-        return self.coarse.edges[self.nplus_ids]
-
-    @property
-    def num_new(self) -> int:
-        return self.nplus_ids.size
-
-    def realized(self, refined: Mesh) -> np.ndarray:
-        """N+ positions, ascending, of the vertices that one refinement step
-        from ``coarse`` to `refined` created (marked plus closure)."""
-        if refined is self.coarse:
-            return np.zeros(0, dtype=np.int64)
-        if refined.parent is not self.coarse:
-            raise ValueError("refined mesh is not one step from the overlay's mesh")
-        a, b = refined.new_vertex_edge.T
-        ids = np.searchsorted(self.coarse.edge_keys, a * self.coarse.num_vertices + b)
-        return np.searchsorted(self.nplus_ids, ids[self.coarse.edge_counts[ids] == 2])
-
-    @cached_property
-    def fine(self) -> Mesh:
-        marked = np.ones(self.coarse.edge_keys.size, dtype=bool)
-        return _bisect(self.coarse, marked)
-
-    @property
-    def nplus(self) -> np.ndarray:
-        # with every edge bisected, edge e gets vertex num_vertices + e
-        return self.coarse.num_vertices + self.nplus_ids
-
-    @cached_property
-    def parent_triangle(self) -> np.ndarray:
-        # each coarse triangle yields exactly four children, emitted in order
-        return np.repeat(np.arange(self.coarse.num_triangles), 4)
-
-    def new_vertices_per_triangle(self) -> np.ndarray:
-        """For each coarse triangle, the number of z in N+ whose hat support
-        intersects it (equals the triangle's interior-edge count)."""
-        return (self.triangle_nplus >= 0).sum(axis=1)
 
 
 def _make_initial(coords, boundary, tris, refs) -> Mesh:
@@ -346,43 +298,49 @@ def _closure(mesh: Mesh, marked: np.ndarray) -> np.ndarray:
         marked[grow] = True
 
 
-def uniform_refine(mesh: Mesh) -> TwoLevelOverlay:
-    """Bisect every edge of `mesh` once (three bisections per triangle); the
-    overlay's ``fine`` mesh is built here rather than on first access."""
-    overlay = TwoLevelOverlay(mesh)
-    overlay.fine  # built now, so that its cost falls inside this call
-    return overlay
+def uniform_refine(mesh: Mesh) -> Mesh:
+    """Bisect every edge of `mesh` once (three bisections per triangle).
+    Edge e gets vertex ``num_vertices + e``, so N+ position i is vertex
+    ``num_vertices + interior_edge_ids[i]``, and the four children of
+    triangle t are triangles 4t..4t+3."""
+    return _bisect(mesh, np.ones(mesh.edge_keys.size, dtype=bool))
 
 
-def refine(mesh: Mesh, marked, overlay: TwoLevelOverlay | None = None) -> Mesh:
+def refine(mesh: Mesh, marked) -> Mesh:
     """Refine `mesh` so that every marked new vertex becomes a mesh vertex.
 
-    Parameters
-    ----------
-    marked : iterable of positions into the N+ ordering of `overlay`
-        (midpoints of interior edges, see ``TwoLevelOverlay``).
-    overlay : reused if supplied, otherwise recomputed.
-
-    Every triangle adjacent to a marked parent edge is refined by three
-    bisections; NVB reference-edge closure then restores conformity.  With all
-    of N+ marked this reproduces the uniform refinement exactly.
+    `marked` holds N+ positions of `mesh` (midpoints of interior edges, see
+    ``Mesh.interior_edge_ids``).  Every triangle adjacent to a marked edge
+    is refined by three bisections; NVB reference-edge closure then restores
+    conformity.  With all of N+ marked this reproduces the uniform
+    refinement exactly.
     """
     marked = np.unique(np.fromiter(marked, dtype=np.int64))
     if marked.size == 0:
         return mesh
-    if overlay is None:
-        overlay = TwoLevelOverlay(mesh)
-    if marked[0] < 0 or marked[-1] >= overlay.num_new:
-        raise ValueError(
-            f"marked vertex id out of range 0..{overlay.num_new - 1}"
-        )
+    nplus = mesh.interior_edge_ids
+    if marked[0] < 0 or marked[-1] >= nplus.size:
+        raise ValueError(f"marked vertex id out of range 0..{nplus.size - 1}")
 
     edges = mesh.triangle_edges
     seed = np.zeros(mesh.edge_keys.size, dtype=bool)
-    seed[overlay.nplus_ids[marked]] = True
+    seed[nplus[marked]] = True
     full = seed.copy()
     full[edges[seed[edges].any(axis=1)]] = True
     return _bisect(mesh, _closure(mesh, full))
+
+
+def realized(coarse: Mesh, refined: Mesh) -> np.ndarray:
+    """N+ positions of `coarse`, ascending, of the vertices that one
+    refinement step from `coarse` to `refined` created (marked plus
+    closure)."""
+    if refined is coarse:
+        return np.zeros(0, dtype=np.int64)
+    if refined.parent is not coarse:
+        raise ValueError("refined mesh is not one step from the coarse mesh")
+    a, b = refined.new_vertex_edge.T
+    ids = np.searchsorted(coarse.edge_keys, a * coarse.num_vertices + b)
+    return np.searchsorted(coarse.interior_edge_ids, ids[coarse.edge_counts[ids] == 2])
 
 
 @dataclass(frozen=True)

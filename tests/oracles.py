@@ -7,29 +7,40 @@ of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
 fine-mesh spatial estimator, the COO stiffness assembly and the loop-based
-newest-vertex bisection at the end.
+newest-vertex bisection, and former library code that only tests use: the
+Galerkin solve in the enhanced space of the two-sided estimate, the
+mean-field energy and the contraction series of reference errors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_legendre, roots_jacobi, roots_legendre
 
 import scipy.sparse as sp
 
-from sgfem.mesh import Mesh
 from sgfem.galerkin import (
+    GalerkinSolution,
+    MeshOperator,
+    _inner,
+    _matching_system,
+    _pcg,
     assemble_coupling,
     assemble_load,
     assemble_stiffness,
+    b_energy,
     element_geometry,
     element_integrals,
     prolongation_matrix,
     triangle_quadrature,
 )
+from sgfem.indices import IndexSet
+from sgfem.mesh import Mesh, uniform_refine
+from sgfem.problem import ProblemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +235,17 @@ def exhaustive_bulk(values: np.ndarray, theta: float, sums: np.ndarray | None = 
 # assembly (checked against the dense oracles in test_galerkin), so that the
 # element-local estimator must agree with it to rounding
 
-def fine_mesh_spatial_indicators(u, overlay, spec, quad_order: int = 5) -> np.ndarray:
-    """eta(z) for all z in N+, in overlay order, from the full residual on the
+def nplus_vertices(mesh) -> np.ndarray:
+    """Vertex ids, in ``uniform_refine(mesh)``, of N+ in N+ order: edge e
+    gets vertex ``num_vertices + e``."""
+    return mesh.num_vertices + mesh.interior_edge_ids
+
+
+def fine_mesh_spatial_indicators(u, spec, quad_order: int = 5) -> np.ndarray:
+    """eta(z) for all z in N+, in N+ order, from the full residual on the
     uniformly refined mesh: prolong u there, assemble the fine stiffness
     matrices and load, and read the rows of the new interior vertices."""
-    fine = overlay.fine
+    fine = uniform_refine(u.mesh)
     n_modes = u.indices.max_dimension()
     A_fine = [
         assemble_stiffness(fine, spec.coefficient(m), quad_order)
@@ -243,7 +260,7 @@ def fine_mesh_spatial_indicators(u, overlay, spec, quad_order: int = 5) -> np.nd
         if G.nnz:
             R -= A_fine[m] @ (G @ U1.T).T
 
-    rows = fine.free_index[overlay.nplus]
+    rows = fine.free_index[nplus_vertices(u.mesh)]
     assert np.all(rows >= 0), "new interior vertex flagged as boundary"
     denom = A_fine[0].diagonal()[rows]
     return np.sqrt((R[rows] ** 2).sum(axis=1) / denom)
@@ -407,3 +424,128 @@ def loop_refine(mesh, marked) -> Mesh:
 def loop_uniform_refine(mesh) -> Mesh:
     """Bisect every edge of `mesh` once."""
     return _bisect_all(mesh, set(edge_counts(mesh)))
+
+
+# ---------------------------------------------------------------------------
+# former library code that only tests use: the mean-field energy, the
+# Galerkin solve in the enhanced space (fine mesh x P) + (mesh x Q) of the
+# two-sided estimate, with the uniform refinement `fine` of the mesh, and
+# the contraction series of reference energy errors
+
+def b0_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
+    """Mean-field bilinear form B_0(u, v)."""
+    system = _matching_system(u, v)
+    return _inner(u.coeffs, system.A[0] @ v.coeffs)
+
+
+class EnhancedSystem:
+    """Galerkin system on the enhanced space: (fine FEM x current indices)
+    plus (current FEM x detail indices), a direct sum."""
+
+    def __init__(
+        self,
+        mesh: Mesh,
+        indices_p: IndexSet,
+        indices_q: IndexSet,
+        spec: ProblemSpec,
+        fine: Mesh | None = None,
+        quad_order: int = 5,
+    ):
+        self.mesh = mesh
+        self.indices_p = indices_p
+        self.indices_q = indices_q
+        self.spec = spec
+        self.fine = fine = uniform_refine(mesh) if fine is None else fine
+
+        n_modes = max(indices_p.max_dimension(), indices_q.max_dimension())
+        self.n_modes = n_modes
+        self.fine_operator = MeshOperator(fine, spec, quad_order)
+        self.coarse_operator = MeshOperator(mesh, spec, quad_order)
+        self.A_fine = [self.fine_operator.stiffness(m) for m in range(n_modes + 1)]
+        self.A_coarse = [self.coarse_operator.stiffness(m) for m in range(n_modes + 1)]
+        self.P = prolongation_matrix(mesh, fine)
+        self.C = [(Am @ self.P).tocsr() for Am in self.A_fine]
+        self.Gpp = [assemble_coupling(indices_p, indices_p, m) for m in range(n_modes + 1)]
+        self.Gqq = [assemble_coupling(indices_q, indices_q, m) for m in range(n_modes + 1)]
+        self.Gpq = [assemble_coupling(indices_p, indices_q, m) for m in range(n_modes + 1)]
+        self.load_fine = assemble_load(fine, spec.rhs, indices_p, quad_order)
+        self.shape1 = (fine.free_nodes.size, len(indices_p))
+        self.shape2 = (mesh.free_nodes.size, len(indices_q))
+
+    @property
+    def num_dof(self) -> int:
+        return self.shape1[0] * self.shape1[1] + self.shape2[0] * self.shape2[1]
+
+    def split(self, x: np.ndarray):
+        k = self.shape1[0] * self.shape1[1]
+        return x[:k].reshape(self.shape1), x[k:].reshape(self.shape2)
+
+    def join(self, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+        return np.concatenate([U1.ravel(), U2.ravel()])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        U1, U2 = self.split(x)
+        R1 = np.zeros(self.shape1)
+        R2 = np.zeros(self.shape2)
+        for m in range(self.n_modes + 1):
+            Gpp, Gqq, Gpq = self.Gpp[m], self.Gqq[m], self.Gpq[m]
+            if Gpp.nnz:
+                R1 += self.A_fine[m] @ (Gpp @ U1.T).T
+            if Gpq.nnz:
+                R1 += self.C[m] @ (Gpq @ U2.T).T
+                R2 += (Gpq.T @ (self.C[m].T @ U1).T).T
+            if Gqq.nnz:
+                R2 += self.A_coarse[m] @ (Gqq @ U2.T).T
+        return self.join(R1, R2)
+
+    def precondition(self, x: np.ndarray) -> np.ndarray:
+        U1, U2 = self.split(x)
+        return self.join(
+            self.fine_operator.a0_solver.solve(U1), self.coarse_operator.a0_solver.solve(U2)
+        )
+
+
+@dataclass(frozen=True)
+class EnhancedSolution:
+    """Solution in the enhanced space, stored blockwise."""
+
+    system: EnhancedSystem
+    fine_coeffs: np.ndarray
+    detail_coeffs: np.ndarray
+    residual: float
+    iterations: int
+
+    def energy_sq(self) -> float:
+        # the detail block carries no load (loads are deterministic)
+        return _inner(self.system.load_fine, self.fine_coeffs)
+
+
+def solve_enhanced(
+    mesh: Mesh,
+    indices_p: IndexSet,
+    indices_q: IndexSet,
+    spec: ProblemSpec,
+    tol: float = 1e-10,
+    maxiter: int = 100000,
+    fine: Mesh | None = None,
+    quad_order: int = 5,
+) -> EnhancedSolution:
+    """Galerkin solve in the enhanced space used by the two-sided estimate."""
+    system = EnhancedSystem(mesh, indices_p, indices_q, spec, fine, quad_order)
+    b = system.join(system.load_fine, np.zeros(system.shape2))
+    x, res, its = _pcg(system.apply, system.precondition, b, tol=tol, maxiter=maxiter)
+    U1, U2 = system.split(x)
+    return EnhancedSolution(
+        system=system,
+        fine_coeffs=U1,
+        detail_coeffs=U2,
+        residual=res,
+        iterations=its,
+    )
+
+
+def contraction_series(trace, u_ref: GalerkinSolution) -> list[float]:
+    """Ratios e_{l+1}/e_l of reference energy errors; logged, not asserted."""
+    ref_energy = b_energy(u_ref, u_ref)
+    errs = [math.sqrt(max(ref_energy - r.energy_sq, 0.0)) for r in trace.records]
+    return [b / a for a, b in zip(errs, errs[1:]) if a > 0.0]

@@ -25,7 +25,6 @@ from sgfem import (
     mesh_audit,
     refine,
     solve,
-    solve_enhanced,
     spatial_indicators,
     parametric_indicators,
     ErrorIndicators,
@@ -54,12 +53,10 @@ def test_criterion_02_mesh_refinement_fuzz():
     for chain in range(20):
         mesh = initial_lshape()
         for _ in range(50):
-            overlay = uniform_refine(mesh)
+            num_new = mesh.interior_edge_ids.size
             k = int(rng.integers(1, 4))
-            marked = rng.choice(
-                overlay.num_new, size=min(k, overlay.num_new), replace=False
-            )
-            mesh = refine(mesh, marked, overlay)
+            marked = rng.choice(num_new, size=min(k, num_new), replace=False)
+            mesh = refine(mesh, marked)
             calls += 1
             audit = mesh_audit(mesh)
             assert audit.ok, f"audit failed after {calls} refinements"
@@ -68,11 +65,11 @@ def test_criterion_02_mesh_refinement_fuzz():
     # identities: empty marking is the identity, full marking is uniform
     mesh = refine(initial_lshape(), [0, 3])
     assert refine(mesh, []) is mesh
-    overlay = uniform_refine(mesh)
-    full = refine(mesh, range(overlay.num_new), overlay)
-    assert np.array_equal(full.triangles, overlay.fine.triangles)
-    assert np.array_equal(full.vertices, overlay.fine.vertices)
-    assert np.array_equal(full.ref_edge, overlay.fine.ref_edge)
+    fine = uniform_refine(mesh)
+    full = refine(mesh, range(mesh.interior_edge_ids.size))
+    assert np.array_equal(full.triangles, fine.triangles)
+    assert np.array_equal(full.vertices, fine.vertices)
+    assert np.array_equal(full.ref_edge, fine.ref_edge)
 
 
 def test_criterion_03_bulk_marking_exact():
@@ -127,16 +124,15 @@ def test_criterion_06_two_sided_estimator_bounds(benchmark_spec):
     mesh = initial_lshape()
     ratios = []
     for _ in range(5):
-        mesh = uniform_refine(mesh).fine
+        mesh = uniform_refine(mesh)
         system = TensorSystem(mesh, P, spec)
         u = solve(system, tol=1e-12)
-        overlay = uniform_refine(mesh)
-        hat = solve_enhanced(mesh, P, Q, spec, tol=1e-12, overlay=overlay)
+        hat = oracles.solve_enhanced(mesh, P, Q, spec, tol=1e-12)
         dim_hat = hat.fine_coeffs.size + hat.detail_coeffs.size
         assert dim_hat <= 20_000
         err_sq = hat.energy_sq() - u.energy_sq()
         eta = ErrorIndicators(
-            spatial=spatial_indicators(u, overlay, spec),
+            spatial=spatial_indicators(u, spec),
             parametric=parametric_indicators(u, Q, spec),
         ).eta
         # guaranteed efficiency: (lam/3) eta^2 <= |||u_hat - u|||^2

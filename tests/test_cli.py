@@ -121,6 +121,26 @@ class TestErrors:
         cfg.write_text("sigma = 2\nwavelength = 7\n", encoding="utf-8")
         assert main(["run", "--config", str(cfg)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tol", "nan"),
+            ("--tol", "-1"),
+            ("--tol", "0"),
+            ("--tol", "inf"),
+            ("--solver-tol", "nan"),
+            ("--solver-tol", "0"),
+            ("--solver-tol", "1"),
+        ],
+    )
+    def test_bad_tolerance(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "trace.csv"
+        assert main(["run", flag, value, "--output", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert flag[2:].replace("-", "_") in err[0]
+        assert not out.exists()
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("sigma = 2\ntau = 0.9\n", encoding="utf-8")
@@ -228,3 +248,22 @@ class TestParseRange:
     def test_invalid(self):
         with pytest.raises(ValueError):
             _parse_range("0.5..0.3..0.1")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.1..0.9..0", "0.1..0.9..-0.1", "0.1..0.9..nan", "0.1..0.9..inf",
+         "0.1..nan", "nan..0.9", "0.1..inf..0.1"],
+    )
+    def test_step_that_never_passes_hi_rejected(self, text):
+        # zero, negative or NaN steps and NaN or infinite bounds never pass
+        # hi, so the loop would append forever; an infinite step is no range
+        with pytest.raises(ValueError, match="bad range"):
+            _parse_range(text)
+
+    def test_sweep_bad_step_exit(self, tmp_path, capsys):
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--theta-x", "0.1..0.9..0", "--output-dir", str(outdir)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: bad range")
+        assert not outdir.exists()

@@ -12,7 +12,6 @@ from sgfem import (
     IterationRecord,
     MarkingParams,
     b_energy,
-    contraction_series,
     cumulative_cost,
     effectivity,
     fit_rate,
@@ -21,6 +20,8 @@ from sgfem import (
     reference_solution,
     run_adaptive,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +218,8 @@ class TestNonFinite:
             run_adaptive(lshape_benchmark(), "A", tol=5e-2)
 
     def test_nan_estimate_raises(self, monkeypatch):
-        def nan_indicators(u, overlay, spec):
-            return np.full(overlay.num_new, math.nan)
+        def nan_indicators(u, spec):
+            return np.full(u.mesh.interior_edge_ids.size, math.nan)
 
         monkeypatch.setattr(sgfem.driver, "spatial_indicators", nan_indicators)
         with pytest.raises(AssertionError, match="non-finite estimate"):
@@ -279,9 +280,17 @@ class TestReference:
         assert all(z is None for z in zetas)
 
     def test_contraction_series_positive(self, short_trace, short_ref):
-        ratios = contraction_series(short_trace, short_ref)
+        ratios = oracles.contraction_series(short_trace, short_ref)
         assert len(ratios) == short_trace.num_levels - 1
         assert all(0.0 < r < 1.0 + 1e-9 for r in ratios)
+
+    def test_final_solution_keeps_no_system(self, short_trace):
+        # the last mesh's operator must not outlive the run: the reference
+        # solve only prolongs the coefficients
+        assert short_trace.final_solution.system is None
+        assert short_trace.final_solution.coeffs.shape == (
+            short_trace.final_mesh.free_nodes.size, len(short_trace.final_indices)
+        )
 
     def test_incomplete_trace_rejected(self):
         empty = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=1e-2,

@@ -10,7 +10,6 @@ from sgfem import (
     IndexSet,
     K_OVERLAP,
     TensorSystem,
-    TwoLevelOverlay,
     ZERO,
     detail_index_set,
     initial_lshape,
@@ -19,13 +18,13 @@ from sgfem import (
     prolongation_matrix,
     refine,
     solve,
-    solve_enhanced,
     spatial_indicators,
     uniform_refine,
     unit_index,
     unit_square,
 )
 
+import sgfem.mesh
 from sgfem.galerkin import Coupling, MeshOperator
 
 import oracles
@@ -38,7 +37,7 @@ def spec():
 
 @pytest.fixture(scope="module")
 def mesh1():
-    return uniform_refine(initial_lshape()).fine
+    return uniform_refine(initial_lshape())
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +52,9 @@ def solved(mesh1, spec):
 class TestSpatialIndicators:
     def test_matches_dense_residual_oracle(self, solved, spec):
         u, P, _ = solved
-        overlay = uniform_refine(u.mesh)
-        got = spatial_indicators(u, overlay, spec)
+        got = spatial_indicators(u, spec)
 
-        fine = overlay.fine
+        fine = uniform_refine(u.mesh)
         n_modes = P.max_dimension()
         A_hat = [
             oracles.dense_stiffness(fine, spec.coefficient(m), quad_n=6)
@@ -72,32 +70,26 @@ class TestSpatialIndicators:
                     g = (1.0 if nu == mu else 0.0) if m == 0 else oracles.param_moment(nu, mu, m)
                     if abs(g) > 1e-14:
                         R[:, a] -= g * (A_hat[m] @ U1[:, b])
-        rows = fine.free_index[overlay.nplus]
+        rows = fine.free_index[oracles.nplus_vertices(u.mesh)]
         want = np.sqrt((R[rows] ** 2).sum(axis=1) / A_hat[0].diagonal()[rows])
         # residuals involve cancellation, so the 7-point rule and the dense
         # oracle rule agree on the indicators only to the quadrature error
         assert np.allclose(got, want, atol=2e-5)
-        assert got.shape == (overlay.num_new,)
+        assert got.shape == (u.mesh.interior_edge_ids.size,)
         assert np.all(got >= 0)
 
     def test_enhanced_solution_residual_vanishes_on_nplus(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
         Q = detail_index_set(P)
-        overlay = uniform_refine(mesh1)
-        hat = solve_enhanced(mesh1, P, Q, spec, tol=1e-13, overlay=overlay)
+        fine = uniform_refine(mesh1)
+        hat = oracles.solve_enhanced(mesh1, P, Q, spec, tol=1e-13, fine=fine)
         system = hat.system
         x = system.join(hat.fine_coeffs, hat.detail_coeffs)
         b = system.join(system.load_fine, np.zeros(system.shape2))
         res1, _ = system.split(b - system.apply(x))
-        rows = overlay.fine.free_index[overlay.nplus]
+        rows = fine.free_index[oracles.nplus_vertices(mesh1)]
         scale = np.abs(system.load_fine).max()
         assert np.max(np.abs(res1[rows])) < 1e-10 * scale
-
-    def test_mesh_mismatch_rejected(self, solved, spec, mesh1):
-        u, _, _ = solved
-        other = uniform_refine(uniform_refine(mesh1).fine)
-        with pytest.raises(ValueError):
-            spatial_indicators(u, other, spec)
 
 
 def nvb_chain(mesh, steps, seed):
@@ -105,9 +97,9 @@ def nvb_chain(mesh, steps, seed):
     rng = np.random.default_rng(seed)
     chain = []
     for _ in range(steps):
-        overlay = TwoLevelOverlay(mesh)
-        k = int(rng.integers(1, max(2, overlay.num_new // 2)))
-        mesh = refine(mesh, rng.choice(overlay.num_new, size=k, replace=False), overlay)
+        num_new = mesh.interior_edge_ids.size
+        k = int(rng.integers(1, max(2, num_new // 2)))
+        mesh = refine(mesh, rng.choice(num_new, size=k, replace=False))
         chain.append(mesh)
     return chain
 
@@ -140,15 +132,14 @@ class TestElementLocalEstimator:
         spec = dataclasses.replace(lshape_benchmark(), rhs=rhs)
         rng = np.random.default_rng(quad_order)
         for mesh in nvb_chain(start(), 7, seed=quad_order):
-            overlay = TwoLevelOverlay(mesh)
             u = GalerkinSolution(
                 mesh=mesh,
                 indices=RICH_INDICES,
                 coeffs=rng.standard_normal((mesh.free_nodes.size, len(RICH_INDICES))),
             )
-            got = spatial_indicators(u, overlay, spec, quad_order)
-            want = oracles.fine_mesh_spatial_indicators(u, overlay, spec, quad_order)
-            assert got.shape == (overlay.num_new,)
+            got = spatial_indicators(u, spec, quad_order)
+            want = oracles.fine_mesh_spatial_indicators(u, spec, quad_order)
+            assert got.shape == (mesh.interior_edge_ids.size,)
             if want.size:
                 assert np.abs(got - want).max() <= 1e-12 * want.max()
 
@@ -158,9 +149,8 @@ class TestElementLocalEstimator:
         P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(3)])
         for mesh in nvb_chain(initial_lshape(), 6, seed=11)[2:]:
             u = solve(TensorSystem(mesh, P, spec), tol=1e-12)
-            overlay = TwoLevelOverlay(mesh)
-            got = spatial_indicators(u, overlay, spec)
-            want = oracles.fine_mesh_spatial_indicators(u, overlay, spec)
+            got = spatial_indicators(u, spec)
+            want = oracles.fine_mesh_spatial_indicators(u, spec)
             assert np.abs(got - want).max() <= 1e-12 * want.max()
 
     def test_nonconstant_mean_field(self):
@@ -171,7 +161,6 @@ class TestElementLocalEstimator:
             rhs=wavy_rhs,
         )
         mesh = nvb_chain(initial_lshape(), 5, seed=5)[-1]
-        overlay = TwoLevelOverlay(mesh)
         u = GalerkinSolution(
             mesh=mesh,
             indices=RICH_INDICES,
@@ -179,15 +168,18 @@ class TestElementLocalEstimator:
                 (mesh.free_nodes.size, len(RICH_INDICES))
             ),
         )
-        got = spatial_indicators(u, overlay, spec)
-        want = oracles.fine_mesh_spatial_indicators(u, overlay, spec)
+        got = spatial_indicators(u, spec)
+        want = oracles.fine_mesh_spatial_indicators(u, spec)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
-    def test_builds_no_fine_mesh(self, solved, spec):
+    def test_builds_no_fine_mesh(self, solved, spec, monkeypatch):
         u, _, _ = solved
-        overlay = TwoLevelOverlay(u.mesh)
-        spatial_indicators(u, overlay, spec)
-        assert "fine" not in overlay.__dict__
+
+        def forbidden(*args):
+            raise AssertionError("the spatial estimator bisected a mesh")
+
+        monkeypatch.setattr(sgfem.mesh, "_bisect", forbidden)
+        assert spatial_indicators(u, spec).size == u.mesh.interior_edge_ids.size
 
 
 class TestParametricIndicators:
@@ -234,17 +226,14 @@ class TestReuse:
         u = solve(system, tol=1e-12)
         # no system attached: the estimators build a fresh operator and coupling
         bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=u.coeffs)
-        overlay = TwoLevelOverlay(mesh)
         for _ in range(2):  # the second pass reads what the first one kept
-            assert np.array_equal(
-                spatial_indicators(u, overlay, spec), spatial_indicators(bare, overlay, spec)
-            )
+            assert np.array_equal(spatial_indicators(u, spec), spatial_indicators(bare, spec))
             assert np.array_equal(
                 parametric_indicators(u, Q, spec), parametric_indicators(bare, Q, spec)
             )
         # another rule than the system's: a fresh operator for that rule
         assert np.array_equal(
-            spatial_indicators(u, overlay, spec, 2), spatial_indicators(bare, overlay, spec, 2)
+            spatial_indicators(u, spec, 2), spatial_indicators(bare, spec, 2)
         )
         # a detail set other than the coupling's: fresh blocks for it (the
         # block solve may round differently with fewer right-hand sides)

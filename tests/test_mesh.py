@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 import sgfem.mesh
 from sgfem import (
-    TwoLevelOverlay,
     initial_lshape,
     mesh_audit,
     read_mesh,
@@ -57,63 +58,71 @@ class TestInitialMeshes:
 
 class TestUniformRefine:
     def test_counts(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        fine = overlay.fine
+        fine = uniform_refine(lmesh)
         assert fine.num_triangles == 24
         assert fine.num_vertices == 8 + 13  # one midpoint per coarse edge
-        assert overlay.num_new == 5  # interior-edge midpoints
+        assert fine.parent is lmesh
+        assert lmesh.interior_edge_ids.size == 5  # interior-edge midpoints
         assert mesh_audit(fine).ok
         assert fine.min_angle() == pytest.approx(45.0, abs=1e-10)
 
     def test_new_vertices_are_midpoints(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        fine = overlay.fine
+        fine = uniform_refine(lmesh)
         assert fine.new_vertex_edge.shape == (fine.num_vertices - lmesh.num_vertices, 2)
         for v, (a, b) in enumerate(fine.new_vertex_edge, start=lmesh.num_vertices):
             mid = 0.5 * (lmesh.vertices[a] + lmesh.vertices[b])
             assert np.allclose(fine.vertices[v], mid)
 
     def test_nplus_vertices_interior(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        assert not overlay.fine.boundary[overlay.nplus].any()
+        fine = uniform_refine(lmesh)
+        nplus = oracles.nplus_vertices(lmesh)
+        assert not fine.boundary[nplus].any()
+        # every other new vertex lies on the boundary
+        new = np.arange(lmesh.num_vertices, fine.num_vertices)
+        assert fine.boundary[np.setdiff1d(new, nplus)].all()
 
     def test_overlap_counts_at_most_three(self, lmesh):
-        counts = uniform_refine(lmesh).new_vertices_per_triangle()
+        counts = (lmesh.triangle_nplus >= 0).sum(axis=1)
         assert counts.max() <= 3
         assert counts.min() >= 1
 
     def test_areas_preserved(self, lmesh):
-        fine = uniform_refine(lmesh).fine
+        fine = uniform_refine(lmesh)
         assert fine.signed_areas().sum() == pytest.approx(3.0, abs=1e-13)
 
-    def test_overlay_tables_match_mesh_edges(self, lmesh):
+    def test_nplus_tables_match_mesh_edges(self, lmesh):
         rng = np.random.default_rng(7)
         mesh = lmesh
         for _ in range(6):
-            overlay = TwoLevelOverlay(mesh)
             counts = oracles.edge_counts(mesh)
             assert [tuple(e) for e in mesh.edges.tolist()] == sorted(counts)
             assert mesh.edge_counts.tolist() == [counts[e] for e in sorted(counts)]
             nplus = oracles.interior_edges(mesh)
-            assert [tuple(e) for e in overlay.nplus_edges.tolist()] == nplus
-            assert np.array_equal(overlay.nplus_edges, mesh.interior_edges)
+            assert [tuple(e) for e in mesh.interior_edges.tolist()] == nplus
+            assert [tuple(mesh.edges[e]) for e in mesh.interior_edge_ids] == nplus
             position = {e: i for i, e in enumerate(nplus)}
             for t in range(mesh.num_triangles):
                 for k in range(3):
                     edge = oracles.local_edge(mesh, t, k)
                     assert tuple(mesh.edges[mesh.triangle_edges[t, k]]) == edge
-                    assert overlay.triangle_nplus[t, k] == position.get(edge, -1)
-            assert "fine" not in overlay.__dict__
-            marked = rng.choice(overlay.num_new, size=max(1, overlay.num_new // 3), replace=False)
-            mesh = refine(mesh, marked, overlay)
+                    assert mesh.triangle_nplus[t, k] == position.get(edge, -1)
+            # the N+ tables are derived on access; only the edge table and
+            # the free-node maps are kept on the mesh
+            fields = {f.name for f in dataclasses.fields(mesh)}
+            assert set(vars(mesh)) - fields <= {"_edge_table", "edges", "free_nodes", "free_index"}
+            num_new = len(nplus)
+            marked = rng.choice(num_new, size=max(1, num_new // 3), replace=False)
+            mesh = refine(mesh, marked)
 
     def test_parent_triangle_map(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        # four children per coarse triangle, with matching total area
+        fine = uniform_refine(lmesh)
+        # four children per coarse triangle, emitted in order, with matching
+        # total area
+        parent_triangle = np.repeat(np.arange(lmesh.num_triangles), 4)
         for t in range(lmesh.num_triangles):
-            children = np.flatnonzero(overlay.parent_triangle == t)
+            children = np.flatnonzero(parent_triangle == t)
             assert children.size == 4
-            child_area = overlay.fine.signed_areas()[children].sum()
+            child_area = fine.signed_areas()[children].sum()
             assert child_area == pytest.approx(lmesh.signed_areas()[t], abs=1e-14)
 
 
@@ -122,15 +131,14 @@ class TestRefine:
         assert refine(lmesh, []) is lmesh
 
     def test_all_marked_equals_uniform(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        full = refine(lmesh, range(overlay.num_new), overlay)
-        assert np.array_equal(full.triangles, overlay.fine.triangles)
-        assert np.array_equal(full.ref_edge, overlay.fine.ref_edge)
-        assert np.array_equal(full.vertices, overlay.fine.vertices)
+        fine = uniform_refine(lmesh)
+        full = refine(lmesh, range(lmesh.interior_edge_ids.size))
+        assert np.array_equal(full.triangles, fine.triangles)
+        assert np.array_equal(full.ref_edge, fine.ref_edge)
+        assert np.array_equal(full.vertices, fine.vertices)
 
     def test_single_mark_conforming(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        out = refine(lmesh, [0], overlay)
+        out = refine(lmesh, [0])
         # both wing triangles of the marked diagonal are fully bisected and
         # conformity closure propagates; the refined mesh stays admissible
         assert out.num_triangles == 15
@@ -139,24 +147,24 @@ class TestRefine:
         assert out.min_angle() == pytest.approx(45.0, abs=1e-10)
 
     def test_marked_vertices_present(self, lmesh):
-        overlay = uniform_refine(lmesh)
-        for pos in range(overlay.num_new):
-            out = refine(lmesh, [pos], overlay)
-            target = overlay.fine.vertices[overlay.nplus[pos]]
+        fine = uniform_refine(lmesh)
+        nplus = oracles.nplus_vertices(lmesh)
+        for pos in range(nplus.size):
+            out = refine(lmesh, [pos])
+            target = fine.vertices[nplus[pos]]
             assert np.any(np.all(np.isclose(out.vertices, target), axis=1))
 
     def test_realized_needs_one_step(self, lmesh):
-        overlay = TwoLevelOverlay(lmesh)
-        once = refine(lmesh, [0], overlay)
-        assert overlay.realized(lmesh).size == 0
-        assert 0 in overlay.realized(once)
+        realized = sgfem.mesh.realized
+        once = refine(lmesh, [0])
+        assert realized(lmesh, lmesh).size == 0
+        assert 0 in realized(lmesh, once)
         with pytest.raises(ValueError, match="one step"):
-            overlay.realized(refine(once, [0]))
+            realized(lmesh, refine(once, [0]))
 
     def test_out_of_range_mark_rejected(self, lmesh):
-        overlay = uniform_refine(lmesh)
         with pytest.raises(ValueError):
-            refine(lmesh, [overlay.num_new], overlay)
+            refine(lmesh, [lmesh.interior_edge_ids.size])
 
     def test_generation_increases(self, lmesh):
         out = refine(lmesh, [0])
@@ -169,10 +177,10 @@ class TestRefine:
         rng = np.random.default_rng(42)
         mesh = lmesh
         for _ in range(12):
-            overlay = uniform_refine(mesh)
+            num_new = mesh.interior_edge_ids.size
             k = int(rng.integers(1, 4))
-            marked = rng.choice(overlay.num_new, size=min(k, overlay.num_new), replace=False)
-            mesh = refine(mesh, marked, overlay)
+            marked = rng.choice(num_new, size=min(k, num_new), replace=False)
+            mesh = refine(mesh, marked)
             audit = mesh_audit(mesh)
             assert audit.ok
             assert audit.min_angle_deg >= 22.5
@@ -198,8 +206,7 @@ class TestAudit:
         # refine one triangle's reference edge without closing the neighbor
         from sgfem.mesh import Mesh
 
-        overlay = uniform_refine(lmesh)
-        fine = overlay.fine
+        fine = uniform_refine(lmesh)
         # mix one coarse triangle with fine triangles sharing a bisected edge
         tris = np.vstack([fine.triangles[:4], lmesh.triangles[1:]])
         bad = Mesh(
@@ -247,15 +254,14 @@ class TestLoopOracle:
 
     @staticmethod
     def step(mesh, marked):
-        overlay = TwoLevelOverlay(mesh)
-        new = refine(mesh, marked, overlay)
+        new = refine(mesh, marked)
         assert_same_as_oracle(new, oracles.loop_refine(mesh, marked))
         # the realized positions are those of the bisected interior edges
         position = {e: i for i, e in enumerate(oracles.interior_edges(mesh))}
         realized = sorted(
             position[tuple(e)] for e in new.new_vertex_edge.tolist() if tuple(e) in position
         )
-        assert overlay.realized(new).tolist() == realized
+        assert sgfem.mesh.realized(mesh, new).tolist() == realized
         return new
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
@@ -264,7 +270,7 @@ class TestLoopOracle:
         rng = np.random.default_rng(11 + int(10 * fraction))
         mesh = start()
         for _ in range(7):
-            num_new = TwoLevelOverlay(mesh).num_new
+            num_new = mesh.interior_edge_ids.size
             k = max(1, int(fraction * num_new))
             mesh = self.step(mesh, rng.choice(num_new, size=k, replace=False))
 
@@ -272,9 +278,9 @@ class TestLoopOracle:
     def test_uniform(self, start):
         mesh = start()
         for _ in range(5):
-            fine = uniform_refine(mesh).fine
+            fine = uniform_refine(mesh)
             assert_same_as_oracle(fine, oracles.loop_uniform_refine(mesh))
-            all_marked = self.step(mesh, range(TwoLevelOverlay(mesh).num_new))
+            all_marked = self.step(mesh, range(mesh.interior_edge_ids.size))
             assert_same_as_oracle(all_marked, oracles.loop_uniform_refine(mesh))
             mesh = fine
 
@@ -284,16 +290,15 @@ class TestLoopOracle:
         # closure runs through dozens of generations
         mesh = initial_lshape()
         for _ in range(40):
-            edges = TwoLevelOverlay(mesh).nplus_edges
+            edges = mesh.interior_edges
             mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             mesh = self.step(mesh, [int(np.argmin(np.hypot(*mid.T)))])
         assert mesh.generation.max() >= 60
-        overlay = TwoLevelOverlay(mesh)
         rng = np.random.default_rng(5)
         longest = 0
-        for pos in rng.choice(overlay.num_new, size=25, replace=False):
+        for pos in rng.choice(mesh.interior_edge_ids.size, size=25, replace=False):
             out = self.step(mesh, [pos])
-            longest = max(longest, overlay.realized(out).size)
+            longest = max(longest, sgfem.mesh.realized(mesh, out).size)
         assert longest > 50
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
@@ -301,7 +306,7 @@ class TestLoopOracle:
         rng = np.random.default_rng(2024)
         mesh = start()
         while mesh.num_triangles <= 30_000:
-            num_new = TwoLevelOverlay(mesh).num_new
+            num_new = mesh.interior_edge_ids.size
             k = max(1, num_new // 4)
             mesh = self.step(mesh, rng.choice(num_new, size=k, replace=False))
         assert mesh_audit(mesh).ok
