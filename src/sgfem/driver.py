@@ -315,6 +315,7 @@ def reference_solution(
     once = trace.final_indices.union(trace.final_detail)
     indices = once.union(detail_index_set(once))
     system = TensorSystem(fine, indices, spec)
+    del system.operator.pattern  # the solve needs only A_m and the A_0 LU
     guess = prolong(trace.final_solution, fine, indices, system)
     return solve(system, tol=solver_tol, initial=guess)
 

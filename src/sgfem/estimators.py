@@ -94,9 +94,8 @@ def spatial_indicators(
     res -= tested(terms[0], grad_u)
     flat = grad_u.reshape(-1, grad_u.shape[2])
     for m in range(1, len(terms)):
-        G = coupling.block(m)
-        if G.nnz:
-            res -= tested(terms[m], (G @ flat.T).T.reshape(grad_u.shape))
+        if coupling.block(m).nnz:
+            res -= tested(terms[m], coupling.multiply(flat, m).reshape(grad_u.shape))
 
     # scatter the two triangles' contributions to each z in N+
     rows = np.arange(mesh.num_triangles)[:, None]
@@ -132,9 +131,8 @@ def parametric_indicators(
     # residual r[z, nu] = -B(u, phi_z P_nu); the load vanishes off the zero index
     R = np.zeros((u.coeffs.shape[0], len(detail)))
     for m in range(1, n_modes + 1):
-        G = coupling.block(m, detail=True)
-        if G.nnz:
-            R -= operator.stiffness(m) @ (G.T @ u.coeffs.T).T
+        if coupling.block(m, detail=True).nnz:
+            R -= operator.stiffness(m) @ coupling.multiply(u.coeffs, m, detail=True)
     E = operator.a0_solver.solve(R)
     return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 

@@ -5,7 +5,10 @@ the coefficient modes act on the spatial component, sparse coupling matrices
 G_m (tridiagonal in each parameter degree) act on the index-set component.
 The operator is applied matrix-free as sum_m A_m U G_m on coefficient arrays
 U of shape (free nodes, #indices); solves use PCG with the mean-based
-preconditioner A_0 x I.
+preconditioner A_0 x I.  Every array PCG touches is C-ordered (free nodes,
+#indices), so no sparse or inner product copies an operand.  The SPD A_0 is
+factored by SuperLU in symmetric mode, with the minimum-degree ordering of
+A_0 + A_0^T and no pivoting off the diagonal.
 
 A system reads its matrices from two objects that outlive it.  A
 ``MeshOperator`` holds what depends on the mesh alone: geometry, quadrature
@@ -301,7 +304,8 @@ class MeshOperator:
 
     @cached_property
     def a0_solver(self):
-        return splu(self.stiffness(0).tocsc())
+        return splu(self.stiffness(0).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
     def _children(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Areas (4 nt), basis gradients (nt, 4, 3, 2) and quadrature points
@@ -349,6 +353,7 @@ class Coupling:
         self.indices = indices
         self.detail = detail
         self._blocks: dict[tuple[int, bool], sp.csr_matrix] = {}
+        self._passes: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
 
     def block(self, m: int, detail: bool = False) -> sp.csr_matrix:
         """G_m on P x P, or on P x Q with ``detail``."""
@@ -357,6 +362,28 @@ class Coupling:
             cols = self.detail if detail else self.indices
             self._blocks[key] = assemble_coupling(self.indices, cols, m)
         return self._blocks[key]
+
+    def multiply(self, U: np.ndarray, m: int, detail: bool = False) -> np.ndarray:
+        """U @ G_m in C order, for a finite U of shape (n, P).
+
+        A column mu of G_m has entries only in rows mu +- e_m.  Pass k takes
+        the k-th of them in every column, in row order (coefficient zero where
+        a column has fewer), as a gathered column of U.  Summing the passes in
+        order sums as scipy's sparse product does, so the result equals it."""
+        key = (m, detail)
+        if key not in self._passes:
+            G = self.block(m, detail).tocsc()
+            k = np.arange(np.diff(G.indptr).max(initial=0))[:, None]
+            has = k < np.diff(G.indptr)
+            slot = np.where(has, G.indptr[:-1] + k, 0)
+            self._passes[key] = (np.where(has, G.indices[slot], 0),
+                                 np.where(has, G.data[slot], 0.0))
+        out = None
+        for source, coefficient in zip(*self._passes[key]):
+            term = np.take(U, source, axis=1)
+            term *= coefficient
+            out = term if out is None else np.add(out, term, out=out)
+        return np.zeros((U.shape[0], self.block(m, detail).shape[1])) if out is None else out
 
 
 class TensorSystem:
@@ -404,14 +431,14 @@ class TensorSystem:
         """Matrix-free operator: sum_m A_m U G_m."""
         R = self.A[0] @ U
         for m in range(1, self.n_modes + 1):
-            G = self.G[m]
-            if G.nnz:
-                R += self.A[m] @ (G @ U.T).T  # G is symmetric
+            if self.G[m].nnz:
+                R += self.A[m] @ self.coupling.multiply(U, m)
         return R
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
-        """Mean-based preconditioner: A_0^{-1} applied columnwise."""
-        return self.operator.a0_solver.solve(R)
+        """Mean-based preconditioner: A_0^{-1} applied columnwise, returned in
+        C order (SuperLU returns Fortran order)."""
+        return np.ascontiguousarray(self.operator.a0_solver.solve(R))
 
 
 @dataclass(frozen=True)

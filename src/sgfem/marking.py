@@ -54,8 +54,8 @@ class MarkingParams:
         else:
             if not 0.0 <= self.theta_p <= 1.0:
                 raise ValueError(f"theta_p must lie in [0, 1] for criterion {criterion}")
-        if self.vartheta <= 0.0:
-            raise ValueError("vartheta must be positive")
+        if not (math.isfinite(self.vartheta) and self.vartheta > 0.0):
+            raise ValueError("vartheta must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
-fine-mesh spatial estimator, the COO stiffness assembly and the loop-based
-newest-vertex bisection, and former library code that only tests use: the
+fine-mesh spatial estimator, the COO stiffness assembly, the loop-based
+newest-vertex bisection and the transposed coupling products, and former
+library code that only tests use: the
 Galerkin solve in the enhanced space of the two-sided estimate, the
 mean-field energy and the contraction series of reference errors.
 """
@@ -424,6 +425,29 @@ def loop_refine(mesh, marked) -> Mesh:
 def loop_uniform_refine(mesh) -> Mesh:
     """Bisect every edge of `mesh` once."""
     return _bisect_all(mesh, set(edge_counts(mesh)))
+
+
+# ---------------------------------------------------------------------------
+# the transposed coupling products that ``Coupling.multiply`` replaced: the
+# Kronecker operator and both estimators formed U @ G_m through transposes
+
+def transposed_coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False):
+    """U @ G_m as the estimators formed it: ``(G @ U.T).T`` on P x P (G is
+    symmetric) in the spatial estimator, ``(G.T @ U.T).T`` on P x Q in the
+    parametric one."""
+    G = coupling.block(m, detail)
+    return (G.T @ U.T).T if detail else (G @ U.T).T
+
+
+def transposed_apply(system, U: np.ndarray) -> np.ndarray:
+    """The Kronecker operator sum_m A_m U G_m as ``TensorSystem.apply``
+    formed it."""
+    R = system.A[0] @ U
+    for m in range(1, system.n_modes + 1):
+        G = system.G[m]
+        if G.nnz:
+            R += system.A[m] @ (G @ U.T).T  # G is symmetric
+    return R
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,16 @@ class TestErrors:
         assert flag[2:].replace("-", "_") in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_vartheta(self, tmp_path, capsys, value):
+        out = tmp_path / "trace.csv"
+        argv = ["run", f"--vartheta={value}", "--tol", "5e-2", "--max-iter", "4"]
+        assert main(argv + ["--output", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert "vartheta" in err[0]
+        assert not out.exists()
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("sigma = 2\ntau = 0.9\n", encoding="utf-8")

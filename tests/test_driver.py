@@ -292,6 +292,23 @@ class TestReference:
             short_trace.final_mesh.free_nodes.size, len(short_trace.final_indices)
         )
 
+    def test_reference_solve_holds_no_pattern(self, short_trace, monkeypatch):
+        # the stiffness pattern of the reference mesh is dropped once its
+        # system is assembled: the solve needs only A_m and the A_0 LU
+        seen = []
+        real = sgfem.driver.solve
+
+        def watched(system, **kwargs):
+            seen.append("pattern" in vars(system.operator))
+            u = real(system, **kwargs)
+            seen.append("pattern" in vars(system.operator))
+            return u
+
+        monkeypatch.setattr(sgfem.driver, "solve", watched)
+        u = reference_solution(short_trace, lshape_benchmark())
+        assert seen == [False, False]
+        assert u.system.A[0] is u.system.operator.stiffness(0)
+
     def test_incomplete_trace_rejected(self):
         empty = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=1e-2,
                               solver_tol=1e-10)

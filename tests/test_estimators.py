@@ -104,6 +104,24 @@ def nvb_chain(mesh, steps, seed):
     return chain
 
 
+def random_downward_closed(seed, size, max_dim=8):
+    """A random downward-closed index set of `size` members in at most
+    `max_dim` parameter dimensions, grown one admissible index at a time,
+    each along a dimension drawn uniformly where it can grow."""
+    rng = np.random.default_rng(seed)
+    P = IndexSet([ZERO])
+    while len(P) < size:
+        candidates = [
+            nu for nu in detail_index_set(P)
+            if nu.support[-1] <= max_dim
+            and all(nu.bump(k, -1) in P for k in nu.support)
+        ]
+        m = rng.choice(sorted({k for nu in candidates for k in nu.support}))
+        candidates = [nu for nu in candidates if m in nu.support]
+        P = P.union([candidates[rng.integers(len(candidates))]])
+    return P
+
+
 # four active dimensions and a second-degree coupling
 RICH_INDICES = IndexSet(
     [
@@ -214,6 +232,25 @@ class TestParametricIndicators:
         u, _, _ = solved
         empty = IndexSet([], require_zero=False)
         assert parametric_indicators(u, empty, spec).size == 0
+
+
+class TestCopyFreeProducts:
+    """Both estimators with ``Coupling.multiply`` equal them with the
+    transposed coupling products it replaced, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_indicators_equal_transposed_products(self, spec, seed, monkeypatch):
+        mesh = nvb_chain(initial_lshape(), 4, seed=20 + seed)[-1]
+        P = random_downward_closed(seed, 10 + 8 * seed)
+        Q = detail_index_set(P)
+        system = TensorSystem(mesh, P, spec, n_modes=Q.max_dimension())
+        coeffs = np.random.default_rng(seed).standard_normal(system.shape)
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
+        got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        monkeypatch.setattr(Coupling, "multiply", oracles.transposed_coupling_product)
+        want = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestReuse:

@@ -22,12 +22,14 @@ from sgfem import (
     unit_index,
     unit_square,
 )
+from scipy.sparse.linalg import splu
+
 from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _pcg
 from sgfem.indices import detail_index_set
 from sgfem.mesh import Mesh
 
 import oracles
-from test_estimators import nvb_chain
+from test_estimators import nvb_chain, random_downward_closed
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,82 @@ class TestCoupling:
                 [[oracles.param_moment(nu, mu, m) for mu in Q] for nu in P]
             )
             assert np.allclose(G, want, atol=1e-14)
+
+
+class TestCopyFreeCoupling:
+    """``Coupling.multiply`` and the operator built on it against the
+    transposed products they replaced, and the C-order layout contract."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multiply_equals_transposed_products(self, seed):
+        P = random_downward_closed(seed, 10 + 10 * seed)
+        Q = detail_index_set(P)
+        coupling = Coupling(P, Q)
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((40, len(P)))
+        for m in range(1, Q.max_dimension() + 1):
+            for detail in (False, True):
+                got = coupling.multiply(U, m, detail)
+                want = oracles.transposed_coupling_product(coupling, U, m, detail)
+                assert got.flags.c_contiguous
+                assert got.shape == (40, len(Q) if detail else len(P))
+                assert np.array_equal(got, want), (m, detail)
+                # a kept coupling gives the same product again
+                assert np.array_equal(coupling.multiply(U, m, detail), got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_apply_equals_transposed_apply(self, mesh2, spec, seed):
+        P = random_downward_closed(10 + seed, 6 + 6 * seed)
+        system = TensorSystem(mesh2, P, spec)
+        rng = np.random.default_rng(seed)
+        for U in (rng.standard_normal(system.shape),
+                  np.asfortranarray(rng.standard_normal(system.shape))):
+            assert np.array_equal(system.apply(U), oracles.transposed_apply(system, U))
+
+    def test_layout_contract(self, mesh2, spec):
+        system = TensorSystem(mesh2, random_downward_closed(3, 12), spec)
+        rng = np.random.default_rng(1)
+        for U in (rng.standard_normal(system.shape),
+                  np.asfortranarray(rng.standard_normal(system.shape))):
+            for out in (system.apply(U), system.precondition(U)):
+                assert out.shape == system.shape
+                assert out.flags.c_contiguous
+        # PCG keeps the layout: its iterates come out C-ordered
+        u = solve(system, tol=1e-10)
+        assert u.coeffs.flags.c_contiguous
+
+    def test_empty_block(self):
+        # a dimension the index set does not touch couples nothing
+        P = IndexSet([ZERO, unit_index(1)])
+        U = np.random.default_rng(0).standard_normal((5, 2))
+        got = Coupling(P).multiply(U, 3)
+        assert got.flags.c_contiguous and np.array_equal(got, np.zeros((5, 2)))
+
+
+class TestMeanFactor:
+    """The A_0 factor in minimum-degree symmetric ordering against SuperLU's
+    default (COLAMD) ordering."""
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    def test_matches_default_ordering_on_nvb_chains(self, start, spec):
+        # NVB chain marking a quarter of the edges per step, up to 30k triangles
+        rng = np.random.default_rng(7)
+        meshes = [uniform_refine(start())]
+        while True:
+            n = meshes[-1].interior_edge_ids.size
+            mesh = refine(meshes[-1], rng.choice(n, size=max(1, n // 4), replace=False))
+            if mesh.num_triangles > 30000:
+                break
+            meshes.append(mesh)
+        assert meshes[-1].num_triangles > 10000
+        for mesh in meshes:
+            operator = MeshOperator(mesh, spec)
+            A0 = operator.stiffness(0)
+            B = rng.standard_normal((A0.shape[0], 3))
+            got = operator.a0_solver.solve(B)
+            want = splu(A0.tocsc()).solve(B)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(A0 @ got - B).max() <= 1e-10 * np.abs(B).max()
 
 
 class TestLoad:

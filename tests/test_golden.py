@@ -1,0 +1,72 @@
+"""Golden trajectories: the integer columns of the benchmark's three command
+lines and the PCG iteration count of the reference solve, pinned to a fixture.
+
+A change to the solver or the preconditioner that costs one PCG iteration, or
+an estimator change that moves one marked vertex, shows here even when every
+invariant still holds.  Regenerate the fixture only for a change that is meant
+to move the adaptive path:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import sgfem.cli
+from sgfem.cli import CSV_HEADER, main
+
+FIXTURE = Path(__file__).with_name("golden_trajectories.json")
+
+# the argument lists of perfbench/workloads.py
+COMMAND_LINES = {
+    "desk-B": ["run", "--criterion", "B", "--theta-x", "0.5", "--theta-p", "0.5",
+               "--tol", "2e-2"],
+    "param-rich": ["run", "--criterion", "A", "--sigma", "1.5", "--tau", "0.9",
+                   "--vartheta", "10", "--tol", "2.3e-2"],
+    "reference": ["run", "--criterion", "A", "--tol", "2.5e-2", "--with-reference"],
+}
+
+INTEGER_COLUMNS = ("refine_type", "dim_x", "card_p", "n_total", "marked",
+                   "max_active_dim", "solver_iters", "cum_cost")
+
+
+def trajectory(name: str, outdir: Path) -> dict:
+    """Run one command line; its integer columns by name, and the PCG
+    iterations of each reference solve it makes."""
+    header = CSV_HEADER.split(",")
+    solves = []
+    real = sgfem.cli.reference_solution
+
+    def counted(*args, **kwargs):
+        u = real(*args, **kwargs)
+        solves.append(u.iterations)
+        return u
+
+    out = outdir / f"{name}.csv"
+    sgfem.cli.reference_solution = counted
+    try:
+        main(COMMAND_LINES[name] + ["--output", str(out)])
+    finally:
+        sgfem.cli.reference_solution = real
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    columns = {c: [row[header.index(c)] for row in rows] for c in INTEGER_COLUMNS}
+    return {"columns": columns, "reference_pcg_iters": solves}
+
+
+def test_golden_trajectories(tmp_path):
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(COMMAND_LINES)
+    assert golden["reference"]["reference_pcg_iters"] == [18]
+    for name in COMMAND_LINES:
+        got = trajectory(name, tmp_path)
+        for column in INTEGER_COLUMNS:
+            assert got["columns"][column] == golden[name]["columns"][column], (name, column)
+        assert got["reference_pcg_iters"] == golden[name]["reference_pcg_iters"], name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {name: trajectory(name, Path(tmp)) for name in COMMAND_LINES}
+    FIXTURE.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
