@@ -11,10 +11,10 @@ edge, and the solution's gradient is constant on each triangle.  Parametric
 indicators solve one mean-field problem per detail index for the residual
 component in that direction.
 
-Both read the per-mesh operator and the coupling blocks of the solution's
-system (``u.system``), where the loop keeps them across levels: the child
-terms of a mode and the stiffness matrix of a detail direction are built
-once per mesh, the coupling blocks once per index set.  A solution without a
+Both read the per-mesh operator and the coupling of the solution's system
+(``u.system``), where the loop keeps them across levels: the child terms of
+a mode and the stiffness matrix of a detail direction are built once per
+mesh, the coupling passes once per index set.  A solution without a
 system, or estimated under another problem or rule, gets fresh ones.
 """
 
@@ -94,8 +94,7 @@ def spatial_indicators(
     res -= tested(terms[0], grad_u)
     flat = grad_u.reshape(-1, grad_u.shape[2])
     for m in range(1, len(terms)):
-        if coupling.block(m).nnz:
-            res -= tested(terms[m], coupling.multiply(flat, m).reshape(grad_u.shape))
+        res -= tested(terms[m], coupling.multiply(flat, m).reshape(grad_u.shape))
 
     # scatter the two triangles' contributions to each z in N+
     rows = np.arange(mesh.num_triangles)[:, None]
@@ -131,8 +130,7 @@ def parametric_indicators(
     # residual r[z, nu] = -B(u, phi_z P_nu); the load vanishes off the zero index
     R = np.zeros((u.coeffs.shape[0], len(detail)))
     for m in range(1, n_modes + 1):
-        if coupling.block(m, detail=True).nnz:
-            R -= operator.stiffness(m) @ coupling.multiply(u.coeffs, m, detail=True)
+        R -= operator.stiffness(m) @ coupling.multiply(u.coeffs, m, detail=True)
     E = operator.a0_solver.solve(R)
     return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 

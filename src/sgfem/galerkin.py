@@ -1,20 +1,22 @@
 """Galerkin systems on tensor products of P1 FEM spaces and Legendre chaos.
 
 The discrete operator is a Kronecker sum: stiffness matrices A_m weighted by
-the coefficient modes act on the spatial component, sparse coupling matrices
-G_m (tridiagonal in each parameter degree) act on the index-set component.
-The operator is applied matrix-free as sum_m A_m U G_m on coefficient arrays
-U of shape (free nodes, #indices); solves use PCG with the mean-based
-preconditioner A_0 x I.  Every array PCG touches is C-ordered (free nodes,
-#indices), so no sparse or inner product copies an operand.  The SPD A_0 is
-factored by SuperLU in symmetric mode, with the minimum-degree ordering of
-A_0 + A_0^T and no pivoting off the diagonal.
+the coefficient modes act on the spatial component, the Legendre coupling
+matrices G_m on the index-set component.  Column mu of G_m has entries only in
+rows mu -+ e_m, so ``Coupling`` keeps G_m as at most two gather passes, found
+by row lookups in the index sets' degree arrays.  The operator is applied
+matrix-free as sum_m A_m U G_m on coefficient arrays U of shape (free nodes,
+#indices); solves use PCG with the mean-based preconditioner A_0 x I.  Every
+array PCG touches is C-ordered (free nodes, #indices), so no sparse or inner
+product copies an operand.  The SPD A_0 is factored by SuperLU in symmetric
+mode, with the minimum-degree ordering of A_0 + A_0^T and no pivoting off the
+diagonal.
 
 A system reads its matrices from two objects that outlive it.  A
 ``MeshOperator`` holds what depends on the mesh alone: geometry, quadrature
 points, the free-node CSR pattern with its scatter map, A_m per mode (built
 on first use), the LU of A_0 and the spatial estimator's per-mode terms.  A
-``Coupling`` holds the blocks G_m of one index set, against itself and
+``Coupling`` holds the passes of G_m for one index set, against itself and
 against its detail set.  An adaptive step changes either the mesh or the
 index set, so the loop keeps one object and drops the other: the operator
 goes with its mesh on refinement, the coupling with its index set on
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .indices import IndexSet, ZERO
+from .indices import IndexSet, ZERO, row_positions
 from .legendre import coupling_coefficient
 from .mesh import Mesh
 from .problem import ProblemSpec
@@ -45,7 +47,6 @@ __all__ = [
     "StiffnessPattern",
     "triangle_quadrature",
     "assemble_stiffness",
-    "assemble_coupling",
     "assemble_load",
     "prolongation_matrix",
     "prolong",
@@ -199,33 +200,6 @@ def assemble_stiffness(
     )
 
 
-def assemble_coupling(rows: IndexSet, cols: IndexSet, m: int) -> sp.csr_matrix:
-    """Parameter-domain coupling block for dimension `m`.
-
-    Entry (nu, mu) is nonzero only when mu = nu +- e_m, with value
-    ``coupling_coefficient(max(nu_m, mu_m))``.  For m = 0 the block is the
-    identity pattern (orthonormality of the chaos basis).
-    """
-    data, ri, ci = [], [], []
-    if m == 0:
-        for i, nu in enumerate(rows):
-            if nu in cols:
-                ri.append(i)
-                ci.append(cols.position(nu))
-                data.append(1.0)
-    else:
-        for i, nu in enumerate(rows):
-            for step in (+1, -1):
-                mu = nu.bump(m, step)
-                if mu is not None and mu in cols:
-                    ri.append(i)
-                    ci.append(cols.position(mu))
-                    data.append(coupling_coefficient(max(nu.degree(m), mu.degree(m))))
-    return sp.csr_matrix(
-        (data, (ri, ci)), shape=(len(rows), len(cols))
-    )
-
-
 def assemble_load(mesh: Mesh, f, indices: IndexSet, quad_order: int = 5) -> np.ndarray:
     """Load array F[z, nu] over free nodes and indices.
 
@@ -344,53 +318,61 @@ class MeshOperator:
         return [self._hat_terms[m] for m in range(n_modes + 1)], self._diagonal, self._load
 
 
+def _coupling_passes(rows: IndexSet, cols: IndexSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """G_m on rows x cols for m = 1..W, W the wider of the two degree arrays,
+    as (sources, coefficients) of shape (#passes, #cols) per mode.
+
+    Column mu of G_m has entries in the rows mu - e_m and mu + e_m that are
+    members, with coefficients c(mu_m) and c(mu_m + 1).  Pass k holds the
+    k-th entry of each column in row order (source 0, coefficient 0 where a
+    column has fewer), up to the most any column has."""
+    width = max(rows.max_dimension(), cols.max_dimension())
+    at = row_positions(rows.degrees, cols.neighbours(width)).reshape(2, width, len(cols))
+    mu = np.pad(cols.degrees, ((0, 0), (0, width - cols.max_dimension()))).T
+    c = np.where(at >= 0, coupling_coefficient(np.stack([np.maximum(mu, 1), mu + 1])), 0.0)
+    order = np.argsort(np.where(at >= 0, at, len(rows)), axis=0, kind="stable")
+    sources = np.maximum(np.take_along_axis(at, order, axis=0), 0)
+    coefficients = np.take_along_axis(c, order, axis=0)
+    counts = (at >= 0).sum(axis=0).max(axis=1, initial=0)
+    return [(sources[:k, m], coefficients[:k, m]) for m, k in enumerate(counts)]
+
+
 class Coupling:
-    """Coupling blocks G_m of one index set P, each assembled on first use
-    and kept while the object lives: on P x P, and on P x Q for the detail
-    set Q.  The adaptive loop replaces the object when it enriches P."""
+    """The blocks G_m of one index set P, on P x P and, for a detail set Q,
+    on P x Q, as gather passes for every mode either set touches.  The
+    adaptive loop replaces the object when it enriches P."""
 
     def __init__(self, indices: IndexSet, detail: IndexSet | None = None):
         self.indices = indices
         self.detail = detail
-        self._blocks: dict[tuple[int, bool], sp.csr_matrix] = {}
-        self._passes: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-    def block(self, m: int, detail: bool = False) -> sp.csr_matrix:
-        """G_m on P x P, or on P x Q with ``detail``."""
-        key = (m, detail)
-        if key not in self._blocks:
-            cols = self.detail if detail else self.indices
-            self._blocks[key] = assemble_coupling(self.indices, cols, m)
-        return self._blocks[key]
+        self._passes = {False: _coupling_passes(indices, indices)}
+        if detail is not None:
+            self._passes[True] = _coupling_passes(indices, detail)
 
     def multiply(self, U: np.ndarray, m: int, detail: bool = False) -> np.ndarray:
-        """U @ G_m in C order, for a finite U of shape (n, P).
-
-        A column mu of G_m has entries only in rows mu +- e_m.  Pass k takes
-        the k-th of them in every column, in row order (coefficient zero where
-        a column has fewer), as a gathered column of U.  Summing the passes in
-        order sums as scipy's sparse product does, so the result equals it."""
-        key = (m, detail)
-        if key not in self._passes:
-            G = self.block(m, detail).tocsc()
-            k = np.arange(np.diff(G.indptr).max(initial=0))[:, None]
-            has = k < np.diff(G.indptr)
-            slot = np.where(has, G.indptr[:-1] + k, 0)
-            self._passes[key] = (np.where(has, G.indices[slot], 0),
-                                 np.where(has, G.data[slot], 0.0))
+        """U @ G_m in C order, for a finite U of shape (n, P) and a mode m >= 1;
+        on P x Q with ``detail``.  Pass k gathers, for every column, the k-th
+        of its rows mu +- e_m as a column of U and scales it.  Summing the
+        passes in row order sums as scipy's sparse product does."""
+        if m < 1:
+            raise ValueError("G_0 is the identity; coupling modes are m >= 1")
+        passes = self._passes[detail]
+        sources, coefficients = passes[m - 1] if m <= len(passes) else ((), ())
         out = None
-        for source, coefficient in zip(*self._passes[key]):
+        for source, coefficient in zip(sources, coefficients):
             term = np.take(U, source, axis=1)
             term *= coefficient
             out = term if out is None else np.add(out, term, out=out)
-        return np.zeros((U.shape[0], self.block(m, detail).shape[1])) if out is None else out
+        if out is None:
+            return np.zeros((U.shape[0], len(self.detail if detail else self.indices)))
+        return out
 
 
 class TensorSystem:
     """Assembled Galerkin system on (free nodes of a mesh) x (index set).
 
     The stiffness matrices come from a per-mesh ``operator`` and the coupling
-    blocks from a per-index-set ``coupling``; fresh ones are built when none
+    passes from a per-index-set ``coupling``; fresh ones are built when none
     are given.
     """
 
@@ -416,7 +398,6 @@ class TensorSystem:
             raise ValueError("operator or coupling built for another space")
 
         self.A = [self.operator.stiffness(m) for m in range(self.n_modes + 1)]
-        self.G = [self.coupling.block(m) for m in range(self.n_modes + 1)]
         self.load = assemble_load(mesh, spec.rhs, indices, quad_order)
 
     @property
@@ -431,8 +412,7 @@ class TensorSystem:
         """Matrix-free operator: sum_m A_m U G_m."""
         R = self.A[0] @ U
         for m in range(1, self.n_modes + 1):
-            if self.G[m].nnz:
-                R += self.A[m] @ self.coupling.multiply(U, m)
+            R += self.A[m] @ self.coupling.multiply(U, m)
         return R
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
@@ -496,6 +476,7 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
     z = precond(r)
     rho = finite("r.Mr", _inner(r, z))
     p = z.copy()
+    scratch = np.empty_like(p)
     history.append(math.sqrt(max(rho, 0.0)) / denom)
     while history[-1] > tol:
         if it >= maxiter:
@@ -506,11 +487,12 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
             )
         Ap = apply_op(p)
         alpha = rho / finite("p.Ap", _inner(p, Ap), positive=True)
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(Ap, alpha, out=scratch)
         z = precond(r)
         rho_new = finite("r.Mr", _inner(r, z))
-        p = z + (rho_new / rho) * p
+        p *= rho_new / rho
+        p += z
         rho = rho_new
         it += 1
         history.append(math.sqrt(max(rho, 0.0)) / denom)
@@ -562,11 +544,10 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
 
 def _index_embedding(small: IndexSet, large: IndexSet) -> np.ndarray:
-    cols = np.empty(len(small), dtype=np.int64)
-    for i, nu in enumerate(small):
-        if nu not in large:
-            raise ValueError(f"index {nu} missing from the enlarged index set")
-        cols[i] = large.position(nu)
+    cols = row_positions(large.degrees, small.degrees)
+    if (cols < 0).any():
+        missing = small[int(np.argmax(cols < 0))]
+        raise ValueError(f"index {missing} missing from the enlarged index set")
     return cols
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-__all__ = ["MultiIndex", "IndexSet", "ZERO", "unit_index", "detail_index_set"]
+import numpy as np
+
+__all__ = ["MultiIndex", "IndexSet", "ZERO", "unit_index", "detail_index_set", "row_positions"]
 
 
 @total_ordering
@@ -52,17 +54,6 @@ class MultiIndex:
     def is_zero(self) -> bool:
         return not self.pairs
 
-    def bump(self, m: int, step: int) -> "MultiIndex | None":
-        """Index with the degree in dimension `m` shifted by `step` (+1/-1);
-        None if the result would have a negative component."""
-        new_deg = self.degree(m) + step
-        if new_deg < 0:
-            return None
-        other = tuple(p for p in self.pairs if p[0] != m)
-        if new_deg == 0:
-            return MultiIndex(other)
-        return MultiIndex(sorted(other + ((m, new_deg),)))
-
     def sort_key(self):
         return (self.total_degree, self.pairs)
 
@@ -103,10 +94,31 @@ def unit_index(m: int, degree: int = 1) -> MultiIndex:
     return MultiIndex([(m, degree)])
 
 
-class IndexSet:
-    """Ordered set of distinct multi-indices containing the zero index."""
+def row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position in the integer array `table` of each row of `rows` (both
+    padded with zero columns to a common width), or -1 where it has none.
 
-    __slots__ = ("members", "_positions")
+    Both are sorted together, stably and `table` first, so the first row of a
+    run of equal rows is the first match in `table` if there is one; hence
+    ``row_positions(a, a)[i] == i`` marks first occurrences."""
+    width = max(table.shape[1], rows.shape[1], 1)
+    stack = np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in (table, rows)])
+    order = np.lexsort(stack.T[::-1])
+    ordered = stack[order]
+    starts = np.ones(len(stack), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    head = order[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+    found = np.empty(len(stack), dtype=np.int64)
+    found[order] = np.where(head < len(table), head, -1)
+    return found[len(table):]
+
+
+class IndexSet:
+    """Ordered set of distinct multi-indices containing the zero index, also
+    held as rows of the read-only integer array ``degrees`` of shape
+    (#members, ``max_dimension()``): entry (i, m - 1) is member i's degree m."""
+
+    __slots__ = ("members", "_positions", "degrees")
 
     def __init__(self, members=(ZERO,), require_zero: bool = True):
         ordered: list[MultiIndex] = []
@@ -123,6 +135,11 @@ class IndexSet:
                 ordered.insert(0, ZERO)
         self.members = tuple(ordered)
         self._positions = {nu: i for i, nu in enumerate(self.members)}
+        entries = [(i, m - 1, d) for i, nu in enumerate(ordered) for m, d in nu.pairs]
+        rows, dims, degs = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        self.degrees = np.zeros((len(ordered), dims.max(initial=-1) + 1), dtype=np.int64)
+        self.degrees[rows, dims] = degs
+        self.degrees.flags.writeable = False
 
     def __len__(self):
         return len(self.members)
@@ -153,16 +170,16 @@ class IndexSet:
         new = sorted(set(nu for nu in extra if nu not in self._positions))
         return IndexSet(self.members + tuple(new), require_zero=ZERO in self._positions)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        dims = set()
-        for nu in self.members:
-            dims.update(nu.support)
-        return tuple(sorted(dims))
-
     def max_dimension(self) -> int:
         """Largest active dimension over all members, 0 if only the zero index."""
-        return max((max(nu.support, default=0) for nu in self.members), default=0)
+        return self.degrees.shape[1]
+
+    def neighbours(self, width: int) -> np.ndarray:
+        """Degree rows nu - e_m, then nu + e_m, for m = 1..width (at least
+        ``max_dimension()``) and each member nu; shape (2 width #members, width)."""
+        degrees = np.pad(self.degrees, ((0, 0), (0, width - self.max_dimension())))
+        steps = np.eye(width, dtype=np.int64)[:, None]
+        return np.stack([degrees - steps, degrees + steps]).reshape(2 * width * len(self), width)
 
     def dump(self) -> str:
         """One line per index, sparse ``m:d`` pairs, zero index as ``-``."""
@@ -181,12 +198,8 @@ def detail_index_set(indices: IndexSet) -> IndexSet:
     ``m = 1..M+1`` (M the active dimension) that are not already members and
     have no negative component, in canonical order.
     """
-    m_max = indices.max_dimension() + 1
-    found: set[MultiIndex] = set()
-    for nu in indices:
-        for m in range(1, m_max + 1):
-            for step in (+1, -1):
-                mu = nu.bump(m, step)
-                if mu is not None and mu not in indices:
-                    found.add(mu)
-    return IndexSet(sorted(found), require_zero=False)
+    found = indices.neighbours(indices.max_dimension() + 1)
+    found = found[(found >= 0).all(axis=1) & (row_positions(indices.degrees, found) < 0)]
+    found = found[row_positions(found, found) == np.arange(len(found))]
+    members = (MultiIndex(enumerate(row, start=1)) for row in found.tolist())
+    return IndexSet(sorted(members, key=MultiIndex.sort_key), require_zero=False)

@@ -25,11 +25,12 @@ def legendre_eval(n: int, y):
     return math.sqrt(2 * n + 1) * eval_legendre(n, y)
 
 
-def coupling_coefficient(n: int) -> float:
-    """Coefficient c_n = integral of y P_n P_{n-1} dy/2 for n >= 1."""
-    if n < 1:
+def coupling_coefficient(n):
+    """Coefficient c_n = integral of y P_n P_{n-1} dy/2 for a degree n >= 1,
+    or elementwise for an integer array of them."""
+    if np.any(np.asarray(n) < 1):
         raise ValueError("coupling coefficient defined for n >= 1")
-    return n / math.sqrt(4.0 * n * n - 1.0)
+    return n / np.sqrt(4.0 * n * n - 1.0)
 
 
 def gauss_quadrature(num_points: int = 64):

@@ -413,6 +413,8 @@ def read_mesh(path) -> Mesh:
         if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
             raise ValueError(f"bad mesh header: {' '.join(header)!r}")
         nv, nt = int(header[1]), int(header[3])
+        if nt == 0:
+            raise ValueError(f"mesh file {path} has no triangles")
         coords = np.empty((nv, 2))
         bdry = np.empty(nv, dtype=bool)
         for i in range(nv):
@@ -425,7 +427,7 @@ def read_mesh(path) -> Mesh:
             v0, v1, v2, r = (int(s) for s in fh.readline().split())
             tris[i] = (v0, v1, v2)
             refs[i] = r
-    if tris.size and (tris.min() < 0 or tris.max() >= nv):
+    if tris.min() < 0 or tris.max() >= nv:
         raise ValueError("triangle vertex id out of range")
     mesh = Mesh(
         vertices=coords,

@@ -88,8 +88,10 @@ class ProblemSpec:
     rhs: Callable | None = None  # None means f == 1 (handled exactly)
 
     def __post_init__(self):
-        if self.sigma <= 1.0:
-            raise ValueError("decay exponent must satisfy sigma > 1")
+        if not (math.isfinite(self.sigma) and self.sigma > 1.0):
+            raise ValueError(f"decay exponent must be finite with sigma > 1, got {self.sigma}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not (0.0 < self.a0_min <= self.a0_max):
             raise ValueError("mean field bounds must satisfy 0 < a0_min <= a0_max")
         if self.tau >= 1.0:

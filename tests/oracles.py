@@ -7,7 +7,8 @@ of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
 fine-mesh spatial estimator, the COO stiffness assembly, the loop-based
-newest-vertex bisection and the transposed coupling products, and former
+newest-vertex bisection, the CSR coupling blocks with the transposed products
+formed from them, and the loop-based detail set and index embedding, and former
 library code that only tests use: the
 Galerkin solve in the enhanced space of the two-sided estimate, the
 mean-field energy and the contraction series of reference errors.
@@ -30,7 +31,6 @@ from sgfem.galerkin import (
     _inner,
     _matching_system,
     _pcg,
-    assemble_coupling,
     assemble_load,
     assemble_stiffness,
     b_energy,
@@ -39,7 +39,8 @@ from sgfem.galerkin import (
     prolongation_matrix,
     triangle_quadrature,
 )
-from sgfem.indices import IndexSet
+from sgfem.indices import IndexSet, MultiIndex
+from sgfem.legendre import coupling_coefficient
 from sgfem.mesh import Mesh, uniform_refine
 from sgfem.problem import ProblemSpec
 
@@ -428,14 +429,55 @@ def loop_uniform_refine(mesh) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# the transposed coupling products that ``Coupling.multiply`` replaced: the
-# Kronecker operator and both estimators formed U @ G_m through transposes
+# the coupling blocks as CSR matrices, assembled entry by entry through
+# ``bump``, and the transposed products that ``Coupling.multiply`` replaced:
+# the Kronecker operator and both estimators formed U @ G_m through
+# transposes of these blocks
+
+def bump(nu: MultiIndex, m: int, step: int) -> MultiIndex | None:
+    """`nu` with the degree in dimension `m` shifted by `step` (+1/-1); None
+    if the result would have a negative component."""
+    new_deg = nu.degree(m) + step
+    if new_deg < 0:
+        return None
+    other = tuple(p for p in nu.pairs if p[0] != m)
+    if new_deg == 0:
+        return MultiIndex(other)
+    return MultiIndex(sorted(other + ((m, new_deg),)))
+
+
+def assemble_coupling(rows: IndexSet, cols: IndexSet, m: int) -> sp.csr_matrix:
+    """Parameter-domain coupling block for dimension `m`.
+
+    Entry (nu, mu) is nonzero only when mu = nu +- e_m, with value
+    ``coupling_coefficient(max(nu_m, mu_m))``.  For m = 0 the block is the
+    identity pattern (orthonormality of the chaos basis).
+    """
+    data, ri, ci = [], [], []
+    if m == 0:
+        for i, nu in enumerate(rows):
+            if nu in cols:
+                ri.append(i)
+                ci.append(cols.position(nu))
+                data.append(1.0)
+    else:
+        for i, nu in enumerate(rows):
+            for step in (+1, -1):
+                mu = bump(nu, m, step)
+                if mu is not None and mu in cols:
+                    ri.append(i)
+                    ci.append(cols.position(mu))
+                    data.append(coupling_coefficient(max(nu.degree(m), mu.degree(m))))
+    return sp.csr_matrix(
+        (data, (ri, ci)), shape=(len(rows), len(cols))
+    )
+
 
 def transposed_coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False):
     """U @ G_m as the estimators formed it: ``(G @ U.T).T`` on P x P (G is
     symmetric) in the spatial estimator, ``(G.T @ U.T).T`` on P x Q in the
     parametric one."""
-    G = coupling.block(m, detail)
+    G = assemble_coupling(coupling.indices, coupling.detail if detail else coupling.indices, m)
     return (G.T @ U.T).T if detail else (G @ U.T).T
 
 
@@ -444,7 +486,7 @@ def transposed_apply(system, U: np.ndarray) -> np.ndarray:
     formed it."""
     R = system.A[0] @ U
     for m in range(1, system.n_modes + 1):
-        G = system.G[m]
+        G = assemble_coupling(system.indices, system.indices, m)
         if G.nnz:
             R += system.A[m] @ (G @ U.T).T  # G is symmetric
     return R
@@ -573,3 +615,31 @@ def contraction_series(trace, u_ref: GalerkinSolution) -> list[float]:
     ref_energy = b_energy(u_ref, u_ref)
     errs = [math.sqrt(max(ref_energy - r.energy_sq, 0.0)) for r in trace.records]
     return [b / a for a, b in zip(errs, errs[1:]) if a > 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the loop versions of the detail set and of the index embedding of
+# ``prolong``, one ``MultiIndex`` at a time
+
+def loop_detail_index_set(indices: IndexSet) -> IndexSet:
+    """All nu +- e_m, nu in `indices` and m = 1..M+1, that are not members
+    and have no negative component, in canonical order."""
+    m_max = indices.max_dimension() + 1
+    found: set[MultiIndex] = set()
+    for nu in indices:
+        for m in range(1, m_max + 1):
+            for step in (+1, -1):
+                mu = bump(nu, m, step)
+                if mu is not None and mu not in indices:
+                    found.add(mu)
+    return IndexSet(sorted(found), require_zero=False)
+
+
+def loop_index_embedding(small: IndexSet, large: IndexSet) -> np.ndarray:
+    """Position in `large` of each member of `small`."""
+    cols = np.empty(len(small), dtype=np.int64)
+    for i, nu in enumerate(small):
+        if nu not in large:
+            raise ValueError(f"index {nu} missing from the enlarged index set")
+        cols[i] = large.position(nu)
+    return cols

@@ -151,6 +151,38 @@ class TestErrors:
         assert "vartheta" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sigma", "nan"),
+            ("--sigma", "inf"),
+            ("--sigma", "-inf"),
+            ("--sigma", "1"),
+            ("--amplitude", "nan"),
+            ("--amplitude", "inf"),
+            ("--amplitude", "-inf"),
+            ("--amplitude", "-0.1"),
+        ],
+    )
+    def test_bad_problem_parameter(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "trace.csv"
+        argv = ["run", f"{flag}={value}", "--tol", "5e-2", "--max-iter", "4"]
+        assert main(argv + ["--output", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert flag[2:] in err[0]
+        assert not out.exists()
+
+    def test_mesh_file_without_triangles(self, tmp_path, capsys):
+        mesh_file = tmp_path / "empty.mesh"
+        mesh_file.write_text("vertices 0 triangles 0\n", encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--mesh", str(mesh_file), "--output", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert "no triangles" in err[0]
+        assert not out.exists()
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("sigma = 2\ntau = 0.9\n", encoding="utf-8")

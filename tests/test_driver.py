@@ -146,9 +146,9 @@ class TestNoFineMeshInLoop:
 
 
 class TestRebuildOnlyWhatChanged:
-    """A spatial step keeps the coupling blocks, a parametric step keeps the
-    mesh operator: every (mesh, mode) stiffness matrix and every coupling
-    block is assembled once per run."""
+    """A spatial step keeps the coupling, a parametric step keeps the mesh
+    operator: every (mesh, mode) stiffness matrix and the coupling passes of
+    every (index set, detail set) pair are built once per run."""
 
     def test_each_pair_assembled_once(self, monkeypatch):
         spec = lshape_benchmark(sigma=1.5)
@@ -156,9 +156,9 @@ class TestRebuildOnlyWhatChanged:
         for m in range(12):
             a = spec.coefficient(m)
             modes[(a.__code__, tuple(c.cell_contents for c in a.__closure__ or ()))] = m
-        events = []  # ("level",), ("A", mesh, mode) and ("G", rows, cols, mode)
+        events = []  # ("level",), ("A", mesh, mode) and ("G", rows, cols)
         stiffness = sgfem.galerkin.assemble_stiffness
-        coupling = sgfem.galerkin.assemble_coupling
+        coupling = sgfem.galerkin._coupling_passes
         system = sgfem.driver.TensorSystem
 
         def counted_stiffness(mesh, a, *args, **kwargs):
@@ -166,9 +166,9 @@ class TestRebuildOnlyWhatChanged:
             events.append(("A", mesh, modes[key]))
             return stiffness(mesh, a, *args, **kwargs)
 
-        def counted_coupling(rows, cols, m):
-            events.append(("G", rows, cols, m))
-            return coupling(rows, cols, m)
+        def counted_coupling(rows, cols):
+            events.append(("G", rows, cols))
+            return coupling(rows, cols)
 
         def marked_system(*args, **kwargs):
             # a plain function, as the driver may see under a tracer
@@ -176,18 +176,24 @@ class TestRebuildOnlyWhatChanged:
             return system(*args, **kwargs)
 
         monkeypatch.setattr(sgfem.galerkin, "assemble_stiffness", counted_stiffness)
-        monkeypatch.setattr(sgfem.galerkin, "assemble_coupling", counted_coupling)
+        monkeypatch.setattr(sgfem.galerkin, "_coupling_passes", counted_coupling)
         monkeypatch.setattr(sgfem.driver, "TensorSystem", marked_system)
         trace = run_adaptive(spec, "A", MarkingParams(0.5, 0.5, 10.0), tol=6e-2)
 
         steps = [r.refine_type for r in trace.records]
         assert "spatial" in steps and "parametric" in steps
-        levels = []
+        # a level's coupling is built before its system, its stiffness
+        # matrices inside it
+        levels, pending = [], []
         for event in events:
             if event[0] == "level":
-                levels.append([])
+                levels.append(pending)
+                pending = []
+            elif event[0] == "G":
+                pending.append(event)
             else:
                 levels[-1].append(event)
+        assert pending == []
         assert len(levels) == trace.num_levels
         stiffness_keys = [(id(e[1]), e[2]) for e in events if e[0] == "A"]
         coupling_keys = [e[1:] for e in events if e[0] == "G"]
@@ -197,6 +203,7 @@ class TestRebuildOnlyWhatChanged:
         for level, (record, calls) in enumerate(zip(trace.records, levels)):
             # the system needs modes 0..M, the detail set one more
             needed = set(range(record.max_active_dim + 2))
+            meshes = [e[1] for e in calls if e[0] == "A"]
             assembled = {e[2] for e in calls if e[0] == "A"}
             blocks = [e for e in calls if e[0] == "G"]
             step = trace.records[level - 1].refine_type if level else None
@@ -206,7 +213,7 @@ class TestRebuildOnlyWhatChanged:
                 assert blocks
             else:
                 assert assembled == needed
-                assert all(e[1] is calls[0][1] for e in calls if e[0] == "A")
+                assert all(mesh is meshes[0] for mesh in meshes)
                 if step == "spatial":
                     assert blocks == []
 

@@ -9,6 +9,7 @@ from sgfem import (
     GalerkinSolution,
     IndexSet,
     K_OVERLAP,
+    MultiIndex,
     TensorSystem,
     ZERO,
     detail_index_set,
@@ -104,17 +105,19 @@ def nvb_chain(mesh, steps, seed):
     return chain
 
 
-def random_downward_closed(seed, size, max_dim=8):
+def random_downward_closed(seed, size, max_dim=8, max_degree=None):
     """A random downward-closed index set of `size` members in at most
-    `max_dim` parameter dimensions, grown one admissible index at a time,
-    each along a dimension drawn uniformly where it can grow."""
+    `max_dim` parameter dimensions (and of degree at most `max_degree` in
+    each), grown one admissible index at a time, each along a dimension drawn
+    uniformly where it can grow."""
     rng = np.random.default_rng(seed)
     P = IndexSet([ZERO])
     while len(P) < size:
         candidates = [
             nu for nu in detail_index_set(P)
             if nu.support[-1] <= max_dim
-            and all(nu.bump(k, -1) in P for k in nu.support)
+            and (max_degree is None or max(d for _, d in nu.pairs) <= max_degree)
+            and all(oracles.bump(nu, k, -1) in P for k in nu.support)
         ]
         m = rng.choice(sorted({k for nu in candidates for k in nu.support}))
         candidates = [nu for nu in candidates if m in nu.support]
@@ -131,7 +134,7 @@ RICH_INDICES = IndexSet(
         unit_index(3),
         unit_index(4),
         unit_index(1, 2),
-        unit_index(1).bump(2, 1),
+        MultiIndex([(1, 1), (2, 1)]),
     ]
 )
 

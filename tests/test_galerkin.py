@@ -5,10 +5,10 @@ import pytest
 
 from sgfem import (
     IndexSet,
+    MultiIndex,
     SolverError,
     TensorSystem,
     ZERO,
-    assemble_coupling,
     assemble_load,
     assemble_stiffness,
     b_energy,
@@ -24,7 +24,7 @@ from sgfem import (
 )
 from scipy.sparse.linalg import splu
 
-from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _pcg
+from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _index_embedding, _pcg
 from sgfem.indices import detail_index_set
 from sgfem.mesh import Mesh
 
@@ -130,19 +130,21 @@ class TestReuse:
         # filled out of order, as parametric steps and estimators do
         operator.stiffness(3)
         operator.a0_solver
-        coupling.block(3, detail=True)
         first = TensorSystem(mesh2, P, spec, operator=operator, coupling=coupling)
         again = TensorSystem(mesh2, P, spec, operator=operator, coupling=coupling)
         fresh = TensorSystem(mesh2, P, spec)
         U = np.random.default_rng(0).standard_normal(fresh.shape)
         for system in (first, again):
             assert all(same_csr(a, b) for a, b in zip(system.A, fresh.A))
-            assert all(same_csr(a, b) for a, b in zip(system.G, fresh.G))
+            for m in range(1, fresh.n_modes + 1):
+                G = oracles.assemble_coupling(P, P, m)
+                assert np.array_equal(system.coupling.multiply(U, m), (G @ U.T).T)
+                assert np.array_equal(system.coupling.multiply(U, m), fresh.coupling.multiply(U, m))
             assert np.array_equal(system.load, fresh.load)
             assert np.array_equal(system.apply(U), fresh.apply(U))
             assert np.array_equal(system.precondition(U), fresh.precondition(U))
         assert all(a is b for a, b in zip(first.A, again.A))
-        assert all(a is b for a, b in zip(first.G, again.G))
+        assert first.coupling is again.coupling is coupling
 
     def test_foreign_operator_or_coupling_rejected(self, mesh1, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])
@@ -154,39 +156,72 @@ class TestReuse:
             TensorSystem(mesh1, P, spec, coupling=Coupling(IndexSet()))
 
 
+def dense_coupling(P, m, Q=None):
+    """G_m as a dense matrix, read off ``Coupling.multiply`` applied to the
+    identity: I @ G_m = G_m."""
+    return Coupling(P, Q).multiply(np.eye(len(P)), m, detail=Q is not None)
+
+
 class TestCoupling:
     def test_mode_zero_is_identity(self):
+        # the reference blocks; the library never forms G_0
         P = IndexSet([ZERO, unit_index(1), unit_index(2)])
-        G = assemble_coupling(P, P, 0).toarray()
+        G = oracles.assemble_coupling(P, P, 0).toarray()
         assert np.allclose(G, np.eye(3))
+        with pytest.raises(ValueError):
+            Coupling(P).multiply(np.eye(3), 0)
 
     def test_two_member_example(self):
         P = IndexSet([ZERO, unit_index(1)])
-        G = assemble_coupling(P, P, 1).toarray()
+        G = dense_coupling(P, 1)
         c = 1.0 / math.sqrt(3.0)
         assert np.allclose(G, [[0.0, c], [c, 0.0]], atol=1e-15)
 
     def test_matches_parametric_quadrature_oracle(self):
         P = IndexSet(
             [ZERO, unit_index(1), unit_index(2), unit_index(1, 2),
-             unit_index(1).bump(2, 1)]
+             MultiIndex([(1, 1), (2, 1)])]
         )
         for m in (1, 2, 3):
-            G = assemble_coupling(P, P, m).toarray()
             want = np.array(
                 [[oracles.param_moment(nu, mu, m) for mu in P] for nu in P]
             )
-            assert np.allclose(G, want, atol=1e-13)
+            assert np.allclose(dense_coupling(P, m), want, atol=1e-13)
+            assert np.allclose(oracles.assemble_coupling(P, P, m).toarray(), want, atol=1e-13)
 
     def test_rectangular_blocks(self):
         P = IndexSet([ZERO, unit_index(1)])
         Q = IndexSet([unit_index(2), unit_index(1, 2)], require_zero=False)
         for m in (1, 2):
-            G = assemble_coupling(P, Q, m).toarray()
             want = np.array(
                 [[oracles.param_moment(nu, mu, m) for mu in Q] for nu in P]
             )
-            assert np.allclose(G, want, atol=1e-14)
+            assert np.allclose(dense_coupling(P, m, Q), want, atol=1e-14)
+            assert np.allclose(oracles.assemble_coupling(P, Q, m).toarray(), want, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_multiply_equals_reference_blocks(self, seed):
+        # up to M = 12, or up to degree 6 in two dimensions; modes past the
+        # widest member couple nothing and must give zeros
+        max_dim = 2 if seed % 2 == 0 else 12
+        P = random_downward_closed(seed, 5 + 4 * seed, max_dim=max_dim, max_degree=6)
+        Q = detail_index_set(P)
+        coupling = Coupling(P, Q)
+        U = np.random.default_rng(seed).standard_normal((7, len(P)))
+        for m in range(1, Q.max_dimension() + 3):
+            for cols, detail in ((P, False), (Q, True)):
+                G = oracles.assemble_coupling(P, cols, m)
+                got = coupling.multiply(U, m, detail)
+                assert got.shape == (7, len(cols))
+                assert np.array_equal(got, (G.T @ U.T).T), (m, detail)
+                if G.nnz == 0:
+                    assert not got.any()
+        # a non-downward-closed detail set against itself leaves modes empty
+        sparse = Coupling(Q)
+        V = np.random.default_rng(seed).standard_normal((3, len(Q)))
+        for m in range(1, Q.max_dimension() + 2):
+            G = oracles.assemble_coupling(Q, Q, m)
+            assert np.array_equal(sparse.multiply(V, m), (G @ V.T).T), m
 
 
 class TestCopyFreeCoupling:
@@ -414,6 +449,16 @@ class TestProlongation:
         u = solve(TensorSystem(mesh2, P, spec))
         with pytest.raises(ValueError):
             prolong(u, mesh1, P, None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_index_embedding_equals_loop(self, seed):
+        P = random_downward_closed(seed, 3 + 5 * seed, max_dim=12, max_degree=6)
+        once = P.union(detail_index_set(P))
+        for small, large in ((P, P), (P, once), (once, once.union(detail_index_set(once)))):
+            got = _index_embedding(small, large)
+            assert np.array_equal(got, oracles.loop_index_embedding(small, large))
+        with pytest.raises(ValueError, match="missing"):
+            _index_embedding(once, P)
 
 
 class TestEnhancedSolve:

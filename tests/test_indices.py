@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgfem import IndexSet, MultiIndex, ZERO, detail_index_set, unit_index
+from sgfem.indices import row_positions
+
+import oracles
+from test_estimators import random_downward_closed
 
 
 def mi(*pairs):
@@ -44,10 +49,10 @@ class TestMultiIndex:
 
     def test_bump_up_down(self):
         nu = unit_index(1)
-        assert nu.bump(1, +1) == unit_index(1, 2)
-        assert nu.bump(1, -1) == ZERO
-        assert nu.bump(2, -1) is None
-        assert nu.bump(2, +1) == mi((1, 1), (2, 1))
+        assert oracles.bump(nu, 1, +1) == unit_index(1, 2)
+        assert oracles.bump(nu, 1, -1) == ZERO
+        assert oracles.bump(nu, 2, -1) is None
+        assert oracles.bump(nu, 2, +1) == mi((1, 1), (2, 1))
 
     def test_ordering_total_degree_then_lex(self):
         seq = sorted([unit_index(2), unit_index(1, 2), unit_index(1), ZERO])
@@ -89,6 +94,38 @@ class TestIndexSet:
 
     def test_max_dimension(self):
         assert IndexSet([ZERO, mi((3, 2))]).max_dimension() == 3
+
+
+class TestDegreeArray:
+    def test_rows_follow_member_order(self):
+        P = IndexSet([ZERO, mi((3, 2)), unit_index(1), mi((1, 1), (2, 4))])
+        assert P.degrees.dtype.kind == "i"
+        assert P.degrees.tolist() == [[0, 0, 0], [0, 0, 2], [1, 0, 0], [1, 4, 0]]
+        with pytest.raises(ValueError):
+            P.degrees[0, 0] = 1
+
+    def test_empty_and_zero_only(self):
+        assert IndexSet().degrees.shape == (1, 0)
+        assert IndexSet([], require_zero=False).degrees.shape == (0, 0)
+
+    def test_neighbours(self):
+        P = IndexSet([ZERO, unit_index(1)])
+        # nu - e_m for m = 1, 2, then nu + e_m, each over the members
+        assert P.neighbours(2).tolist() == [
+            [-1, 0], [0, 0], [0, -1], [1, -1], [1, 0], [2, 0], [0, 1], [1, 1],
+        ]
+
+    def test_row_positions(self):
+        table = np.array([[0, 0], [1, 0], [0, 2], [1, 0]])
+        rows = np.array([[1], [0], [2], [-1], [1], [0]])
+        assert row_positions(table, rows).tolist() == [1, 0, -1, -1, 1, 0]
+        # a wider query row matches a padded table row only where it is zero
+        assert row_positions(rows, table).tolist() == [1, 0, -1, 0]
+        # first occurrences
+        assert row_positions(rows, rows).tolist() == [0, 1, 2, 3, 0, 1]
+        empty = np.zeros((0, 0), dtype=np.int64)
+        assert row_positions(empty, rows).tolist() == [-1] * 6
+        assert row_positions(table, empty).size == 0
 
 
 class TestDetailIndexSet:
@@ -145,11 +182,30 @@ def test_detail_set_properties(P):
         assert max(mu.support, default=0) <= M + 1
         # exactly one bump away from some member of P
         assert any(
-            mu.bump(m, s) in P
+            oracles.bump(mu, m, s) in P
             for m in range(1, M + 2)
             for s in (+1, -1)
-            if mu.bump(m, s) is not None
+            if oracles.bump(mu, m, s) is not None
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_sets())
+def test_detail_set_equals_loop(P):
+    assert detail_index_set(P) == oracles.loop_detail_index_set(P)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_detail_set_equals_loop_downward_closed(seed):
+    # up to M = 12, or up to degree 6 in two dimensions, and again after an
+    # enrichment by the result
+    max_dim = 2 if seed % 2 == 0 else 12
+    P = random_downward_closed(seed, 4 + 5 * seed, max_dim=max_dim, max_degree=6)
+    for _ in range(2):
+        Q = detail_index_set(P)
+        assert Q == oracles.loop_detail_index_set(P)
+        assert list(Q) == sorted(Q)
+        P = P.union(Q)
 
 
 @settings(max_examples=50, deadline=None)

@@ -235,6 +235,14 @@ class TestIO:
         with pytest.raises(OSError):
             read_mesh(tmp_path / "nope.txt")
 
+    @pytest.mark.parametrize("vertices", [0, 3])
+    def test_read_mesh_without_triangles(self, tmp_path, vertices):
+        path = tmp_path / "empty.mesh"
+        lines = ["0 0 1", "1 0 1", "0 1 1"][:vertices]
+        path.write_text(f"vertices {vertices} triangles 0\n" + "".join(f"{v}\n" for v in lines))
+        with pytest.raises(ValueError, match="no triangles"):
+            read_mesh(path)
+
 
 def assert_same_as_oracle(new, old):
     """`new` (array refinement) equals `old` (loop oracle) bit for bit."""

@@ -98,6 +98,16 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(sigma=2.0, amplitude=amplitude_from_tau(0.99, 2.0) * 1.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 1.0, 0.5])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            ProblemSpec(sigma=sigma, amplitude=0.1)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            ProblemSpec(sigma=2.0, amplitude=amplitude)
+
     def test_contrast_bounds_benchmark(self):
         cb = contrast_bounds(lshape_benchmark())
         assert isinstance(cb, ContrastBounds)
