@@ -154,13 +154,14 @@ def run_adaptive(
     level = 0
     # a step changes the mesh or the index set, never both: keep what the
     # other one determines, and replace the rest
-    operator: MeshOperator | None = None
+    operator = MeshOperator(mesh, spec)
     coupling: Coupling | None = None
 
     while True:
         t0 = time.perf_counter()
-        if operator is None:
-            operator = MeshOperator(mesh, spec)
+        if operator.mesh is not mesh:
+            # carries the estimator terms of the triangles the step kept
+            operator = MeshOperator(mesh, spec, previous=operator)
         if coupling is None:
             detail = detail_index_set(indices)
             coupling = Coupling(indices, detail)
@@ -288,8 +289,6 @@ def run_adaptive(
         # without its system, so that a replaced operator goes with its mesh
         prev_solution = dataclasses.replace(solution, system=None)
         prev_energy = energy
-        if next_mesh is not mesh:
-            operator = None
         if next_indices is not indices:
             coupling = None
         mesh = next_mesh

@@ -20,7 +20,11 @@ on first use), the LU of A_0 and the spatial estimator's per-mode terms.  A
 against its detail set.  An adaptive step changes either the mesh or the
 index set, so the loop keeps one object and drops the other: the operator
 goes with its mesh on refinement, the coupling with its index set on
-enrichment.  Nothing is cached on the mesh or at module level.
+enrichment.  Refinement leaves most triangles as they were, and the
+estimator's terms of a triangle depend on it alone, so the operator of the
+refined mesh copies those of the kept triangles from the outgoing one and
+computes only those of the new triangles.  Nothing is cached on the mesh or
+at module level.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from scipy.sparse.linalg import splu
 
 from .indices import IndexSet, ZERO, row_positions
 from .legendre import coupling_coefficient
-from .mesh import Mesh
+from .mesh import Mesh, kept_triangles
 from .problem import ProblemSpec
 
 __all__ = [
@@ -255,14 +259,26 @@ class MeshOperator:
     children of each triangle (the uniform refinement, never built as a
     mesh): per midpoint m, w1, w2 of each triangle the hat terms
     int a_m grad phi_z per mode, the fine A_0 diagonal and the load.
+
+    These child terms depend on a triangle's vertices and reference edge
+    alone.  Given the ``previous`` operator, built for the same problem and
+    rule on ``mesh.parent``, the new one takes over every mode that one had
+    built: it copies the rows of the triangles the refinement kept and
+    computes only those of the triangles it created.  It keeps no reference
+    to ``previous``; any other ``previous`` is ignored.
     """
 
-    def __init__(self, mesh: Mesh, spec: ProblemSpec, quad_order: int = 5):
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, quad_order: int = 5,
+                 previous: MeshOperator | None = None):
         self.mesh = mesh
         self.spec = spec
         self.quad_order = quad_order
         self._stiffness: dict[int, sp.csr_matrix] = {}
-        self._hat_terms: dict[int, np.ndarray] = {}
+        # per mode: the hat terms, and for mode 0 also the diagonal and load
+        self._child_terms: dict[int, tuple[np.ndarray, ...]] = {}
+        if (previous is not None and previous._child_terms and previous.mesh is mesh.parent
+                and previous.spec == spec and previous.quad_order == quad_order):
+            self._carry(previous._child_terms)
 
     @cached_property
     def pattern(self) -> StiffnessPattern:
@@ -281,17 +297,47 @@ class MeshOperator:
         return splu(self.stiffness(0).tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
-    def _children(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Areas (4 nt), basis gradients (nt, 4, 3, 2) and quadrature points
-        (4 nt, #points, 2) of the four NVB children of every triangle."""
+    def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Areas (4 nr), basis gradients (nr, 4, 3, 2) and quadrature points
+        (4 nr, #points, 2) of the four NVB children of the triangles `rows`."""
         mesh = self.mesh
-        nt = mesh.num_triangles
-        r = mesh.ref_edge[:, None]
-        p3 = mesh.vertices[mesh.triangles[np.arange(nt)[:, None], (r + np.arange(3)) % 3]]
+        r = mesh.ref_edge[rows, None]
+        p3 = mesh.vertices[mesh.triangles[rows[:, None], (r + np.arange(3)) % 3]]
         p6 = np.concatenate([p3, 0.5 * (p3[:, [1, 0, 2]] + p3[:, [2, 1, 0]])], axis=1)
-        child = p6[:, _CHILDREN].reshape(4 * nt, 3, 2)
+        child = p6[:, _CHILDREN].reshape(4 * rows.size, 3, 2)
         area, grads = element_geometry(child)
-        return area, grads.reshape(nt, 4, 3, 2), quadrature_points(child, self.quad_order)
+        return area, grads.reshape(-1, 4, 3, 2), quadrature_points(child, self.quad_order)
+
+    def _terms(self, rows: np.ndarray, modes) -> dict[int, tuple[np.ndarray, ...]]:
+        """The child terms of `modes` on the triangles `rows`.  The children's
+        geometry is four times the mesh's and cheap to rebuild, so it is not
+        kept."""
+        area, grads, points = self._children(rows)
+        out = {}
+        for m in modes:
+            w = element_integrals(points, area, self.spec.coefficient(m), self.quad_order)
+            w = w.reshape(-1, 4)
+            out[m] = (_per_midpoint(w[:, :, None, None] * grads),)
+            if m == 0:
+                load = element_load(points, area, self.spec.rhs, self.quad_order)
+                out[m] += (_per_midpoint(w[:, :, None] * (grads**2).sum(axis=3)),
+                           _per_midpoint(load.reshape(-1, 4, 3)))
+        return out
+
+    def _carry(self, previous: dict[int, tuple[np.ndarray, ...]]) -> None:
+        """Take over the parent operator's child terms `previous`: rows of
+        kept triangles are copied, those of new triangles computed."""
+        nt = self.mesh.num_triangles
+        parent_rows, rows = kept_triangles(self.mesh)
+        fresh = np.delete(np.arange(nt), rows)
+        for m, computed in self._terms(fresh, previous).items():
+            merged = []
+            for old, new in zip(previous[m], computed):
+                values = np.empty((nt,) + new.shape[1:])
+                values[rows] = old[parent_rows]
+                values[fresh] = new
+                merged.append(values)
+            self._child_terms[m] = tuple(merged)
 
     @property
     def midpoint_edges(self) -> np.ndarray:
@@ -301,21 +347,14 @@ class MeshOperator:
     def child_terms(self, n_modes: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Per triangle and midpoint z: the hat terms int a_m grad phi_z
         (nt, 3, 2) for m = 0..n_modes, and the parts of B_0(phi_z, phi_z) and
-        of int f phi_z (nt, 3).  The children's geometry is four times the
-        mesh's and cheap to rebuild, so it is built only when a mode is
-        missing, and not kept."""
-        missing = [m for m in range(n_modes + 1) if m not in self._hat_terms]
+        of int f phi_z (nt, 3).  Missing modes are built on every triangle."""
+        missing = [m for m in range(n_modes + 1) if m not in self._child_terms]
         if missing:
-            area, grads, points = self._children()
-            for m in missing:
-                w = element_integrals(points, area, self.spec.coefficient(m), self.quad_order)
-                w = w.reshape(-1, 4)
-                self._hat_terms[m] = _per_midpoint(w[:, :, None, None] * grads)
-                if m == 0:
-                    self._diagonal = _per_midpoint(w[:, :, None] * (grads**2).sum(axis=3))
-                    load = element_load(points, area, self.spec.rhs, self.quad_order)
-                    self._load = _per_midpoint(load.reshape(-1, 4, 3))
-        return [self._hat_terms[m] for m in range(n_modes + 1)], self._diagonal, self._load
+            self._child_terms.update(
+                self._terms(np.arange(self.mesh.num_triangles), missing)
+            )
+        _, diagonal, load = self._child_terms[0]
+        return [self._child_terms[m][0] for m in range(n_modes + 1)], diagonal, load
 
 
 def _coupling_passes(rows: IndexSet, cols: IndexSet) -> list[tuple[np.ndarray, np.ndarray]]:

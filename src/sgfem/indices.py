@@ -36,6 +36,9 @@ class MultiIndex:
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndex is immutable")
 
+    def __reduce__(self):
+        return MultiIndex, (self.pairs,)
+
     def degree(self, m: int) -> int:
         for dim, deg in self.pairs:
             if dim == m:
@@ -158,6 +161,10 @@ class IndexSet:
 
     def __hash__(self):
         return hash(self.members)
+
+    def __reduce__(self):
+        # rebuilt from the members in order, so `degrees` is read-only again
+        return IndexSet, (self.members, False)
 
     def __repr__(self):
         return f"IndexSet([{', '.join(str(nu) for nu in self.members)}])"

@@ -36,6 +36,7 @@ __all__ = [
     "uniform_refine",
     "refine",
     "realized",
+    "kept_triangles",
     "mesh_audit",
     "read_mesh",
     "write_mesh",
@@ -341,6 +342,23 @@ def realized(coarse: Mesh, refined: Mesh) -> np.ndarray:
     a, b = refined.new_vertex_edge.T
     ids = np.searchsorted(coarse.edge_keys, a * coarse.num_vertices + b)
     return np.searchsorted(coarse.interior_edge_ids, ids[coarse.edge_counts[ids] == 2])
+
+
+def kept_triangles(refined: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The triangles that the refinement step from ``refined.parent`` left
+    as they were (same vertex ids, same reference edge): their rows in the
+    parent, ascending, and in `refined`.  A triangle is kept when none of
+    its edges was bisected; ``_bisect`` emits the children of each triangle
+    in parent order, one more child per bisected edge."""
+    coarse = refined.parent
+    if coarse is None:
+        raise ValueError("mesh was not refined from another")
+    a, b = refined.new_vertex_edge.T
+    bisected = np.zeros(coarse.edge_keys.size, dtype=np.int64)
+    bisected[np.searchsorted(coarse.edge_keys, a * coarse.num_vertices + b)] = 1
+    count = 1 + bisected[coarse.triangle_edges].sum(axis=1)
+    rows = np.flatnonzero(count == 1)
+    return rows, np.cumsum(count)[rows] - 1
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,14 @@ def desk_runs(benchmark_spec):
 
 
 @pytest.fixture(scope="session")
-def desk_refs(benchmark_spec, desk_runs):
-    """Reference solutions and effectivity series for the desk runs."""
-    refs = {}
-    for crit, trace in desk_runs.items():
-        ref = reference_solution(trace, benchmark_spec)
-        refs[crit] = (ref, effectivity(trace, ref))
-    return refs
+def desk_effectivity(benchmark_spec, desk_runs):
+    """Effectivity series of the desk runs.  Only the series are kept: each
+    reference solution, with its system on the uniformly refined mesh, is
+    freed before the next one is built."""
+    return {
+        crit: effectivity(trace, reference_solution(trace, benchmark_spec))
+        for crit, trace in desk_runs.items()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -154,9 +154,9 @@ def test_criterion_07_convergence_rate(desk_runs):
         assert -0.45 <= rate <= -0.25, f"criterion {crit}: rate {rate}"
 
 
-def test_criterion_08_effectivity(desk_refs):
+def test_criterion_08_effectivity(desk_effectivity):
     """Effectivity indices stay in [0.5, 1] and vary by less than 1.5x."""
-    for crit, (_ref, zetas) in desk_refs.items():
+    for crit, zetas in desk_effectivity.items():
         defined = [z for z in zetas if z is not None]
         assert len(defined) >= 5, f"criterion {crit}: too few defined indices"
         for z in defined:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ class TestRunStructure:
         assert [r.n_dof for r in again.records] == [
             r.n_dof for r in short_trace.records
         ]
+
+    def test_trace_pickles(self, short_trace):
+        back = pickle.loads(pickle.dumps(short_trace))
+        assert back.records == short_trace.records
+        assert back.checks == short_trace.checks
+        assert back.final_indices == short_trace.final_indices
+        assert back.final_detail == short_trace.final_detail
+        assert np.array_equal(back.final_mesh.triangles, short_trace.final_mesh.triangles)
+        assert np.array_equal(back.final_solution.coeffs, short_trace.final_solution.coeffs)
 
 
 class TestStops:
@@ -216,6 +226,44 @@ class TestRebuildOnlyWhatChanged:
                 assert all(mesh is meshes[0] for mesh in meshes)
                 if step == "spatial":
                     assert blocks == []
+
+
+class TestCarriedEstimatorTerms:
+    """After a spatial step the new mesh operator builds the estimator's
+    child terms only for the triangles the step created, also for the
+    trial mesh that criterion B adopts from marking."""
+
+    @pytest.mark.parametrize("criterion", ["A", "B"])
+    def test_only_new_triangles_built(self, monkeypatch, criterion):
+        built = []  # (mesh, triangles) per call
+        children = sgfem.galerkin.MeshOperator._children
+
+        def counted(self, rows):
+            built.append((self.mesh, rows.size))
+            return children(self, rows)
+
+        monkeypatch.setattr(sgfem.galerkin.MeshOperator, "_children", counted)
+        trace = run_adaptive(
+            lshape_benchmark(), criterion, MarkingParams(0.5, 0.5, 1.0), tol=5e-2
+        )
+        steps = [r.refine_type for r in trace.records]
+        assert "spatial" in steps and "parametric" in steps
+
+        meshes, first = [], {}
+        for mesh, size in built:
+            if id(mesh) in first:
+                # a mode that a parametric step added, on every triangle
+                assert size == mesh.num_triangles
+            else:
+                meshes.append(mesh)
+                first[id(mesh)] = size
+        assert len(meshes) == 1 + steps.count("spatial")
+        assert first[id(meshes[0])] == meshes[0].num_triangles
+        for coarse, mesh in zip(meshes, meshes[1:]):
+            assert mesh.parent is coarse
+            _, kept = sgfem.mesh.kept_triangles(mesh)
+            assert kept.size > 0
+            assert first[id(mesh)] == mesh.num_triangles - kept.size
 
 
 class TestNonFinite:

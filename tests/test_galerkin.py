@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from sgfem import (
     lshape_benchmark,
     prolong,
     prolongation_matrix,
+    realized,
     refine,
     solve,
     uniform_refine,
@@ -26,10 +28,10 @@ from scipy.sparse.linalg import splu
 
 from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _index_embedding, _pcg
 from sgfem.indices import detail_index_set
-from sgfem.mesh import Mesh
+from sgfem.mesh import Mesh, kept_triangles
 
 import oracles
-from test_estimators import nvb_chain, random_downward_closed
+from test_estimators import nvb_chain, random_downward_closed, wavy_rhs
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,113 @@ class TestReuse:
             TensorSystem(mesh1, P, spec, operator=MeshOperator(mesh1, spec, quad_order=2))
         with pytest.raises(ValueError):
             TensorSystem(mesh1, P, spec, coupling=Coupling(IndexSet()))
+
+
+def same_child_terms(a, b) -> bool:
+    (hats_a, diagonal_a, load_a), (hats_b, diagonal_b, load_b) = a, b
+    return (
+        len(hats_a) == len(hats_b)
+        and all(np.array_equal(x, y) for x, y in zip(hats_a, hats_b))
+        and np.array_equal(diagonal_a, diagonal_b)
+        and np.array_equal(load_a, load_b)
+    )
+
+
+@pytest.fixture
+def children_rows(monkeypatch):
+    """The number of triangles of each ``MeshOperator._children`` call."""
+    rows = []
+    children = MeshOperator._children
+
+    def counted(self, r):
+        rows.append(r.size)
+        return children(self, r)
+
+    monkeypatch.setattr(MeshOperator, "_children", counted)
+    return rows
+
+
+class TestCarry:
+    """The operator of a refined mesh, given its parent mesh's operator,
+    copies the child terms of the kept triangles; it equals an operator
+    built from scratch bit for bit."""
+
+    @staticmethod
+    def step(mesh, operator, marked, children_rows, n_modes=4):
+        """Refine, carry the terms over and compare with fresh ones."""
+        new = refine(mesh, marked)
+        del children_rows[:]
+        carried = MeshOperator(new, operator.spec, operator.quad_order, previous=operator)
+        terms = carried.child_terms(n_modes)
+        # only the new triangles were built, and only once
+        _, kept = kept_triangles(new)
+        assert children_rows == [new.num_triangles - kept.size]
+        fresh = MeshOperator(new, operator.spec, operator.quad_order)
+        assert same_child_terms(terms, fresh.child_terms(n_modes))
+        return new, carried
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("rhs", [None, wavy_rhs])
+    @pytest.mark.parametrize("quad_order", [2, 5])
+    def test_equals_fresh_along_chains(self, start, fraction, rhs, quad_order, spec,
+                                       children_rows):
+        rng = np.random.default_rng(7 + int(10 * fraction))
+        mesh = start()
+        operator = MeshOperator(mesh, dataclasses.replace(spec, rhs=rhs), quad_order)
+        operator.child_terms(4)
+        for _ in range(5):
+            num_new = mesh.interior_edge_ids.size
+            marked = rng.choice(num_new, size=max(1, int(fraction * num_new)), replace=False)
+            mesh, operator = self.step(mesh, operator, marked, children_rows)
+
+    def test_closure_heavy_markings(self, spec, children_rows):
+        # grade towards the reentrant corner one edge at a time, then mark
+        # single edges whose closures run through the graded region
+        mesh = initial_lshape()
+        operator = MeshOperator(mesh, spec)
+        operator.child_terms(3)
+        for _ in range(30):
+            mid = mesh.vertices[mesh.interior_edges].mean(axis=1)
+            mesh, operator = self.step(
+                mesh, operator, [int(np.argmin(np.hypot(*mid.T)))], children_rows, 3)
+        assert mesh.generation.max() >= 60
+        rng = np.random.default_rng(3)
+        longest = 0
+        for pos in rng.choice(mesh.interior_edge_ids.size, size=8, replace=False):
+            new, _ = self.step(mesh, operator, [pos], children_rows, 3)
+            longest = max(longest, realized(mesh, new).size)
+        assert longest > 50
+
+    def test_predecessor_without_child_terms(self, spec, children_rows):
+        mesh = refine(initial_lshape(), [0, 2])
+        new = refine(mesh, [1])
+        carried = MeshOperator(new, spec, previous=MeshOperator(mesh, spec))
+        assert children_rows == []
+        terms = carried.child_terms(2)
+        assert children_rows == [new.num_triangles]
+        assert same_child_terms(terms, MeshOperator(new, spec).child_terms(2))
+
+    def test_foreign_predecessor_ignored(self, spec, children_rows):
+        grandparent = refine(initial_lshape(), [0, 2])
+        mesh = refine(grandparent, [1])
+        new = refine(mesh, [3])
+        twin = refine(grandparent, [1])  # the same triangles, another mesh
+        fresh = MeshOperator(new, spec).child_terms(2)
+        for previous in (
+            MeshOperator(grandparent, spec),
+            MeshOperator(twin, spec),
+            MeshOperator(new, spec),
+            MeshOperator(mesh, lshape_benchmark(sigma=1.5)),
+            MeshOperator(mesh, dataclasses.replace(spec, rhs=wavy_rhs)),
+            MeshOperator(mesh, spec, quad_order=2),
+        ):
+            previous.child_terms(2)
+            del children_rows[:]
+            carried = MeshOperator(new, spec, previous=previous)
+            assert children_rows == []
+            assert same_child_terms(carried.child_terms(2), fresh)
+            assert children_rows == [new.num_triangles]
 
 
 def dense_coupling(P, m, Q=None):

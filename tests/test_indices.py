@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,25 @@ class TestIndexSet:
 
     def test_max_dimension(self):
         assert IndexSet([ZERO, mi((3, 2))]).max_dimension() == 3
+
+
+class TestPickle:
+    def test_multi_index_roundtrip(self):
+        for nu in (ZERO, unit_index(2), mi((1, 2), (4, 1))):
+            back = pickle.loads(pickle.dumps(nu))
+            assert back == nu and hash(back) == hash(nu)
+            with pytest.raises(AttributeError):
+                back.pairs = ()
+
+    def test_index_set_roundtrip(self):
+        detail = detail_index_set(IndexSet([ZERO, unit_index(1), mi((1, 1), (2, 1))]))
+        for P in (IndexSet(), IndexSet([ZERO, unit_index(1), mi((1, 2), (3, 1))]), detail):
+            back = pickle.loads(pickle.dumps(P))
+            assert back == P
+            assert back.degrees.dtype == P.degrees.dtype
+            assert np.array_equal(back.degrees, P.degrees)
+            assert not back.degrees.flags.writeable
+            assert [back.position(nu) for nu in P] == list(range(len(P)))
 
 
 class TestDegreeArray:

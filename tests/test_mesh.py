@@ -162,6 +162,12 @@ class TestRefine:
         with pytest.raises(ValueError, match="one step"):
             realized(lmesh, refine(once, [0]))
 
+    def test_kept_triangles_need_a_parent(self, lmesh):
+        with pytest.raises(ValueError, match="not refined"):
+            sgfem.mesh.kept_triangles(lmesh)
+        parent_rows, rows = sgfem.mesh.kept_triangles(uniform_refine(lmesh))
+        assert parent_rows.size == rows.size == 0
+
     def test_out_of_range_mark_rejected(self, lmesh):
         with pytest.raises(ValueError):
             refine(lmesh, [lmesh.interior_edge_ids.size])
@@ -270,6 +276,14 @@ class TestLoopOracle:
             position[tuple(e)] for e in new.new_vertex_edge.tolist() if tuple(e) in position
         )
         assert sgfem.mesh.realized(mesh, new).tolist() == realized
+        # the kept triangles are those with a vertex triple and reference
+        # edge of the parent
+        before = np.column_stack([mesh.triangles, mesh.ref_edge]).tolist()
+        after = np.column_stack([new.triangles, new.ref_edge]).tolist()
+        row = {tuple(t): i for i, t in enumerate(before)}
+        matches = [(row[tuple(t)], i) for i, t in enumerate(after) if tuple(t) in row]
+        parent_rows, rows = sgfem.mesh.kept_triangles(new)
+        assert list(zip(parent_rows.tolist(), rows.tolist())) == matches
         return new
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
