@@ -1,10 +1,12 @@
-"""Golden trajectories: the integer columns of the benchmark's three command
-lines and the PCG iteration count of the reference solve, pinned to a fixture.
+"""Golden trajectories: the columns of the benchmark's three command lines and
+the PCG iteration count of the reference solve, pinned to a fixture.
 
 A change to the solver or the preconditioner that costs one PCG iteration, or
 an estimator change that moves one marked vertex, shows here even when every
-invariant still holds.  Regenerate the fixture only for a change that is meant
-to move the adaptive path:
+invariant still holds.  The integer columns must match exactly; the float
+columns (estimates, energy, effectivity) within a relative 1e-12, which admits
+a change of summation order but not a change of method.  Regenerate the
+fixture only for a change that is meant to move the adaptive path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,10 +30,14 @@ COMMAND_LINES = {
 
 INTEGER_COLUMNS = ("refine_type", "dim_x", "card_p", "n_total", "marked",
                    "max_active_dim", "solver_iters", "cum_cost")
+FLOAT_COLUMNS = ("eta", "eta_spatial", "eta_param", "energy_sq", "zeta")
+# relative bound on the float columns
+FLOAT_RTOL = 1e-12
 
 
 def trajectory(name: str, outdir: Path) -> dict:
-    """Run one command line; its integer columns by name, and the PCG
+    """Run one command line; its integer columns by name as strings, its
+    float columns as floats (None for an empty ``zeta``), and the PCG
     iterations of each reference solve it makes."""
     header = CSV_HEADER.split(",")
     solves = []
@@ -50,7 +56,15 @@ def trajectory(name: str, outdir: Path) -> dict:
         sgfem.cli.reference_solution = real
     rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     columns = {c: [row[header.index(c)] for row in rows] for c in INTEGER_COLUMNS}
-    return {"columns": columns, "reference_pcg_iters": solves}
+    floats = {c: [float(row[header.index(c)]) if row[header.index(c)] else None
+                  for row in rows] for c in FLOAT_COLUMNS}
+    return {"columns": columns, "floats": floats, "reference_pcg_iters": solves}
+
+
+def close(got, want) -> bool:
+    return got is want is None or (
+        got is not None and want is not None and abs(got - want) <= FLOAT_RTOL * abs(want)
+    )
 
 
 def test_golden_trajectories(tmp_path):
@@ -61,6 +75,12 @@ def test_golden_trajectories(tmp_path):
         got = trajectory(name, tmp_path)
         for column in INTEGER_COLUMNS:
             assert got["columns"][column] == golden[name]["columns"][column], (name, column)
+        for column in FLOAT_COLUMNS:
+            want = golden[name]["floats"][column]
+            assert len(got["floats"][column]) == len(want), (name, column)
+            bad = [(i, g, w) for i, (g, w) in enumerate(zip(got["floats"][column], want))
+                   if not close(g, w)]
+            assert not bad, (name, column, bad)
         assert got["reference_pcg_iters"] == golden[name]["reference_pcg_iters"], name
 
 
