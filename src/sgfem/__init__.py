@@ -29,7 +29,6 @@ from .galerkin import (
     assemble_stiffness,
     b_energy,
     prolong,
-    prolongation_matrix,
     solve,
 )
 from .indices import (
@@ -39,7 +38,7 @@ from .indices import (
     detail_index_set,
     unit_index,
 )
-from .legendre import coupling_coefficient, gauss_quadrature, legendre_eval
+from .legendre import coupling_coefficient
 from .marking import MarkingDecision, MarkingParams, decide, doerfler, maximum_mark
 from .mesh import (
     Mesh,

@@ -14,10 +14,10 @@ component in that direction.
 Both read the per-mesh operator and the coupling of the solution's system
 (``u.system``), where the loop keeps them across levels: the child terms of
 a mode and the stiffness matrix of a detail direction are built once per
-mesh (those of a triangle that refinement kept are copied from the parent
-mesh's operator), the coupling passes once per index set.  A solution
-without a system, or estimated under another problem or rule, gets fresh
-ones.
+mesh (those of a triangle that refinement kept are copied from the
+operator of the mesh one step coarser), the coupling passes once per index
+set.  A solution without a system, or estimated under another problem or
+rule, gets fresh ones.
 """
 
 from __future__ import annotations

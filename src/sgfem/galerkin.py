@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 
 from .indices import IndexSet, ZERO, row_positions
 from .legendre import coupling_coefficient
-from .mesh import Mesh, kept_triangles
+from .mesh import Mesh, bisected_edges, kept_triangles
 from .problem import ProblemSpec
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "triangle_quadrature",
     "assemble_stiffness",
     "assemble_load",
-    "prolongation_matrix",
     "prolong",
     "solve",
     "b_energy",
@@ -151,17 +150,15 @@ class StiffnessPattern:
     """What P1 stiffness matrices on one mesh share, whatever the coefficient:
     areas, quadrature points, products of basis gradients, and the CSR pattern
     with a scatter map from (triangle, i, j) to data slots.  A matrix then
-    costs one coefficient evaluation and one ``bincount``.  With ``restrict``
-    the matrices live on the free (interior) nodes, otherwise on all
-    vertices."""
+    costs one coefficient evaluation and one ``bincount``.  The matrices live
+    on the free (interior) nodes."""
 
-    def __init__(self, mesh: Mesh, quad_order: int = 5, restrict: bool = True):
+    def __init__(self, mesh: Mesh, quad_order: int = 5):
         p = mesh.vertices[mesh.triangles]
         self.area, grads = element_geometry(p)
         self.points = quadrature_points(p, quad_order)
-        index = mesh.free_index if restrict else np.arange(mesh.num_vertices)
-        n = mesh.free_nodes.size if restrict else mesh.num_vertices
-        local = index[mesh.triangles]
+        n = mesh.free_nodes.size
+        local = mesh.free_index[mesh.triangles]
         rows = np.repeat(local, 3, axis=1).ravel()
         cols = np.tile(local, (1, 3)).ravel()
         keep = (rows >= 0) & (cols >= 0)
@@ -187,18 +184,17 @@ def assemble_stiffness(
     mesh: Mesh,
     coefficient,
     quad_order: int = 5,
-    restrict: bool = True,
     pattern: StiffnessPattern | None = None,
 ) -> sp.csr_matrix:
-    """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j).
+    """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j)
+    on the free (interior) nodes.
 
     The coefficient is integrated per element with a symmetric quadrature
-    rule (gradients are elementwise constant).  With ``restrict`` the matrix
-    lives on the free (interior) nodes, otherwise on all vertices.  A
-    ``pattern`` built for the mesh, rule and restriction saves rebuilding it.
+    rule (gradients are elementwise constant).  A ``pattern`` built for the
+    mesh and rule saves rebuilding it.
     """
     if pattern is None:
-        pattern = StiffnessPattern(mesh, quad_order, restrict)
+        pattern = StiffnessPattern(mesh, quad_order)
     return pattern.matrix(
         element_integrals(pattern.points, pattern.area, coefficient, quad_order)
     )
@@ -262,10 +258,11 @@ class MeshOperator:
 
     These child terms depend on a triangle's vertices and reference edge
     alone.  Given the ``previous`` operator, built for the same problem and
-    rule on ``mesh.parent``, the new one takes over every mode that one had
-    built: it copies the rows of the triangles the refinement kept and
-    computes only those of the triangles it created.  It keeps no reference
-    to ``previous``; any other ``previous`` is ignored.
+    rule on a mesh that `mesh` is one refinement step from, the new one
+    takes over every mode that one had built: it copies the rows of the
+    triangles the refinement kept and computes only those of the triangles
+    it created.  It keeps no reference to ``previous``; any other
+    ``previous`` is ignored.
     """
 
     def __init__(self, mesh: Mesh, spec: ProblemSpec, quad_order: int = 5,
@@ -276,9 +273,10 @@ class MeshOperator:
         self._stiffness: dict[int, sp.csr_matrix] = {}
         # per mode: the hat terms, and for mode 0 also the diagonal and load
         self._child_terms: dict[int, tuple[np.ndarray, ...]] = {}
-        if (previous is not None and previous._child_terms and previous.mesh is mesh.parent
-                and previous.spec == spec and previous.quad_order == quad_order):
-            self._carry(previous._child_terms)
+        if (previous is not None and previous._child_terms
+                and previous.spec == spec and previous.quad_order == quad_order
+                and bisected_edges(previous.mesh, mesh) is not None):
+            self._carry(previous)
 
     @cached_property
     def pattern(self) -> StiffnessPattern:
@@ -324,17 +322,18 @@ class MeshOperator:
                            _per_midpoint(load.reshape(-1, 4, 3)))
         return out
 
-    def _carry(self, previous: dict[int, tuple[np.ndarray, ...]]) -> None:
-        """Take over the parent operator's child terms `previous`: rows of
-        kept triangles are copied, those of new triangles computed."""
+    def _carry(self, previous: MeshOperator) -> None:
+        """Take over the child terms of the operator of the coarser mesh:
+        rows of kept triangles are copied, those of new triangles computed."""
         nt = self.mesh.num_triangles
-        parent_rows, rows = kept_triangles(self.mesh)
+        coarse_rows, rows = kept_triangles(previous.mesh, self.mesh)
         fresh = np.delete(np.arange(nt), rows)
-        for m, computed in self._terms(fresh, previous).items():
+        carried = previous._child_terms
+        for m, computed in self._terms(fresh, carried).items():
             merged = []
-            for old, new in zip(previous[m], computed):
+            for old, new in zip(carried[m], computed):
                 values = np.empty((nt,) + new.shape[1:])
-                values[rows] = old[parent_rows]
+                values[rows] = old[coarse_rows]
                 values[fresh] = new
                 merged.append(values)
             self._child_terms[m] = tuple(merged)
@@ -420,7 +419,6 @@ class TensorSystem:
         mesh: Mesh,
         indices: IndexSet,
         spec: ProblemSpec,
-        n_modes: int | None = None,
         quad_order: int = 5,
         operator: MeshOperator | None = None,
         coupling: Coupling | None = None,
@@ -428,7 +426,7 @@ class TensorSystem:
         self.mesh = mesh
         self.indices = indices
         self.spec = spec
-        self.n_modes = indices.max_dimension() if n_modes is None else n_modes
+        self.n_modes = indices.max_dimension()
         self.quad_order = quad_order
         self.operator = MeshOperator(mesh, spec, quad_order) if operator is None else operator
         self.coupling = Coupling(indices) if coupling is None else coupling
@@ -563,25 +561,6 @@ def solve(
     )
 
 
-def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """P1 prolongation on free nodes between nested meshes.
-
-    Walks the refinement lineage from `coarse` to `fine`, composing one-step
-    interpolation matrices (new vertices average their parent-edge endpoints).
-    """
-    chain = fine.lineage_to(coarse)
-    P = sp.identity(coarse.num_vertices, format="csr")
-    prev = coarse
-    for step in chain:
-        n_old, n_new = prev.num_vertices, step.num_vertices
-        rows = np.concatenate([np.arange(n_old), np.repeat(np.arange(n_old, n_new), 2)])
-        cols = np.concatenate([np.arange(n_old), step.new_vertex_edge.ravel()])
-        data = np.concatenate([np.ones(n_old), np.full(2 * (n_new - n_old), 0.5)])
-        P = sp.csr_matrix((data, (rows, cols)), shape=(n_new, n_old)) @ P
-        prev = step
-    return P[fine.free_nodes][:, coarse.free_nodes].tocsr()
-
-
 def _index_embedding(small: IndexSet, large: IndexSet) -> np.ndarray:
     cols = row_positions(large.degrees, small.degrees)
     if (cols < 0).any():
@@ -596,10 +575,16 @@ def prolong(
     indices: IndexSet,
     system: TensorSystem | None = None,
 ) -> GalerkinSolution:
-    """Represent `u` in the larger space (finer nested mesh, larger index
-    set); new-vertex values by interpolation, new-index coefficients zero."""
-    P = prolongation_matrix(u.mesh, mesh) if mesh is not u.mesh else None
-    spatial = u.coeffs if P is None else P @ u.coeffs
+    """Represent `u` in the next larger space: `mesh` is ``u.mesh`` or one
+    refinement step from it, `indices` contains ``u.indices``.  A new vertex
+    takes the mean of its edge's endpoints, a new index coefficient zero."""
+    spatial = u.coeffs
+    if mesh is not u.mesh:
+        if bisected_edges(u.mesh, mesh) is None:
+            raise ValueError("mesh is not one refinement step from the solution's mesh")
+        full = u.vertex_values()
+        a, b = mesh.new_vertex_edge.T
+        spatial = np.concatenate([full, 0.5 * full[a] + 0.5 * full[b]])[mesh.free_nodes]
     U = np.zeros((spatial.shape[0], len(indices)))
     U[:, _index_embedding(u.indices, indices)] = spatial
     return GalerkinSolution(mesh=mesh, indices=indices, coeffs=U, system=system)

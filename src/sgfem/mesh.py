@@ -19,6 +19,9 @@ edge and the reference edges of the two children are opposite the new vertex.
 It runs as array passes over the edge table, with no loop over triangles.
 Midpoint coordinates are exact averages, so all vertices of meshes refined
 from a dyadic initial mesh are exactly representable in float64.
+
+A refined mesh records its own step only (``new_vertex_edge``) and keeps no
+reference to the coarser mesh, so a run keeps alive only the meshes it holds.
 """
 
 from __future__ import annotations
@@ -37,15 +40,17 @@ __all__ = [
     "refine",
     "realized",
     "kept_triangles",
+    "bisected_edges",
     "mesh_audit",
     "read_mesh",
     "write_mesh",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Conforming triangulation with NVB state.
+    """Conforming triangulation with NVB state.  Meshes compare and hash by
+    identity.
 
     Attributes
     ----------
@@ -53,20 +58,17 @@ class Mesh:
     boundary : (n,) bool array, True for vertices on the domain boundary.
     triangles : (m, 3) int array of vertex ids, positively oriented.
     ref_edge : (m,) int array of local reference-edge markers in {0, 1, 2}.
-    generation : (m,) int array of bisection depths.
-    parent : the mesh this one was refined from, or None.
-    new_vertex_edge : (k, 2) int array, or None without a parent; row i holds
-        the parent-edge endpoints ``(a, b)``, a < b, of vertex
-        ``parent.num_vertices + i``, the vertices created by the refinement
-        step that produced this mesh.
+    new_vertex_edge : (k, 2) int array, or None for a mesh not made by
+        refinement; row i holds the endpoints ``(a, b)``, a < b, of the
+        bisected edge of the coarser mesh whose midpoint is vertex
+        ``num_vertices - k + i``.  The first ``num_vertices - k`` vertices
+        are those of the coarser mesh.
     """
 
     vertices: np.ndarray
     boundary: np.ndarray
     triangles: np.ndarray
     ref_edge: np.ndarray
-    generation: np.ndarray
-    parent: "Mesh | None" = None
     new_vertex_edge: np.ndarray | None = None
 
     @property
@@ -161,21 +163,6 @@ class Mesh:
         v = p[:, 2] - p[:, 0]
         return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
-    def lineage_to(self, ancestor: "Mesh") -> list["Mesh"]:
-        """Chain of meshes from `ancestor` (exclusive) down to self (inclusive).
-
-        Raises ValueError if `ancestor` is not reachable via parent links.
-        """
-        chain: list[Mesh] = []
-        m: Mesh | None = self
-        while m is not None and m is not ancestor:
-            chain.append(m)
-            m = m.parent
-        if m is None:
-            raise ValueError("meshes are not nested (no parent path found)")
-        chain.reverse()
-        return chain
-
 
 def _make_initial(coords, boundary, tris, refs) -> Mesh:
     return Mesh(
@@ -183,7 +170,6 @@ def _make_initial(coords, boundary, tris, refs) -> Mesh:
         boundary=np.asarray(boundary, dtype=bool),
         triangles=np.asarray(tris, dtype=np.int64),
         ref_edge=np.asarray(refs, dtype=np.int64),
-        generation=np.zeros(len(tris), dtype=np.int64),
     )
 
 
@@ -228,22 +214,18 @@ def unit_square() -> Mesh:
 # Bisection of T = (a, b, c) = (v[r], v[r+1], v[r+2]), r the reference edge,
 # with m = mid(b, c), w1 = mid(a, b), w2 = mid(c, a), by which edges are
 # marked: case = [bc] + 2 [ab] + 4 [ca].  The children, in the depth-first
-# order of recursive bisection, as indices into (a, b, c, m, w1, w2), and their
-# generation increments; every child has reference edge 2.  Case 0 keeps T
-# as it is.  Cases 2, 4 and 6 (a marked edge without the reference edge)
-# cannot occur in a closed marking.
+# order of recursive bisection, as indices into (a, b, c, m, w1, w2); every
+# child has reference edge 2.  Case 0 keeps T as it is.  Cases 2, 4 and 6 (a
+# marked edge without the reference edge) cannot occur in a closed marking.
 _NUM_CHILDREN = np.array([1, 2, 0, 3, 0, 3, 0, 4])
 _CHILD_SLOTS = np.zeros((8, 4, 3), dtype=np.int64)
-_CHILD_GENERATION = np.zeros((8, 4), dtype=np.int64)
 for _case, _children in {
-    1: [((0, 1, 3), 1), ((2, 0, 3), 1)],
-    3: [((3, 0, 4), 2), ((1, 3, 4), 2), ((2, 0, 3), 1)],
-    5: [((0, 1, 3), 1), ((3, 2, 5), 2), ((0, 3, 5), 2)],
-    7: [((3, 0, 4), 2), ((1, 3, 4), 2), ((3, 2, 5), 2), ((0, 3, 5), 2)],
+    1: [(0, 1, 3), (2, 0, 3)],
+    3: [(3, 0, 4), (1, 3, 4), (2, 0, 3)],
+    5: [(0, 1, 3), (3, 2, 5), (0, 3, 5)],
+    7: [(3, 0, 4), (1, 3, 4), (3, 2, 5), (0, 3, 5)],
 }.items():
-    for _j, (_slots, _dgen) in enumerate(_children):
-        _CHILD_SLOTS[_case, _j] = _slots
-        _CHILD_GENERATION[_case, _j] = _dgen
+    _CHILD_SLOTS[_case, : len(_children)] = _children
 
 
 def _bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
@@ -266,23 +248,21 @@ def _bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     count = _NUM_CHILDREN[case]
     if not count.all():
         raise ValueError("marked edges are not closed under the NVB rule")
-    parent = np.repeat(np.arange(nt), count)
-    child = np.arange(parent.size) - np.repeat(np.cumsum(count) - count, count)
-    case = case[parent]
+    origin = np.repeat(np.arange(nt), count)
+    child = np.arange(origin.size) - np.repeat(np.cumsum(count) - count, count)
+    case = case[origin]
     six = np.concatenate([abc, mids], axis=1)
-    triangles = six[parent[:, None], _CHILD_SLOTS[case, child]]
-    ref_edge = np.full(parent.size, 2, dtype=np.int64)
+    triangles = six[origin[:, None], _CHILD_SLOTS[case, child]]
+    ref_edge = np.full(origin.size, 2, dtype=np.int64)
     kept = case == 0
-    triangles[kept] = mesh.triangles[parent[kept]]
-    ref_edge[kept] = mesh.ref_edge[parent[kept]]
+    triangles[kept] = mesh.triangles[origin[kept]]
+    ref_edge[kept] = mesh.ref_edge[origin[kept]]
 
     return Mesh(
         vertices=np.vstack([mesh.vertices, new_coords]),
         boundary=np.concatenate([mesh.boundary, mesh.edge_counts[bisected] == 1]),
         triangles=triangles,
         ref_edge=ref_edge,
-        generation=mesh.generation[parent] + _CHILD_GENERATION[case, child],
-        parent=mesh,
         new_vertex_edge=new_edges,
     )
 
@@ -331,31 +311,45 @@ def refine(mesh: Mesh, marked) -> Mesh:
     return _bisect(mesh, _closure(mesh, full))
 
 
+def bisected_edges(coarse: Mesh, refined: Mesh) -> np.ndarray | None:
+    """Edge ids of `coarse`, ascending, that one refinement step from
+    `coarse` to `refined` bisected, or None if `refined` is not one step
+    from `coarse`: its new vertices must follow the vertices of `coarse`,
+    unchanged, one per edge of `coarse` in ``new_vertex_edge``."""
+    new, n = refined.new_vertex_edge, coarse.num_vertices
+    if (new is None or refined.num_vertices != n + len(new)
+            or not np.array_equal(refined.vertices[:n], coarse.vertices)):
+        return None
+    keys = new[:, 0] * n + new[:, 1]
+    ids = np.searchsorted(coarse.edge_keys, keys)
+    return ids if np.array_equal(coarse.edge_keys.take(ids, mode="clip"), keys) else None
+
+
+def _one_step(coarse: Mesh, refined: Mesh) -> np.ndarray:
+    ids = bisected_edges(coarse, refined)
+    if ids is None:
+        raise ValueError("refined mesh is not one step from the coarse mesh")
+    return ids
+
+
 def realized(coarse: Mesh, refined: Mesh) -> np.ndarray:
     """N+ positions of `coarse`, ascending, of the vertices that one
     refinement step from `coarse` to `refined` created (marked plus
     closure)."""
     if refined is coarse:
         return np.zeros(0, dtype=np.int64)
-    if refined.parent is not coarse:
-        raise ValueError("refined mesh is not one step from the coarse mesh")
-    a, b = refined.new_vertex_edge.T
-    ids = np.searchsorted(coarse.edge_keys, a * coarse.num_vertices + b)
+    ids = _one_step(coarse, refined)
     return np.searchsorted(coarse.interior_edge_ids, ids[coarse.edge_counts[ids] == 2])
 
 
-def kept_triangles(refined: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The triangles that the refinement step from ``refined.parent`` left
-    as they were (same vertex ids, same reference edge): their rows in the
-    parent, ascending, and in `refined`.  A triangle is kept when none of
+def kept_triangles(coarse: Mesh, refined: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The triangles that one refinement step from `coarse` to `refined`
+    left as they were (same vertex ids, same reference edge): their rows in
+    `coarse`, ascending, and in `refined`.  A triangle is kept when none of
     its edges was bisected; ``_bisect`` emits the children of each triangle
-    in parent order, one more child per bisected edge."""
-    coarse = refined.parent
-    if coarse is None:
-        raise ValueError("mesh was not refined from another")
-    a, b = refined.new_vertex_edge.T
+    in the order of `coarse`, one more child per bisected edge."""
     bisected = np.zeros(coarse.edge_keys.size, dtype=np.int64)
-    bisected[np.searchsorted(coarse.edge_keys, a * coarse.num_vertices + b)] = 1
+    bisected[_one_step(coarse, refined)] = 1
     count = 1 + bisected[coarse.triangle_edges].sum(axis=1)
     rows = np.flatnonzero(count == 1)
     return rows, np.cumsum(count)[rows] - 1
@@ -452,7 +446,6 @@ def read_mesh(path) -> Mesh:
         boundary=bdry,
         triangles=tris,
         ref_edge=refs,
-        generation=np.zeros(nt, dtype=np.int64),
     )
     audit = mesh_audit(mesh)
     if not audit.ok:

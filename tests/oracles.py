@@ -8,10 +8,11 @@ instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
 fine-mesh spatial estimator, the COO stiffness assembly, the loop-based
 newest-vertex bisection, the CSR coupling blocks with the transposed products
-formed from them, and the loop-based detail set and index embedding, and former
-library code that only tests use: the
-Galerkin solve in the enhanced space of the two-sided estimate, the
-mean-field energy and the contraction series of reference errors.
+formed from them, the prolongation matrix, and the loop-based detail set and
+index embedding, and former library code that only tests use: the orthonormal
+Legendre polynomials with their Gauss rule, the Galerkin solve in the
+enhanced space of the two-sided estimate, the mean-field energy and the
+contraction series of reference errors.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from sgfem.galerkin import (
     b_energy,
     element_geometry,
     element_integrals,
-    prolongation_matrix,
     triangle_quadrature,
 )
 from sgfem.indices import IndexSet, MultiIndex
@@ -48,21 +48,24 @@ from sgfem.problem import ProblemSpec
 # ---------------------------------------------------------------------------
 # parameter-space integration
 
-def gauss_dy2(n: int = 48):
-    """Gauss nodes/weights for the measure dy/2 on [-1, 1]."""
-    y, w = roots_legendre(n)
+def gauss_quadrature(num_points: int = 64):
+    """Gauss-Legendre nodes and weights for the measure dy/2 on [-1, 1]."""
+    y, w = roots_legendre(num_points)
     return y, 0.5 * w
 
 
-def legendre_orthonormal(n: int, y):
-    """sqrt(2n+1) L_n(y), evaluated via scipy's classical Legendre."""
+def legendre_eval(n: int, y):
+    """Orthonormal Legendre polynomial sqrt(2n+1) L_n(y) of degree `n` at
+    `y` in [-1, 1], L_n the classical Legendre polynomial."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     return math.sqrt(2 * n + 1) * eval_legendre(n, y)
 
 
 def triple_moment(k: int, n: int, m: int, quad: int = 48) -> float:
     """integral of y P_n(y) P_m(y) dy/2 when k == 1, or P_n P_m for k == 0."""
-    y, w = gauss_dy2(quad)
-    return float(np.sum(w * y**k * legendre_orthonormal(n, y) * legendre_orthonormal(m, y)))
+    y, w = gauss_quadrature(quad)
+    return float(np.sum(w * y**k * legendre_eval(n, y) * legendre_eval(m, y)))
 
 
 def param_moment(nu, mu, m: int, quad: int = 32) -> float:
@@ -73,9 +76,9 @@ def param_moment(nu, mu, m: int, quad: int = 32) -> float:
     """
     dims = sorted(set(nu.support) | set(mu.support) | {m})
     out = 1.0
-    y, w = gauss_dy2(quad)
+    y, w = gauss_quadrature(quad)
     for dim in dims:
-        f = legendre_orthonormal(nu.degree(dim), y) * legendre_orthonormal(mu.degree(dim), y)
+        f = legendre_eval(nu.degree(dim), y) * legendre_eval(mu.degree(dim), y)
         if dim == m:
             f = f * y
         out *= float(np.sum(w * f))
@@ -253,8 +256,7 @@ def fine_mesh_spatial_indicators(u, spec, quad_order: int = 5) -> np.ndarray:
         assemble_stiffness(fine, spec.coefficient(m), quad_order)
         for m in range(n_modes + 1)
     ]
-    P = prolongation_matrix(u.mesh, fine)
-    U1 = P @ u.coeffs
+    U1 = prolongation_matrix(u.mesh, fine) @ u.coeffs
     R = assemble_load(fine, spec.rhs, u.indices, quad_order)
     R -= A_fine[0] @ U1
     for m in range(1, n_modes + 1):
@@ -309,6 +311,22 @@ def coo_assemble_stiffness(
 
 
 # ---------------------------------------------------------------------------
+# the former prolongation: the one-step interpolation as a CSR matrix on the
+# free nodes; ``prolong`` must reproduce its product bit for bit
+
+def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """P1 prolongation on free nodes from `coarse` to `fine`, one refinement
+    step from it: a new vertex averages the endpoints of its edge."""
+    n_old, n_new = coarse.num_vertices, fine.num_vertices
+    assert n_new == n_old + len(fine.new_vertex_edge), "not one refinement step"
+    rows = np.concatenate([np.arange(n_old), np.repeat(np.arange(n_old, n_new), 2)])
+    cols = np.concatenate([np.arange(n_old), fine.new_vertex_edge.ravel()])
+    data = np.concatenate([np.ones(n_old), np.full(2 * (n_new - n_old), 0.5)])
+    P = sp.csr_matrix((data, (rows, cols)), shape=(n_new, n_old))
+    return P[fine.free_nodes][:, coarse.free_nodes].tocsr()
+
+
+# ---------------------------------------------------------------------------
 # newest-vertex bisection with Python loops over triangles and edge sets, the
 # former library implementation; the array-based `sgfem.mesh.refine` must
 # reproduce its meshes bit for bit
@@ -353,33 +371,29 @@ def _bisect_all(mesh, marked_edges: set[tuple[int, int]]) -> Mesh:
 
     tris_out: list[tuple[int, int, int]] = []
     refs_out: list[int] = []
-    gen_out: list[int] = []
 
-    def split(v: tuple[int, int, int], r: int, gen: int) -> None:
+    def split(v: tuple[int, int, int], r: int) -> None:
         e = _edge_key(v[(r + 1) % 3], v[(r + 2) % 3])
         w = midpoint_id.get(e)
         if w is None:
             tris_out.append(v)
             refs_out.append(r)
-            gen_out.append(gen)
             return
         # children ordering: the child keeping the (r+1) vertex first
         c1 = (v[r], v[(r + 1) % 3], w)
         c2 = (v[(r + 2) % 3], v[r], w)
-        split(c1, 2, gen + 1)
-        split(c2, 2, gen + 1)
+        split(c1, 2)
+        split(c2, 2)
 
     for t in range(mesh.num_triangles):
         v = tuple(int(x) for x in mesh.triangles[t])
-        split(v, int(mesh.ref_edge[t]), int(mesh.generation[t]))
+        split(v, int(mesh.ref_edge[t]))
 
     return Mesh(
         vertices=np.vstack([mesh.vertices, new_coords]),
         boundary=np.concatenate([mesh.boundary, new_bdry]),
         triangles=np.asarray(tris_out, dtype=np.int64),
         ref_edge=np.asarray(refs_out, dtype=np.int64),
-        generation=np.asarray(gen_out, dtype=np.int64),
-        parent=mesh,
         new_vertex_edge={midpoint_id[e]: e for e in order},
     )
 

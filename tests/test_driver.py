@@ -1,5 +1,7 @@
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -100,6 +102,18 @@ class TestRunStructure:
         assert back.final_detail == short_trace.final_detail
         assert np.array_equal(back.final_mesh.triangles, short_trace.final_mesh.triangles)
         assert np.array_equal(back.final_solution.coeffs, short_trace.final_solution.coeffs)
+
+    def test_ancestors_freed(self):
+        # the trace keeps the final mesh, and no mesh keeps the one it came from
+        start = sgfem.mesh.initial_lshape()
+        ref = weakref.ref(start)
+        trace = run_adaptive(
+            lshape_benchmark(), "A", MarkingParams(0.5, 0.5, 1.0), tol=5e-2, mesh=start
+        )
+        del start
+        gc.collect()
+        assert "spatial" in [r.refine_type for r in trace.records]
+        assert trace.final_mesh is not None and ref() is None
 
 
 class TestStops:
@@ -260,8 +274,8 @@ class TestCarriedEstimatorTerms:
         assert len(meshes) == 1 + steps.count("spatial")
         assert first[id(meshes[0])] == meshes[0].num_triangles
         for coarse, mesh in zip(meshes, meshes[1:]):
-            assert mesh.parent is coarse
-            _, kept = sgfem.mesh.kept_triangles(mesh)
+            assert sgfem.mesh.bisected_edges(coarse, mesh) is not None
+            _, kept = sgfem.mesh.kept_triangles(coarse, mesh)
             assert kept.size > 0
             assert first[id(mesh)] == mesh.num_triangles - kept.size
 

@@ -16,7 +16,6 @@ from sgfem import (
     initial_lshape,
     lshape_benchmark,
     parametric_indicators,
-    prolongation_matrix,
     refine,
     solve,
     spatial_indicators,
@@ -45,8 +44,7 @@ def mesh1():
 def solved(mesh1, spec):
     P = IndexSet([ZERO, unit_index(1)])
     Q = detail_index_set(P)
-    n_modes = max(P.max_dimension(), Q.max_dimension())
-    u = solve(TensorSystem(mesh1, P, spec, n_modes=n_modes), tol=1e-12)
+    u = solve(TensorSystem(mesh1, P, spec), tol=1e-12)
     return u, P, Q
 
 
@@ -61,7 +59,7 @@ class TestSpatialIndicators:
             oracles.dense_stiffness(fine, spec.coefficient(m), quad_n=6)
             for m in range(n_modes + 1)
         ]
-        Pr = prolongation_matrix(u.mesh, fine).toarray()
+        Pr = oracles.prolongation_matrix(u.mesh, fine).toarray()
         U1 = Pr @ u.coeffs
         R = np.zeros_like(U1)
         R[:, 0] = oracles.dense_load_one(fine)
@@ -227,7 +225,7 @@ class TestParametricIndicators:
         spec0 = lshape_benchmark(tau=0.0)
         P = IndexSet()
         Q = detail_index_set(P)
-        u = solve(TensorSystem(mesh1, P, spec0, n_modes=1), tol=1e-12)
+        u = solve(TensorSystem(mesh1, P, spec0), tol=1e-12)
         eta = parametric_indicators(u, Q, spec0)
         assert np.allclose(eta, 0.0, atol=1e-14)
 
@@ -246,7 +244,7 @@ class TestCopyFreeProducts:
         mesh = nvb_chain(initial_lshape(), 4, seed=20 + seed)[-1]
         P = random_downward_closed(seed, 10 + 8 * seed)
         Q = detail_index_set(P)
-        system = TensorSystem(mesh, P, spec, n_modes=Q.max_dimension())
+        system = TensorSystem(mesh, P, spec)
         coeffs = np.random.default_rng(seed).standard_normal(system.shape)
         u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
         got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)

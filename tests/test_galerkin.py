@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sgfem import (
+    GalerkinSolution,
     IndexSet,
     MultiIndex,
     SolverError,
@@ -16,7 +17,6 @@ from sgfem import (
     initial_lshape,
     lshape_benchmark,
     prolong,
-    prolongation_matrix,
     realized,
     refine,
     solve,
@@ -58,12 +58,12 @@ class TestStiffness:
     def test_reference_triangle_local_matrix(self):
         tri = Mesh(
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            boundary=np.array([True, True, True]),
+            # no boundary vertex, so the free-node matrix is the local one
+            boundary=np.array([False, False, False]),
             triangles=np.array([[0, 1, 2]]),
             ref_edge=np.array([0]),
-            generation=np.array([0]),
         )
-        A = assemble_stiffness(tri, ones, restrict=False).toarray()
+        A = assemble_stiffness(tri, ones).toarray()
         want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
         assert np.allclose(A, want, atol=1e-14)
 
@@ -109,17 +109,16 @@ class TestPatternAssembly:
     def test_matches_coo_oracle_on_nvb_chains(self, start, quad_order, spec):
         coefficients = [spec.coefficient(m) for m in (0, 1, 4, 9)] + [mean_field]
         for mesh in [start()] + nvb_chain(start(), 6, seed=10 + quad_order):
-            for restrict in (True, False):
-                pattern = StiffnessPattern(mesh, quad_order, restrict)
-                for a in coefficients:
-                    got = assemble_stiffness(mesh, a, quad_order, restrict, pattern=pattern)
-                    want = oracles.coo_assemble_stiffness(mesh, a, quad_order, restrict)
-                    assert got.shape == want.shape
-                    if want.nnz:
-                        assert abs(got - want).max() <= 1e-14 * abs(want).max()
-                    # a pattern built on the fly gives the same matrix
-                    fresh = assemble_stiffness(mesh, a, quad_order, restrict)
-                    assert same_csr(got, fresh)
+            pattern = StiffnessPattern(mesh, quad_order)
+            for a in coefficients:
+                got = assemble_stiffness(mesh, a, quad_order, pattern=pattern)
+                want = oracles.coo_assemble_stiffness(mesh, a, quad_order)
+                assert got.shape == want.shape
+                if want.nnz:
+                    assert abs(got - want).max() <= 1e-14 * abs(want).max()
+                # a pattern built on the fly gives the same matrix
+                fresh = assemble_stiffness(mesh, a, quad_order)
+                assert same_csr(got, fresh)
 
 
 class TestReuse:
@@ -183,9 +182,9 @@ def children_rows(monkeypatch):
 
 
 class TestCarry:
-    """The operator of a refined mesh, given its parent mesh's operator,
-    copies the child terms of the kept triangles; it equals an operator
-    built from scratch bit for bit."""
+    """The operator of a refined mesh, given the operator of the mesh it is
+    one step from, copies the child terms of the kept triangles; it equals
+    an operator built from scratch bit for bit."""
 
     @staticmethod
     def step(mesh, operator, marked, children_rows, n_modes=4):
@@ -195,7 +194,7 @@ class TestCarry:
         carried = MeshOperator(new, operator.spec, operator.quad_order, previous=operator)
         terms = carried.child_terms(n_modes)
         # only the new triangles were built, and only once
-        _, kept = kept_triangles(new)
+        _, kept = kept_triangles(mesh, new)
         assert children_rows == [new.num_triangles - kept.size]
         fresh = MeshOperator(new, operator.spec, operator.quad_order)
         assert same_child_terms(terms, fresh.child_terms(n_modes))
@@ -226,7 +225,8 @@ class TestCarry:
             mid = mesh.vertices[mesh.interior_edges].mean(axis=1)
             mesh, operator = self.step(
                 mesh, operator, [int(np.argmin(np.hypot(*mid.T)))], children_rows, 3)
-        assert mesh.generation.max() >= 60
+        # NVB halves areas exactly: some triangle is 60 bisections deep
+        assert mesh.signed_areas().min() <= 0.5 * 2.0**-60
         rng = np.random.default_rng(3)
         longest = 0
         for pos in rng.choice(mesh.interior_edge_ids.size, size=8, replace=False):
@@ -243,15 +243,29 @@ class TestCarry:
         assert children_rows == [new.num_triangles]
         assert same_child_terms(terms, MeshOperator(new, spec).child_terms(2))
 
+    def test_twin_predecessor_carried(self, spec, children_rows):
+        # a mesh with the very arrays of the one refined is one step from
+        # the refined mesh as well, so its operator's terms are carried
+        grandparent = refine(initial_lshape(), [0, 2])
+        mesh = refine(grandparent, [1])
+        new = refine(mesh, [3])
+        twin = refine(grandparent, [1])
+        previous = MeshOperator(twin, spec)
+        previous.child_terms(2)
+        del children_rows[:]
+        carried = MeshOperator(new, spec, previous=previous)
+        _, kept = kept_triangles(twin, new)
+        assert kept.size > 0
+        assert children_rows == [new.num_triangles - kept.size]
+        assert same_child_terms(carried.child_terms(2), MeshOperator(new, spec).child_terms(2))
+
     def test_foreign_predecessor_ignored(self, spec, children_rows):
         grandparent = refine(initial_lshape(), [0, 2])
         mesh = refine(grandparent, [1])
         new = refine(mesh, [3])
-        twin = refine(grandparent, [1])  # the same triangles, another mesh
         fresh = MeshOperator(new, spec).child_terms(2)
         for previous in (
             MeshOperator(grandparent, spec),
-            MeshOperator(twin, spec),
             MeshOperator(new, spec),
             MeshOperator(mesh, lshape_benchmark(sigma=1.5)),
             MeshOperator(mesh, dataclasses.replace(spec, rhs=wavy_rhs)),
@@ -434,7 +448,7 @@ class TestSolve:
         import scipy.sparse as sp
 
         spec0 = lshape_benchmark(tau=0.0)
-        system = TensorSystem(mesh2, IndexSet(), spec0, n_modes=0)
+        system = TensorSystem(mesh2, IndexSet(), spec0)
         u = solve(system, tol=1e-12)
         A = sp.csr_matrix(oracles.dense_stiffness(mesh2, ones))
         want = spsolve(A, oracles.dense_load_one(mesh2))
@@ -442,7 +456,7 @@ class TestSolve:
 
     def test_matches_dense_kronecker_oracle(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(1, 2)])
-        system = TensorSystem(mesh1, P, spec, n_modes=2)
+        system = TensorSystem(mesh1, P, spec)
         u = solve(system, tol=1e-12)
         want = oracles.dense_tensor_solve(mesh1, P, spec, n_modes=2)
         # element quadrature of the cosines differs slightly from the oracle
@@ -500,9 +514,25 @@ class TestSolve:
 
 
 class TestProlongation:
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_equals_matrix_oracle(self, uniform, spec):
+        # seven columns scaled from 1e-8 to 1e8, along a chain of single steps
+        rng = np.random.default_rng(5)
+        P = IndexSet([ZERO] + [unit_index(m) for m in range(1, 7)])
+        mesh = uniform_refine(initial_lshape())
+        for _ in range(4):
+            num_new = mesh.interior_edge_ids.size
+            fine = uniform_refine(mesh) if uniform else refine(
+                mesh, rng.choice(num_new, size=max(1, num_new // 3), replace=False))
+            U = rng.standard_normal((mesh.free_nodes.size, len(P))) * np.logspace(-8, 8, len(P))
+            u = GalerkinSolution(mesh=mesh, indices=P, coeffs=U)
+            want = oracles.prolongation_matrix(mesh, fine) @ U
+            assert np.array_equal(prolong(u, fine, P).coeffs, want)
+            mesh = fine
+
     def test_midpoint_average(self, mesh1):
         fine = uniform_refine(mesh1)
-        Pmat = prolongation_matrix(mesh1, fine)
+        Pmat = oracles.prolongation_matrix(mesh1, fine)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(mesh1.free_nodes.size)
         uf = Pmat @ u
@@ -517,9 +547,9 @@ class TestProlongation:
     def test_pointwise_values_preserved(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
         u = solve(TensorSystem(mesh1, P, spec))
-        steps = refine(mesh1, [0, 1])
-        fine = refine(steps, [2, 3])
-        up = prolong(u, fine, P, None)
+        step = refine(mesh1, [0, 1])
+        fine = refine(step, [2, 3])
+        up = prolong(prolong(u, step, P, None), fine, P, None)
         rng = np.random.default_rng(11)
         pts = []
         while len(pts) < 50:
@@ -547,7 +577,7 @@ class TestProlongation:
 
     def test_index_set_extension_pads_zeros(self, mesh1, spec):
         P = IndexSet()
-        u = solve(TensorSystem(mesh1, P, spec, n_modes=1))
+        u = solve(TensorSystem(mesh1, P, spec))
         P_big = P.union([unit_index(1)])
         up = prolong(u, mesh1, P_big, None)
         assert np.allclose(up.coeffs[:, 0], u.coeffs[:, 0])
@@ -556,8 +586,12 @@ class TestProlongation:
     def test_non_nested_rejected(self, mesh1, mesh2, spec):
         P = IndexSet()
         u = solve(TensorSystem(mesh2, P, spec))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one refinement step"):
             prolong(u, mesh1, P, None)
+        # two steps at once are not one step
+        u = solve(TensorSystem(mesh1, P, spec))
+        with pytest.raises(ValueError, match="one refinement step"):
+            prolong(u, uniform_refine(mesh2), P, None)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_index_embedding_equals_loop(self, seed):
@@ -577,7 +611,7 @@ class TestEnhancedSolve:
         Q = IndexSet([unit_index(1)], require_zero=False)
         hat = oracles.solve_enhanced(mesh1, P, Q, spec0, tol=1e-12)
         fine = uniform_refine(mesh1)
-        u_fine = solve(TensorSystem(fine, P, spec0, n_modes=0), tol=1e-12)
+        u_fine = solve(TensorSystem(fine, P, spec0), tol=1e-12)
         assert np.allclose(hat.fine_coeffs[:, 0], u_fine.coeffs[:, 0], atol=1e-9)
         assert np.max(np.abs(hat.detail_coeffs)) < 1e-9
 
@@ -602,7 +636,7 @@ class TestEnhancedSolve:
 
         nf = fine.free_nodes.size
         nc = mesh.free_nodes.size
-        Pr = prolongation_matrix(mesh, fine).toarray()
+        Pr = oracles.prolongation_matrix(mesh, fine).toarray()
         n_modes = max(P.max_dimension(), Q.max_dimension())
         A_hat = [
             oracles.dense_stiffness(fine, spec.coefficient(m), quad_n=6)

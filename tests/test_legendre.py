@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sgfem import coupling_coefficient, gauss_quadrature, legendre_eval
-from oracles import triple_moment
+from sgfem import coupling_coefficient
+from oracles import gauss_quadrature, legendre_eval, triple_moment
 
 
 def test_degree_zero_is_one():

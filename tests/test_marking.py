@@ -163,8 +163,7 @@ def context():
     mesh = uniform_refine(initial_lshape())
     P = IndexSet([ZERO, unit_index(1)])
     Q = detail_index_set(P)
-    n_modes = max(P.max_dimension(), Q.max_dimension())
-    u = solve(TensorSystem(mesh, P, spec, n_modes=n_modes))
+    u = solve(TensorSystem(mesh, P, spec))
     ind = ErrorIndicators(
         spatial=spatial_indicators(u, spec),
         parametric=parametric_indicators(u, Q, spec),

@@ -55,13 +55,20 @@ class TestInitialMeshes:
         assert mesh_audit(sq).ok
         assert sq.signed_areas().sum() == pytest.approx(1.0)
 
+    def test_identity_equality(self, lmesh):
+        other = initial_lshape()
+        assert lmesh == lmesh
+        assert lmesh != other
+        assert len({lmesh, other, lmesh}) == 2
+        assert hash(lmesh) != hash(other)
+
 
 class TestUniformRefine:
     def test_counts(self, lmesh):
         fine = uniform_refine(lmesh)
         assert fine.num_triangles == 24
         assert fine.num_vertices == 8 + 13  # one midpoint per coarse edge
-        assert fine.parent is lmesh
+        assert sgfem.mesh.bisected_edges(lmesh, fine).tolist() == list(range(13))
         assert lmesh.interior_edge_ids.size == 5  # interior-edge midpoints
         assert mesh_audit(fine).ok
         assert fine.min_angle() == pytest.approx(45.0, abs=1e-10)
@@ -162,22 +169,47 @@ class TestRefine:
         with pytest.raises(ValueError, match="one step"):
             realized(lmesh, refine(once, [0]))
 
-    def test_kept_triangles_need_a_parent(self, lmesh):
-        with pytest.raises(ValueError, match="not refined"):
-            sgfem.mesh.kept_triangles(lmesh)
-        parent_rows, rows = sgfem.mesh.kept_triangles(uniform_refine(lmesh))
-        assert parent_rows.size == rows.size == 0
+    def test_kept_triangles_need_one_step(self, lmesh):
+        kept_triangles = sgfem.mesh.kept_triangles
+        fine = uniform_refine(lmesh)
+        coarse_rows, rows = kept_triangles(lmesh, fine)
+        assert coarse_rows.size == rows.size == 0
+        for coarse, refined in ((lmesh, lmesh), (lmesh, uniform_refine(fine)), (fine, lmesh)):
+            with pytest.raises(ValueError, match="one step"):
+                kept_triangles(coarse, refined)
+
+    def test_bisected_edges_one_step_only(self, lmesh):
+        bisected_edges = sgfem.mesh.bisected_edges
+        once = refine(lmesh, [0])
+        twice = refine(once, [1])
+        ids = bisected_edges(lmesh, once)
+        assert np.array_equal(lmesh.edges[ids], once.new_vertex_edge)
+        assert lmesh.interior_edge_ids[0] in ids
+        # a mesh with the same arrays is the same coarse mesh
+        assert np.array_equal(bisected_edges(refine(lmesh, [0]), twice),
+                              bisected_edges(once, twice))
+        for coarse, refined in ((lmesh, lmesh), (once, once), (lmesh, twice),
+                                (once, lmesh), (unit_square(), once)):
+            assert bisected_edges(coarse, refined) is None
+        # same vertex count, other vertices
+        moved = dataclasses.replace(lmesh, vertices=lmesh.vertices + 1.0)
+        assert bisected_edges(moved, once) is None
+        # same vertices, other edges: (0, 4) is no edge of the flipped mesh
+        flipped = dataclasses.replace(
+            lmesh, triangles=np.array([[0, 3, 1], [3, 4, 1], *lmesh.triangles[2:]]))
+        assert bisected_edges(flipped, refine(lmesh, [0])) is None
 
     def test_out_of_range_mark_rejected(self, lmesh):
         with pytest.raises(ValueError):
             refine(lmesh, [lmesh.interior_edge_ids.size])
 
-    def test_generation_increases(self, lmesh):
+    def test_bisection_depth(self, lmesh):
         out = refine(lmesh, [0])
-        # fully bisected triangles are split twice within one call
-        assert out.generation.max() == 2
-        assert out.generation.min() == 0
-        assert out.parent is lmesh
+        # fully bisected triangles are split twice within one call, and NVB
+        # halves the area exactly: 0.5 is the area of an initial triangle
+        assert out.signed_areas().min() == 0.5 * 2.0**-2
+        assert out.signed_areas().max() == 0.5
+        assert np.array_equal(out.vertices[: lmesh.num_vertices], lmesh.vertices)
 
     def test_repeated_refinement_stays_admissible(self, lmesh):
         rng = np.random.default_rng(42)
@@ -204,7 +236,6 @@ class TestAudit:
             boundary=lmesh.boundary,
             triangles=tris,
             ref_edge=lmesh.ref_edge,
-            generation=lmesh.generation,
         )
         assert not mesh_audit(bad).oriented
 
@@ -220,7 +251,6 @@ class TestAudit:
             boundary=fine.boundary,
             triangles=tris,
             ref_edge=np.zeros(len(tris), dtype=np.int64),
-            generation=np.zeros(len(tris), dtype=np.int64),
         )
         assert not mesh_audit(bad).conforming
 
@@ -252,11 +282,11 @@ class TestIO:
 
 def assert_same_as_oracle(new, old):
     """`new` (array refinement) equals `old` (loop oracle) bit for bit."""
-    for name in ("vertices", "boundary", "triangles", "ref_edge", "generation"):
+    for name in ("vertices", "boundary", "triangles", "ref_edge"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    n = new.parent.num_vertices
+    n = new.num_vertices - len(new.new_vertex_edge)
     assert {
         n + i: tuple(e) for i, e in enumerate(new.new_vertex_edge.tolist())
     } == old.new_vertex_edge
@@ -277,13 +307,13 @@ class TestLoopOracle:
         )
         assert sgfem.mesh.realized(mesh, new).tolist() == realized
         # the kept triangles are those with a vertex triple and reference
-        # edge of the parent
+        # edge of the coarse mesh
         before = np.column_stack([mesh.triangles, mesh.ref_edge]).tolist()
         after = np.column_stack([new.triangles, new.ref_edge]).tolist()
         row = {tuple(t): i for i, t in enumerate(before)}
         matches = [(row[tuple(t)], i) for i, t in enumerate(after) if tuple(t) in row]
-        parent_rows, rows = sgfem.mesh.kept_triangles(new)
-        assert list(zip(parent_rows.tolist(), rows.tolist())) == matches
+        coarse_rows, rows = sgfem.mesh.kept_triangles(mesh, new)
+        assert list(zip(coarse_rows.tolist(), rows.tolist())) == matches
         return new
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
@@ -315,7 +345,8 @@ class TestLoopOracle:
             edges = mesh.interior_edges
             mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             mesh = self.step(mesh, [int(np.argmin(np.hypot(*mid.T)))])
-        assert mesh.generation.max() >= 60
+        # NVB halves areas exactly: some triangle is 60 bisections deep
+        assert mesh.signed_areas().min() <= 0.5 * 2.0**-60
         rng = np.random.default_rng(5)
         longest = 0
         for pos in rng.choice(mesh.interior_edge_ids.size, size=25, replace=False):
