@@ -25,14 +25,20 @@ def benchmark_spec():
     return lshape_benchmark()
 
 
+def criterion_runs(spec, theta_x):
+    """Adaptive runs to tol 1e-2 for all four criteria, theta = (theta_x, 0.5)."""
+    params = MarkingParams(theta_x=theta_x, theta_p=0.5, vartheta=1.0)
+    return {crit: run_adaptive(spec, crit, params, tol=1e-2) for crit in CRITERIA}
+
+
+# theta_x of the session's run sets, by fixture name
+RUN_SETS = {"desk_runs": 0.5, "runs_07": 0.7}
+
+
 @pytest.fixture(scope="session")
 def desk_runs(benchmark_spec):
     """Adaptive runs to tol 1e-2 for all four criteria, theta = (0.5, 0.5)."""
-    params = MarkingParams(theta_x=0.5, theta_p=0.5, vartheta=1.0)
-    return {
-        crit: run_adaptive(benchmark_spec, crit, params, tol=1e-2)
-        for crit in CRITERIA
-    }
+    return criterion_runs(benchmark_spec, RUN_SETS["desk_runs"])
 
 
 @pytest.fixture(scope="session")
@@ -49,11 +55,7 @@ def desk_effectivity(benchmark_spec, desk_runs):
 @pytest.fixture(scope="session")
 def runs_07(benchmark_spec):
     """Adaptive runs to tol 1e-2 for all four criteria, theta = (0.7, 0.5)."""
-    params = MarkingParams(theta_x=0.7, theta_p=0.5, vartheta=1.0)
-    return {
-        crit: run_adaptive(benchmark_spec, crit, params, tol=1e-2)
-        for crit in CRITERIA
-    }
+    return criterion_runs(benchmark_spec, RUN_SETS["runs_07"])
 
 
 _ACCEPTANCE_RE = re.compile(r"test_criterion_(\d+)")

@@ -1,5 +1,6 @@
-"""Golden trajectories: the columns of the benchmark's three command lines and
-the PCG iteration count of the reference solve, pinned to a fixture.
+"""Golden trajectories: the columns of the benchmark's three command lines, the
+PCG iteration count of the reference solve, and the records of the desk runs
+(the session fixtures ``desk_runs`` and ``runs_07``), pinned to a fixture.
 
 A change to the solver or the preconditioner that costs one PCG iteration, or
 an estimator change that moves one marked vertex, shows here even when every
@@ -34,6 +35,11 @@ FLOAT_COLUMNS = ("eta", "eta_spatial", "eta_param", "energy_sq", "zeta")
 # relative bound on the float columns
 FLOAT_RTOL = 1e-12
 
+# IterationRecord fields pinned for the desk runs
+RECORD_INTEGERS = ("refine_type", "dim_x", "card_p", "n_dof", "n_marked",
+                   "max_active_dim", "solver_iterations")
+RECORD_FLOATS = ("eta", "eta_spatial", "eta_parametric", "energy_sq")
+
 
 def trajectory(name: str, outdir: Path) -> dict:
     """Run one command line; its integer columns by name as strings, its
@@ -61,32 +67,67 @@ def trajectory(name: str, outdir: Path) -> dict:
     return {"columns": columns, "floats": floats, "reference_pcg_iters": solves}
 
 
+def records(trace) -> dict:
+    """The stop reason and the pinned record fields of one adaptive run."""
+    return {
+        "stop_reason": trace.stop_reason,
+        "integers": {f: [getattr(r, f) for r in trace.records] for f in RECORD_INTEGERS},
+        "floats": {f: [getattr(r, f) for r in trace.records] for f in RECORD_FLOATS},
+    }
+
+
 def close(got, want) -> bool:
     return got is want is None or (
         got is not None and want is not None and abs(got - want) <= FLOAT_RTOL * abs(want)
     )
 
 
-def test_golden_trajectories(tmp_path):
+def assert_close(got: list, want: list, where) -> None:
+    assert len(got) == len(want), where
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if not close(g, w)]
+    assert not bad, (where, bad)
+
+
+def load_fixture() -> dict:
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    assert sorted(golden) == sorted(COMMAND_LINES)
+    assert sorted(golden) == sorted([*COMMAND_LINES, "desk_runs", "runs_07"])
+    return golden
+
+
+def test_golden_trajectories(tmp_path):
+    golden = load_fixture()
     assert golden["reference"]["reference_pcg_iters"] == [18]
     for name in COMMAND_LINES:
         got = trajectory(name, tmp_path)
         for column in INTEGER_COLUMNS:
             assert got["columns"][column] == golden[name]["columns"][column], (name, column)
         for column in FLOAT_COLUMNS:
-            want = golden[name]["floats"][column]
-            assert len(got["floats"][column]) == len(want), (name, column)
-            bad = [(i, g, w) for i, (g, w) in enumerate(zip(got["floats"][column], want))
-                   if not close(g, w)]
-            assert not bad, (name, column, bad)
+            assert_close(got["floats"][column], golden[name]["floats"][column], (name, column))
         assert got["reference_pcg_iters"] == golden[name]["reference_pcg_iters"], name
+
+
+def test_desk_run_records(desk_runs, runs_07):
+    golden = load_fixture()
+    for name, runs in (("desk_runs", desk_runs), ("runs_07", runs_07)):
+        assert sorted(golden[name]) == sorted(runs), name
+        for crit, trace in runs.items():
+            got, want = records(trace), golden[name][crit]
+            assert got["stop_reason"] == want["stop_reason"], (name, crit)
+            for field in RECORD_INTEGERS:
+                assert got["integers"][field] == want["integers"][field], (name, crit, field)
+            for field in RECORD_FLOATS:
+                assert_close(got["floats"][field], want["floats"][field], (name, crit, field))
 
 
 if __name__ == "__main__":
     import tempfile
 
+    from conftest import RUN_SETS, criterion_runs
+    from sgfem import lshape_benchmark
+
     with tempfile.TemporaryDirectory() as tmp:
         data = {name: trajectory(name, Path(tmp)) for name in COMMAND_LINES}
+    for name, theta_x in RUN_SETS.items():
+        runs = criterion_runs(lshape_benchmark(), theta_x)
+        data[name] = {crit: records(trace) for crit, trace in runs.items()}
     FIXTURE.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
