@@ -25,7 +25,6 @@ from .galerkin import (
     GalerkinSolution,
     SolverError,
     TensorSystem,
-    assemble_load,
     assemble_stiffness,
     b_energy,
     prolong,

@@ -133,14 +133,19 @@ def run_adaptive(
     trips.  With ``check`` the energy identities and the per-step reduction
     lower bound are asserted online (raises AssertionError on violation); a
     non-finite energy or estimate raises AssertionError in any case; a
-    `tol` that is not finite and positive, or a `solver_tol` outside (0, 1),
-    raises ValueError."""
+    `tol` that is not finite and positive, a `solver_tol` outside (0, 1), a
+    negative `max_iter` or a `max_dof` below 1 raises ValueError.  With
+    ``max_iter=0`` the loop solves and estimates once."""
     params = params or MarkingParams()
     params.validate(criterion)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not 0.0 < solver_tol < 1.0:
         raise ValueError(f"solver_tol must lie in (0, 1), got {solver_tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if max_dof < 1:
+        raise ValueError(f"max_dof must be positive, got {max_dof}")
     mesh = mesh if mesh is not None else initial_lshape()
     indices = IndexSet()
     lam = contrast_bounds(spec).lam

@@ -12,12 +12,12 @@ indicators solve one mean-field problem per detail index for the residual
 component in that direction.
 
 Both read the per-mesh operator and the coupling of the solution's system
-(``u.system``), where the loop keeps them across levels: the child terms of
-a mode and the stiffness matrix of a detail direction are built once per
-mesh (those of a triangle that refinement kept are copied from the
-operator of the mesh one step coarser), the coupling passes once per index
-set.  A solution without a system, or estimated under another problem or
-rule, gets fresh ones.
+(``u.system``), where the loop keeps them across levels: the coarse
+gradients, the child terms of a mode and the stiffness matrix of a detail
+direction are built once per mesh (the child terms of a triangle that
+refinement kept are copied from the operator of the mesh one step coarser),
+the coupling passes once per index set.  A solution without a system, or
+estimated under another problem, gets fresh ones.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .galerkin import (
     GalerkinSolution,
     MeshOperator,
     assemble_stiffness,  # noqa: F401 -- perfbench's tracer wraps this name
-    element_geometry,
 )
 from .indices import ZERO, IndexSet
 from .problem import ProblemSpec
@@ -51,24 +50,22 @@ K_OVERLAP = 3
 
 
 def _operator_and_coupling(
-    u: GalerkinSolution, spec: ProblemSpec, quad_order: int, detail: IndexSet | None = None
+    u: GalerkinSolution, spec: ProblemSpec, detail: IndexSet | None = None
 ) -> tuple[MeshOperator, Coupling]:
     """The operator and coupling of u's system where they were built for
-    this problem, rule and detail set; fresh ones otherwise."""
+    this problem and detail set; fresh ones otherwise."""
     system = u.system
     fits = system is not None and system.mesh is u.mesh and system.indices == u.indices
     operator = system.operator if fits else None
-    if operator is None or operator.spec != spec or operator.quad_order != quad_order:
-        operator = MeshOperator(u.mesh, spec, quad_order)
+    if operator is None or operator.spec != spec:
+        operator = MeshOperator(u.mesh, spec)
     coupling = system.coupling if fits else None
     if coupling is None or (detail is not None and coupling.detail != detail):
         coupling = Coupling(u.indices, detail)
     return operator, coupling
 
 
-def spatial_indicators(
-    u: GalerkinSolution, spec: ProblemSpec, quad_order: int = 5
-) -> np.ndarray:
+def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
     """Two-level indicators eta(z) for all z in N+ of ``u.mesh``, in N+ order.
 
     eta(z)^2 = sum_nu r(z, nu)^2 / B_0(phi_z, phi_z), where r(z, nu) is the
@@ -79,15 +76,15 @@ def spatial_indicators(
     edges; the contributions are summed per z.
     """
     mesh = u.mesh
-    operator, coupling = _operator_and_coupling(u, spec, quad_order)
+    operator, coupling = _operator_and_coupling(u, spec)
 
     def tested(terms, g):
         """Contract (nt, 3, 2) hat terms with (nt, 2, #indices) gradients."""
         return terms[:, :, 0, None] * g[:, None, 0] + terms[:, :, 1, None] * g[:, None, 1]
 
     # gradient of u per coarse triangle and index, (nt, 2, #indices)
-    _, coarse_grads = element_geometry(mesh.vertices[mesh.triangles])
-    grad_u = np.einsum("tjd,tjk->tdk", coarse_grads, u.vertex_values()[mesh.triangles])
+    grads = operator.pattern.grads
+    grad_u = np.einsum("tjd,tjk->tdk", grads, u.vertex_values()[mesh.triangles])
 
     terms, diagonal, load = operator.child_terms(u.indices.max_dimension())
     res = np.zeros((mesh.num_triangles, 3, len(u.indices)))
@@ -117,7 +114,6 @@ def parametric_indicators(
     u: GalerkinSolution,
     detail: IndexSet,
     spec: ProblemSpec,
-    quad_order: int = 5,
 ) -> np.ndarray:
     """Hierarchical indicators eta(nu) for all nu in `detail`, in set order.
 
@@ -126,7 +122,7 @@ def parametric_indicators(
     """
     if len(detail) == 0:
         return np.zeros(0)
-    operator, coupling = _operator_and_coupling(u, spec, quad_order, detail)
+    operator, coupling = _operator_and_coupling(u, spec, detail)
     n_modes = max(u.indices.max_dimension(), detail.max_dimension())
 
     # residual r[z, nu] = -B(u, phi_z P_nu); the load vanishes off the zero index

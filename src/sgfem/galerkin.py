@@ -12,15 +12,19 @@ product copies an operand.  The SPD A_0 is factored by SuperLU in symmetric
 mode, with the minimum-degree ordering of A_0 + A_0^T and no pivoting off the
 diagonal.
 
+Every integral over a triangle uses one rule, the 7-point symmetric rule of
+degree 5: the two-level estimator bounds the error of the discrete problem
+only if it integrates as the Galerkin assembly does.
+
 A system reads its matrices from two objects that outlive it.  A
 ``MeshOperator`` holds what depends on the mesh alone: geometry, quadrature
 points, the free-node CSR pattern with its scatter map, A_m per mode (built
-on first use), the LU of A_0 and the spatial estimator's per-mode terms.  A
-``Coupling`` holds the passes of G_m for one index set, against itself and
-against its detail set.  An adaptive step changes either the mesh or the
-index set, so the loop keeps one object and drops the other: the operator
-goes with its mesh on refinement, the coupling with its index set on
-enrichment.  Refinement leaves most triangles as they were, and the
+on first use), the load, the LU of A_0 and the spatial estimator's per-mode
+terms.  A ``Coupling`` holds the passes of G_m for one index set, against
+itself and against its detail set.  An adaptive step changes either the mesh
+or the index set, so the loop keeps one object and drops the other: the
+operator goes with its mesh on refinement, the coupling with its index set
+on enrichment.  Refinement leaves most triangles as they were, and the
 estimator's terms of a triangle depend on it alone, so the operator of the
 refined mesh copies those of the kept triangles from the outgoing one and
 computes only those of the new triangles.  Nothing is cached on the mesh or
@@ -49,9 +53,7 @@ __all__ = [
     "MeshOperator",
     "Coupling",
     "StiffnessPattern",
-    "triangle_quadrature",
     "assemble_stiffness",
-    "assemble_load",
     "prolong",
     "solve",
     "b_energy",
@@ -89,17 +91,6 @@ _QW_DEG5 = np.array(
 )
 
 
-def triangle_quadrature(order: int = 5):
-    """Barycentric points and weights (summing to one) of a symmetric
-    triangle rule exact to the given polynomial degree."""
-    if order <= 1:
-        return np.full((1, 3), 1 / 3), np.array([1.0])
-    if order <= 2:
-        pts = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
-        return pts, np.full(3, 1 / 3)
-    return _QP_DEG5, _QW_DEG5
-
-
 def element_geometry(p: np.ndarray):
     """Areas and P1 basis gradients of triangles with vertex coordinates
     ``p`` of shape (nt, 3, 2), vectorized over triangles."""
@@ -117,53 +108,50 @@ def element_geometry(p: np.ndarray):
     return area, grads
 
 
-def quadrature_points(p: np.ndarray, quad_order: int = 5) -> np.ndarray:
-    """Points of the symmetric rule of `quad_order` in triangles with vertex
-    coordinates ``p``, shape (nt, #points, 2)."""
-    qp, _ = triangle_quadrature(quad_order)
-    return np.matmul(qp, p)
+def quadrature_points(p: np.ndarray) -> np.ndarray:
+    """Points of the rule in triangles with vertex coordinates ``p``, shape
+    (nt, 7, 2)."""
+    return np.matmul(_QP_DEG5, p)
 
 
-def element_integrals(points: np.ndarray, area: np.ndarray, coefficient, quad_order: int = 5):
-    """int_T a dx per triangle, by the symmetric rule of `quad_order` at its
-    ``points`` (see ``quadrature_points``)."""
-    _, qw = triangle_quadrature(quad_order)
+def element_integrals(points: np.ndarray, area: np.ndarray, coefficient):
+    """int_T a dx per triangle, by the rule at its ``points`` (see
+    ``quadrature_points``)."""
     cvals = np.asarray(coefficient(points), dtype=np.float64)
     if cvals.shape != points.shape[:2]:
         cvals = np.broadcast_to(cvals, points.shape[:2])
-    return area * (cvals @ qw)
+    return area * (cvals @ _QW_DEG5)
 
 
-def element_load(points: np.ndarray, area: np.ndarray, f, quad_order: int = 5) -> np.ndarray:
+def element_load(points: np.ndarray, area: np.ndarray, f) -> np.ndarray:
     """int_T f phi_i per triangle and local vertex, shape (nt, 3), by the
-    rule of `quad_order` at its ``points``; ``f=None`` means f == 1,
-    integrated exactly (area / 3)."""
+    rule at its ``points``; ``f=None`` means f == 1, integrated exactly
+    (area / 3)."""
     if f is None:
         return np.repeat(area / 3.0, 3).reshape(-1, 3)
-    qp, qw = triangle_quadrature(quad_order)
     fvals = np.asarray(f(points), dtype=np.float64)
     # int_T f phi_i = area * sum_q w_q f(x_q) lambda_i(x_q)
-    return np.einsum("t,tq,qi->ti", area, fvals, qp * qw[:, None])
+    return np.einsum("t,tq,qi->ti", area, fvals, _QP_DEG5 * _QW_DEG5[:, None])
 
 
 class StiffnessPattern:
     """What P1 stiffness matrices on one mesh share, whatever the coefficient:
-    areas, quadrature points, products of basis gradients, and the CSR pattern
-    with a scatter map from (triangle, i, j) to data slots.  A matrix then
-    costs one coefficient evaluation and one ``bincount``.  The matrices live
-    on the free (interior) nodes."""
+    areas, basis gradients, quadrature points, products of basis gradients,
+    and the CSR pattern with a scatter map from (triangle, i, j) to data
+    slots.  A matrix then costs one coefficient evaluation and one
+    ``bincount``.  The matrices live on the free (interior) nodes."""
 
-    def __init__(self, mesh: Mesh, quad_order: int = 5):
+    def __init__(self, mesh: Mesh):
         p = mesh.vertices[mesh.triangles]
-        self.area, grads = element_geometry(p)
-        self.points = quadrature_points(p, quad_order)
+        self.area, self.grads = element_geometry(p)
+        self.points = quadrature_points(p)
         n = mesh.free_nodes.size
         local = mesh.free_index[mesh.triangles]
         rows = np.repeat(local, 3, axis=1).ravel()
         cols = np.tile(local, (1, 3)).ravel()
         keep = (rows >= 0) & (cols >= 0)
         # entry (t, i, j) of the local matrices is weight_t * grad_i . grad_j
-        self._products = np.einsum("tid,tjd->tij", grads, grads).ravel()[keep]
+        self._products = np.einsum("tid,tjd->tij", self.grads, self.grads).ravel()[keep]
         self._element = np.repeat(np.arange(mesh.num_triangles, dtype=np.int32), 9)[keep]
         keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
         self._slot = slot.astype(np.int32)
@@ -183,42 +171,18 @@ class StiffnessPattern:
 def assemble_stiffness(
     mesh: Mesh,
     coefficient,
-    quad_order: int = 5,
     pattern: StiffnessPattern | None = None,
 ) -> sp.csr_matrix:
     """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j)
     on the free (interior) nodes.
 
-    The coefficient is integrated per element with a symmetric quadrature
-    rule (gradients are elementwise constant).  A ``pattern`` built for the
-    mesh and rule saves rebuilding it.
+    The coefficient is integrated per element with the 7-point rule
+    (gradients are elementwise constant).  A ``pattern`` built for the mesh
+    saves rebuilding it.
     """
     if pattern is None:
-        pattern = StiffnessPattern(mesh, quad_order)
-    return pattern.matrix(
-        element_integrals(pattern.points, pattern.area, coefficient, quad_order)
-    )
-
-
-def assemble_load(mesh: Mesh, f, indices: IndexSet, quad_order: int = 5) -> np.ndarray:
-    """Load array F[z, nu] over free nodes and indices.
-
-    Deterministic right-hand sides load only the zero-index column; ``f=None``
-    means f == 1 and uses the exact hat-function integral (patch area / 3).
-    """
-    n_free = mesh.free_nodes.size
-    F = np.zeros((n_free, len(indices)))
-    if ZERO not in indices:
-        return F
-    col = indices.position(ZERO)
-    p = mesh.vertices[mesh.triangles]
-    area, _ = element_geometry(p)
-    full = np.zeros(mesh.num_vertices)
-    points = None if f is None else quadrature_points(p, quad_order)
-    load = element_load(points, area, f, quad_order)
-    np.add.at(full, mesh.triangles.ravel(), load.ravel())
-    F[:, col] = full[mesh.free_nodes]
-    return F
+        pattern = StiffnessPattern(mesh)
+    return pattern.matrix(element_integrals(pattern.points, pattern.area, coefficient))
 
 
 # NVB uniform refinement of T = (a, b, c) = (v[r], v[r+1], v[r+2]), r the
@@ -250,45 +214,50 @@ class MeshOperator:
     kept while the operator lives; the adaptive loop replaces the operator
     when it refines the mesh.
 
-    Coarse side: the stiffness pattern (areas, quadrature points, CSR
-    scatter), A_m per mode and the LU of A_0.  Estimator side, on the NVB
-    children of each triangle (the uniform refinement, never built as a
-    mesh): per midpoint m, w1, w2 of each triangle the hat terms
+    Coarse side: the stiffness pattern (areas, gradients, quadrature points,
+    CSR scatter), A_m per mode, the load and the LU of A_0.  Estimator side,
+    on the NVB children of each triangle (the uniform refinement, never
+    built as a mesh): per midpoint m, w1, w2 of each triangle the hat terms
     int a_m grad phi_z per mode, the fine A_0 diagonal and the load.
 
     These child terms depend on a triangle's vertices and reference edge
-    alone.  Given the ``previous`` operator, built for the same problem and
-    rule on a mesh that `mesh` is one refinement step from, the new one
-    takes over every mode that one had built: it copies the rows of the
-    triangles the refinement kept and computes only those of the triangles
-    it created.  It keeps no reference to ``previous``; any other
-    ``previous`` is ignored.
+    alone.  Given the ``previous`` operator, built for the same problem on a
+    mesh that `mesh` is one refinement step from, the new one takes over
+    every mode that one had built: it copies the rows of the triangles the
+    refinement kept and computes only those of the triangles it created.  It
+    keeps no reference to ``previous``; any other ``previous`` is ignored.
     """
 
-    def __init__(self, mesh: Mesh, spec: ProblemSpec, quad_order: int = 5,
-                 previous: MeshOperator | None = None):
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, previous: MeshOperator | None = None):
         self.mesh = mesh
         self.spec = spec
-        self.quad_order = quad_order
         self._stiffness: dict[int, sp.csr_matrix] = {}
         # per mode: the hat terms, and for mode 0 also the diagonal and load
         self._child_terms: dict[int, tuple[np.ndarray, ...]] = {}
         if (previous is not None and previous._child_terms
-                and previous.spec == spec and previous.quad_order == quad_order
-                and bisected_edges(previous.mesh, mesh) is not None):
+                and previous.spec == spec and bisected_edges(previous.mesh, mesh) is not None):
             self._carry(previous)
 
     @cached_property
     def pattern(self) -> StiffnessPattern:
-        return StiffnessPattern(self.mesh, self.quad_order)
+        return StiffnessPattern(self.mesh)
 
     def stiffness(self, m: int) -> sp.csr_matrix:
         """A_m on the free nodes, assembled once."""
         if m not in self._stiffness:
             self._stiffness[m] = assemble_stiffness(
-                self.mesh, self.spec.coefficient(m), self.quad_order, pattern=self.pattern
+                self.mesh, self.spec.coefficient(m), pattern=self.pattern
             )
         return self._stiffness[m]
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        """int f phi_z for the free nodes z."""
+        mesh, pattern = self.mesh, self.pattern
+        full = np.zeros(mesh.num_vertices)
+        load = element_load(pattern.points, pattern.area, self.spec.rhs)
+        np.add.at(full, mesh.triangles.ravel(), load.ravel())
+        return full[mesh.free_nodes]
 
     @cached_property
     def a0_solver(self):
@@ -304,7 +273,7 @@ class MeshOperator:
         p6 = np.concatenate([p3, 0.5 * (p3[:, [1, 0, 2]] + p3[:, [2, 1, 0]])], axis=1)
         child = p6[:, _CHILDREN].reshape(4 * rows.size, 3, 2)
         area, grads = element_geometry(child)
-        return area, grads.reshape(-1, 4, 3, 2), quadrature_points(child, self.quad_order)
+        return area, grads.reshape(-1, 4, 3, 2), quadrature_points(child)
 
     def _terms(self, rows: np.ndarray, modes) -> dict[int, tuple[np.ndarray, ...]]:
         """The child terms of `modes` on the triangles `rows`.  The children's
@@ -313,11 +282,10 @@ class MeshOperator:
         area, grads, points = self._children(rows)
         out = {}
         for m in modes:
-            w = element_integrals(points, area, self.spec.coefficient(m), self.quad_order)
-            w = w.reshape(-1, 4)
+            w = element_integrals(points, area, self.spec.coefficient(m)).reshape(-1, 4)
             out[m] = (_per_midpoint(w[:, :, None, None] * grads),)
             if m == 0:
-                load = element_load(points, area, self.spec.rhs, self.quad_order)
+                load = element_load(points, area, self.spec.rhs)
                 out[m] += (_per_midpoint(w[:, :, None] * (grads**2).sum(axis=3)),
                            _per_midpoint(load.reshape(-1, 4, 3)))
         return out
@@ -409,9 +377,10 @@ class Coupling:
 class TensorSystem:
     """Assembled Galerkin system on (free nodes of a mesh) x (index set).
 
-    The stiffness matrices come from a per-mesh ``operator`` and the coupling
-    passes from a per-index-set ``coupling``; fresh ones are built when none
-    are given.
+    The stiffness matrices and the load come from a per-mesh ``operator``,
+    the coupling passes from a per-index-set ``coupling``; fresh ones are
+    built when none are given.  A deterministic right-hand side loads only
+    the zero-index column.
     """
 
     def __init__(
@@ -419,7 +388,6 @@ class TensorSystem:
         mesh: Mesh,
         indices: IndexSet,
         spec: ProblemSpec,
-        quad_order: int = 5,
         operator: MeshOperator | None = None,
         coupling: Coupling | None = None,
     ):
@@ -427,15 +395,16 @@ class TensorSystem:
         self.indices = indices
         self.spec = spec
         self.n_modes = indices.max_dimension()
-        self.quad_order = quad_order
-        self.operator = MeshOperator(mesh, spec, quad_order) if operator is None else operator
+        self.operator = MeshOperator(mesh, spec) if operator is None else operator
         self.coupling = Coupling(indices) if coupling is None else coupling
         if (self.operator.mesh is not mesh or self.operator.spec != spec
-                or self.operator.quad_order != quad_order or self.coupling.indices != indices):
+                or self.coupling.indices != indices):
             raise ValueError("operator or coupling built for another space")
 
         self.A = [self.operator.stiffness(m) for m in range(self.n_modes + 1)]
-        self.load = assemble_load(mesh, spec.rhs, indices, quad_order)
+        self.load = np.zeros(self.shape)
+        if ZERO in indices:
+            self.load[:, indices.position(ZERO)] = self.operator.load
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -71,6 +71,11 @@ class Mesh:
     ref_edge: np.ndarray
     new_vertex_edge: np.ndarray | None = None
 
+    def __reduce__(self):
+        # the cached tables derive from the fields: rebuilt, not pickled
+        return Mesh, (self.vertices, self.boundary, self.triangles, self.ref_edge,
+                      self.new_vertex_edge)
+
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]

@@ -6,13 +6,13 @@ loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
-fine-mesh spatial estimator, the COO stiffness assembly, the loop-based
-newest-vertex bisection, the CSR coupling blocks with the transposed products
-formed from them, the prolongation matrix, and the loop-based detail set and
-index embedding, and former library code that only tests use: the orthonormal
-Legendre polynomials with their Gauss rule, the Galerkin solve in the
-enhanced space of the two-sided estimate, the mean-field energy and the
-contraction series of reference errors.
+fine-mesh spatial estimator, the COO stiffness assembly, the per-call load
+assembly, the loop-based newest-vertex bisection, the CSR coupling blocks with
+the transposed products formed from them, the prolongation matrix, and the
+loop-based detail set and index embedding, and former library code that only
+tests use: the orthonormal Legendre polynomials with their Gauss rule, the
+Galerkin solve in the enhanced space of the two-sided estimate, the mean-field
+energy and the contraction series of reference errors.
 """
 
 from __future__ import annotations
@@ -31,15 +31,16 @@ from sgfem.galerkin import (
     MeshOperator,
     _inner,
     _matching_system,
+    _QP_DEG5,
     _pcg,
-    assemble_load,
     assemble_stiffness,
     b_energy,
     element_geometry,
     element_integrals,
-    triangle_quadrature,
+    element_load,
+    quadrature_points,
 )
-from sgfem.indices import IndexSet, MultiIndex
+from sgfem.indices import ZERO, IndexSet, MultiIndex
 from sgfem.legendre import coupling_coefficient
 from sgfem.mesh import Mesh, uniform_refine
 from sgfem.problem import ProblemSpec
@@ -246,18 +247,15 @@ def nplus_vertices(mesh) -> np.ndarray:
     return mesh.num_vertices + mesh.interior_edge_ids
 
 
-def fine_mesh_spatial_indicators(u, spec, quad_order: int = 5) -> np.ndarray:
+def fine_mesh_spatial_indicators(u, spec) -> np.ndarray:
     """eta(z) for all z in N+, in N+ order, from the full residual on the
     uniformly refined mesh: prolong u there, assemble the fine stiffness
     matrices and load, and read the rows of the new interior vertices."""
     fine = uniform_refine(u.mesh)
     n_modes = u.indices.max_dimension()
-    A_fine = [
-        assemble_stiffness(fine, spec.coefficient(m), quad_order)
-        for m in range(n_modes + 1)
-    ]
+    A_fine = [assemble_stiffness(fine, spec.coefficient(m)) for m in range(n_modes + 1)]
     U1 = prolongation_matrix(u.mesh, fine) @ u.coeffs
-    R = assemble_load(fine, spec.rhs, u.indices, quad_order)
+    R = assemble_load(fine, spec.rhs, u.indices)
     R -= A_fine[0] @ U1
     for m in range(1, n_modes + 1):
         G = assemble_coupling(u.indices, u.indices, m)
@@ -275,17 +273,11 @@ def fine_mesh_spatial_indicators(u, spec, quad_order: int = 5) -> np.ndarray:
 # COO triplets converted to CSR and sliced to the free nodes; the pattern and
 # scatter assembly must match it to rounding
 
-def einsum_quadrature_points(p: np.ndarray, quad_order: int = 5) -> np.ndarray:
-    qp, _ = triangle_quadrature(quad_order)
-    return np.einsum("qk,tkd->tqd", qp, p)
+def einsum_quadrature_points(p: np.ndarray) -> np.ndarray:
+    return np.einsum("qk,tkd->tqd", _QP_DEG5, p)
 
 
-def coo_assemble_stiffness(
-    mesh: Mesh,
-    coefficient,
-    quad_order: int = 5,
-    restrict: bool = True,
-) -> sp.csr_matrix:
+def coo_assemble_stiffness(mesh: Mesh, coefficient, restrict: bool = True) -> sp.csr_matrix:
     """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j).
 
     The coefficient is integrated per element with a symmetric quadrature
@@ -294,7 +286,7 @@ def coo_assemble_stiffness(
     """
     p = mesh.vertices[mesh.triangles]
     area, grads = element_geometry(p)
-    weights = element_integrals(einsum_quadrature_points(p, quad_order), area, coefficient, quad_order)
+    weights = element_integrals(einsum_quadrature_points(p), area, coefficient)
 
     local = np.einsum("t,tid,tjd->tij", weights, grads, grads)
     tri = mesh.triangles
@@ -308,6 +300,32 @@ def coo_assemble_stiffness(
         free = mesh.free_nodes
         mat = mat[free][:, free].tocsr()
     return mat
+
+
+# ---------------------------------------------------------------------------
+# the former load assembly: per call, geometry and quadrature points of the
+# mesh; the operator's load, built from its stiffness pattern, must match it
+# to the bit
+
+def assemble_load(mesh: Mesh, f, indices: IndexSet) -> np.ndarray:
+    """Load array F[z, nu] over free nodes and indices.
+
+    Deterministic right-hand sides load only the zero-index column; ``f=None``
+    means f == 1 and uses the exact hat-function integral (patch area / 3).
+    """
+    n_free = mesh.free_nodes.size
+    F = np.zeros((n_free, len(indices)))
+    if ZERO not in indices:
+        return F
+    col = indices.position(ZERO)
+    p = mesh.vertices[mesh.triangles]
+    area, _ = element_geometry(p)
+    full = np.zeros(mesh.num_vertices)
+    points = None if f is None else quadrature_points(p)
+    load = element_load(points, area, f)
+    np.add.at(full, mesh.triangles.ravel(), load.ravel())
+    F[:, col] = full[mesh.free_nodes]
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +547,6 @@ class EnhancedSystem:
         indices_q: IndexSet,
         spec: ProblemSpec,
         fine: Mesh | None = None,
-        quad_order: int = 5,
     ):
         self.mesh = mesh
         self.indices_p = indices_p
@@ -539,8 +556,8 @@ class EnhancedSystem:
 
         n_modes = max(indices_p.max_dimension(), indices_q.max_dimension())
         self.n_modes = n_modes
-        self.fine_operator = MeshOperator(fine, spec, quad_order)
-        self.coarse_operator = MeshOperator(mesh, spec, quad_order)
+        self.fine_operator = MeshOperator(fine, spec)
+        self.coarse_operator = MeshOperator(mesh, spec)
         self.A_fine = [self.fine_operator.stiffness(m) for m in range(n_modes + 1)]
         self.A_coarse = [self.coarse_operator.stiffness(m) for m in range(n_modes + 1)]
         self.P = prolongation_matrix(mesh, fine)
@@ -548,7 +565,7 @@ class EnhancedSystem:
         self.Gpp = [assemble_coupling(indices_p, indices_p, m) for m in range(n_modes + 1)]
         self.Gqq = [assemble_coupling(indices_q, indices_q, m) for m in range(n_modes + 1)]
         self.Gpq = [assemble_coupling(indices_p, indices_q, m) for m in range(n_modes + 1)]
-        self.load_fine = assemble_load(fine, spec.rhs, indices_p, quad_order)
+        self.load_fine = assemble_load(fine, spec.rhs, indices_p)
         self.shape1 = (fine.free_nodes.size, len(indices_p))
         self.shape2 = (mesh.free_nodes.size, len(indices_q))
 
@@ -608,10 +625,9 @@ def solve_enhanced(
     tol: float = 1e-10,
     maxiter: int = 100000,
     fine: Mesh | None = None,
-    quad_order: int = 5,
 ) -> EnhancedSolution:
     """Galerkin solve in the enhanced space used by the two-sided estimate."""
-    system = EnhancedSystem(mesh, indices_p, indices_q, spec, fine, quad_order)
+    system = EnhancedSystem(mesh, indices_p, indices_q, spec, fine)
     b = system.join(system.load_fine, np.zeros(system.shape2))
     x, res, its = _pcg(system.apply, system.precondition, b, tol=tol, maxiter=maxiter)
     U1, U2 = system.split(x)

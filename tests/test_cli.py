@@ -131,6 +131,9 @@ class TestErrors:
             ("--solver-tol", "nan"),
             ("--solver-tol", "0"),
             ("--solver-tol", "1"),
+            ("--max-iter", "-3"),
+            ("--max-dof", "-5"),
+            ("--max-dof", "0"),
         ],
     )
     def test_bad_tolerance(self, tmp_path, capsys, flag, value):

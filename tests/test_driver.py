@@ -127,6 +127,16 @@ class TestStops:
         assert tr.stop_reason == "max_dof"
         assert not tr.reached_tol
 
+    def test_max_iter_zero_solves_once(self):
+        tr = run_adaptive(lshape_benchmark(), "A", tol=1e-10, max_iter=0)
+        assert tr.stop_reason == "max_iter"
+        assert tr.num_levels == 1
+
+    @pytest.mark.parametrize("caps", [{"max_iter": -1}, {"max_dof": 0}, {"max_dof": -5}])
+    def test_nonsense_caps_rejected(self, caps):
+        with pytest.raises(ValueError, match=next(iter(caps))):
+            run_adaptive(lshape_benchmark(), "A", **caps)
+
     def test_deterministic_problem_spatial_only(self):
         spec0 = lshape_benchmark(tau=0.0)
         tr = run_adaptive(spec0, "A", tol=8e-2)

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from sgfem import (
     unit_square,
 )
 
+import sgfem
 import sgfem.mesh
 from sgfem.galerkin import Coupling, MeshOperator
 
@@ -145,19 +148,18 @@ class TestElementLocalEstimator:
     """The element-local estimator against the fine-mesh residual oracle."""
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
-    @pytest.mark.parametrize("quad_order", [1, 2, 5])
     @pytest.mark.parametrize("rhs", [None, wavy_rhs])
-    def test_matches_fine_mesh_oracle_on_nvb_chains(self, start, quad_order, rhs):
+    def test_matches_fine_mesh_oracle_on_nvb_chains(self, start, rhs):
         spec = dataclasses.replace(lshape_benchmark(), rhs=rhs)
-        rng = np.random.default_rng(quad_order)
-        for mesh in nvb_chain(start(), 7, seed=quad_order):
+        rng = np.random.default_rng(5)
+        for mesh in nvb_chain(start(), 7, seed=5):
             u = GalerkinSolution(
                 mesh=mesh,
                 indices=RICH_INDICES,
                 coeffs=rng.standard_normal((mesh.free_nodes.size, len(RICH_INDICES))),
             )
-            got = spatial_indicators(u, spec, quad_order)
-            want = oracles.fine_mesh_spatial_indicators(u, spec, quad_order)
+            got = spatial_indicators(u, spec)
+            want = oracles.fine_mesh_spatial_indicators(u, spec)
             assert got.shape == (mesh.interior_edge_ids.size,)
             if want.size:
                 assert np.abs(got - want).max() <= 1e-12 * want.max()
@@ -269,10 +271,6 @@ class TestReuse:
             assert np.array_equal(
                 parametric_indicators(u, Q, spec), parametric_indicators(bare, Q, spec)
             )
-        # another rule than the system's: a fresh operator for that rule
-        assert np.array_equal(
-            spatial_indicators(u, spec, 2), spatial_indicators(bare, spec, 2)
-        )
         # a detail set other than the coupling's: fresh blocks for it (the
         # block solve may round differently with fewer right-hand sides)
         sub = IndexSet(Q.members[::2], require_zero=False)
@@ -282,6 +280,28 @@ class TestReuse:
             rtol=1e-12,
             atol=0.0,
         )
+
+    def test_geometry_and_load_built_once_per_mesh(self, spec, monkeypatch):
+        mesh = nvb_chain(initial_lshape(), 4, seed=3)[-1]
+        P = IndexSet([ZERO, unit_index(1), unit_index(2)])
+        operator = MeshOperator(mesh, spec)
+        u = solve(TensorSystem(mesh, P, spec, operator=operator), tol=1e-12)
+        first = spatial_indicators(u, spec)
+
+        def forbidden(p):
+            raise AssertionError("per-mesh geometry computed again")
+
+        patched = []
+        for info in pkgutil.iter_modules(sgfem.__path__):
+            module = importlib.import_module(f"sgfem.{info.name}")
+            if hasattr(module, "element_geometry"):
+                monkeypatch.setattr(module, "element_geometry", forbidden)
+                patched.append(info.name)
+        assert "galerkin" in patched
+        again = TensorSystem(mesh, P, spec, operator=operator)
+        assert np.array_equal(again.load, u.system.load)
+        v = GalerkinSolution(mesh=mesh, indices=P, coeffs=u.coeffs, system=again)
+        assert np.array_equal(spatial_indicators(v, spec), first)
 
 
 class TestErrorIndicators:

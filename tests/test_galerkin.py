@@ -11,7 +11,6 @@ from sgfem import (
     SolverError,
     TensorSystem,
     ZERO,
-    assemble_load,
     assemble_stiffness,
     b_energy,
     initial_lshape,
@@ -105,19 +104,18 @@ class TestPatternAssembly:
     """Pattern-and-scatter assembly against the former COO assembly."""
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
-    @pytest.mark.parametrize("quad_order", [1, 2, 5])
-    def test_matches_coo_oracle_on_nvb_chains(self, start, quad_order, spec):
+    def test_matches_coo_oracle_on_nvb_chains(self, start, spec):
         coefficients = [spec.coefficient(m) for m in (0, 1, 4, 9)] + [mean_field]
-        for mesh in [start()] + nvb_chain(start(), 6, seed=10 + quad_order):
-            pattern = StiffnessPattern(mesh, quad_order)
+        for mesh in [start()] + nvb_chain(start(), 6, seed=15):
+            pattern = StiffnessPattern(mesh)
             for a in coefficients:
-                got = assemble_stiffness(mesh, a, quad_order, pattern=pattern)
-                want = oracles.coo_assemble_stiffness(mesh, a, quad_order)
+                got = assemble_stiffness(mesh, a, pattern=pattern)
+                want = oracles.coo_assemble_stiffness(mesh, a)
                 assert got.shape == want.shape
                 if want.nnz:
                     assert abs(got - want).max() <= 1e-14 * abs(want).max()
                 # a pattern built on the fly gives the same matrix
-                fresh = assemble_stiffness(mesh, a, quad_order)
+                fresh = assemble_stiffness(mesh, a)
                 assert same_csr(got, fresh)
 
 
@@ -151,8 +149,6 @@ class TestReuse:
         P = IndexSet([ZERO, unit_index(1)])
         with pytest.raises(ValueError):
             TensorSystem(mesh1, P, spec, operator=MeshOperator(mesh2, spec))
-        with pytest.raises(ValueError):
-            TensorSystem(mesh1, P, spec, operator=MeshOperator(mesh1, spec, quad_order=2))
         with pytest.raises(ValueError):
             TensorSystem(mesh1, P, spec, coupling=Coupling(IndexSet()))
 
@@ -191,24 +187,22 @@ class TestCarry:
         """Refine, carry the terms over and compare with fresh ones."""
         new = refine(mesh, marked)
         del children_rows[:]
-        carried = MeshOperator(new, operator.spec, operator.quad_order, previous=operator)
+        carried = MeshOperator(new, operator.spec, previous=operator)
         terms = carried.child_terms(n_modes)
         # only the new triangles were built, and only once
         _, kept = kept_triangles(mesh, new)
         assert children_rows == [new.num_triangles - kept.size]
-        fresh = MeshOperator(new, operator.spec, operator.quad_order)
+        fresh = MeshOperator(new, operator.spec)
         assert same_child_terms(terms, fresh.child_terms(n_modes))
         return new, carried
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
     @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("rhs", [None, wavy_rhs])
-    @pytest.mark.parametrize("quad_order", [2, 5])
-    def test_equals_fresh_along_chains(self, start, fraction, rhs, quad_order, spec,
-                                       children_rows):
+    def test_equals_fresh_along_chains(self, start, fraction, rhs, spec, children_rows):
         rng = np.random.default_rng(7 + int(10 * fraction))
         mesh = start()
-        operator = MeshOperator(mesh, dataclasses.replace(spec, rhs=rhs), quad_order)
+        operator = MeshOperator(mesh, dataclasses.replace(spec, rhs=rhs))
         operator.child_terms(4)
         for _ in range(5):
             num_new = mesh.interior_edge_ids.size
@@ -269,7 +263,6 @@ class TestCarry:
             MeshOperator(new, spec),
             MeshOperator(mesh, lshape_benchmark(sigma=1.5)),
             MeshOperator(mesh, dataclasses.replace(spec, rhs=wavy_rhs)),
-            MeshOperator(mesh, spec, quad_order=2),
         ):
             previous.child_terms(2)
             del children_rows[:]
@@ -424,22 +417,25 @@ class TestMeanFactor:
 
 
 class TestLoad:
-    def test_unit_load_is_patch_area_third(self, mesh1):
-        P = IndexSet()
-        F = assemble_load(mesh1, None, P)
-        want = oracles.dense_load_one(mesh1)
-        assert np.allclose(F[:, 0], want, atol=1e-14)
+    """The operator's load, built from its stiffness pattern, against the
+    former per-call load assembly (to the bit) and the dense oracle."""
 
-    def test_quadrature_path_matches_exact(self, mesh2):
-        P = IndexSet()
-        exact = assemble_load(mesh2, None, P)
-        via_quad = assemble_load(mesh2, ones, P)
+    def test_unit_load_is_patch_area_third(self, mesh1, spec):
+        load = MeshOperator(mesh1, spec).load
+        assert np.array_equal(load, oracles.assemble_load(mesh1, None, IndexSet())[:, 0])
+        assert np.allclose(load, oracles.dense_load_one(mesh1), atol=1e-14)
+
+    def test_quadrature_path_matches_exact(self, mesh2, spec):
+        exact = MeshOperator(mesh2, spec).load
+        via_quad = MeshOperator(mesh2, dataclasses.replace(spec, rhs=ones)).load
+        assert np.array_equal(via_quad, oracles.assemble_load(mesh2, ones, IndexSet())[:, 0])
         assert np.allclose(exact, via_quad, atol=1e-14)
 
-    def test_load_zero_off_mean_index(self, mesh1):
+    def test_load_zero_off_mean_index(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        F = assemble_load(mesh1, None, P)
-        assert np.all(F[:, 1] == 0.0)
+        system = TensorSystem(mesh1, P, dataclasses.replace(spec, rhs=wavy_rhs))
+        assert np.array_equal(system.load, oracles.assemble_load(mesh1, wavy_rhs, P))
+        assert np.all(system.load[:, 1] == 0.0)
 
 
 class TestSolve:

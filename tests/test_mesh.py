@@ -1,4 +1,6 @@
 import dataclasses
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,25 @@ from sgfem import (
 @pytest.fixture
 def lmesh():
     return initial_lshape()
+
+
+class TestPickle:
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_pickles_its_fields_only(self, lmesh, steps):
+        mesh = lmesh
+        for k in range(steps):
+            mesh = refine(uniform_refine(mesh), [k])
+        cold = pickle.dumps(mesh)
+        mesh.free_index, mesh.edges, mesh.triangle_edges  # fill the caches
+        warm = pickle.dumps(mesh)
+        assert len(warm) == len(cold)
+        copy = pickle.loads(warm)
+        for field in dataclasses.fields(mesh):
+            want = getattr(mesh, field.name)
+            got = getattr(copy, field.name)
+            assert got is want is None or np.array_equal(got, want), field.name
+        assert np.array_equal(copy.edges, mesh.edges)
+        assert weakref.ref(copy)() is copy
 
 
 class TestInitialMeshes:
