@@ -104,9 +104,10 @@ class TestPatternAssembly:
     """Pattern-and-scatter assembly against the former COO assembly."""
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
-    def test_matches_coo_oracle_on_nvb_chains(self, start, spec):
+    @pytest.mark.parametrize("seed", [11, 12, 15])
+    def test_matches_coo_oracle_on_nvb_chains(self, start, seed, spec):
         coefficients = [spec.coefficient(m) for m in (0, 1, 4, 9)] + [mean_field]
-        for mesh in [start()] + nvb_chain(start(), 6, seed=15):
+        for mesh in [start()] + nvb_chain(start(), 6, seed=seed):
             pattern = StiffnessPattern(mesh)
             for a in coefficients:
                 got = assemble_stiffness(mesh, a, pattern=pattern)
@@ -199,8 +200,10 @@ class TestCarry:
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
     @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("rhs", [None, wavy_rhs])
-    def test_equals_fresh_along_chains(self, start, fraction, rhs, spec, children_rows):
-        rng = np.random.default_rng(7 + int(10 * fraction))
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_equals_fresh_along_chains(self, start, fraction, rhs, seed, spec,
+                                       children_rows):
+        rng = np.random.default_rng(seed + int(10 * fraction))
         mesh = start()
         operator = MeshOperator(mesh, dataclasses.replace(spec, rhs=rhs))
         operator.child_terms(4)
