@@ -217,10 +217,12 @@ def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
     mesh = _load_mesh(args.mesh)
     grid = [(tx, tp) for tx in _parse_range(args.theta_x) for tp in _parse_range(args.theta_p)]
+    threads = os.environ.get("SGFEM_THREADS", "1")
+    if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+        raise ValueError(f"SGFEM_THREADS must be a positive integer, got {threads!r}")
+    workers = int(threads)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    workers = max(1, int(os.environ.get("SGFEM_THREADS", "1")))
 
     def job(point):
         tx, tp = point

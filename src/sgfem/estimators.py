@@ -129,7 +129,7 @@ def parametric_indicators(
     R = np.zeros((u.coeffs.shape[0], len(detail)))
     for m in range(1, n_modes + 1):
         R -= operator.stiffness(m) @ coupling.multiply(u.coeffs, m, detail=True)
-    E = operator.a0_solver.solve(R)
+    E = operator.solve_mean(R)
     return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 
 

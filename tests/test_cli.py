@@ -67,22 +67,36 @@ class TestRun:
         assert filled
         assert all(0.0 < z < 2.0 for z in filled)
 
+    @staticmethod
+    def run_with_blas_threads(argv, out, threads):
+        """CSV and stdout of `sgfem` in a fresh interpreter, with
+        OPENBLAS_NUM_THREADS = threads (unset for None)."""
+        src = str(Path(sgfem.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgfem.cli", *argv, "--output", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        return out.read_bytes(), proc.stdout
+
     def test_csv_independent_of_blas_threads(self, tmp_path):
         # the smallest run whose CSV changed with the BLAS thread count when
         # inner products went through threaded BLAS ddot (the zeta column)
         argv = ["run", "--criterion", "A", "--tol", "6e-2", "--with-reference"]
-        src = str(Path(sgfem.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"trace-{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-            subprocess.run(
-                [sys.executable, "-m", "sgfem.cli", *argv, "--output", str(out)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        one, two = (self.run_with_blas_threads(argv, tmp_path / f"trace-{t}.csv", t)[0]
+                    for t in ("1", "2"))
+        assert one == two
+
+    def test_reference_run_independent_of_blas_threads(self, tmp_path):
+        # the benchmark's `reference` command line: its reference solve
+        # (309k dofs) runs on the pool, its adaptive run below the gate
+        argv = ["run", "--criterion", "A", "--tol", "2.5e-2", "--with-reference"]
+        one, default = (self.run_with_blas_threads(argv, tmp_path / f"trace-{k}.csv", t)
+                        for k, t in enumerate(("1", None)))
+        assert one == default
 
     def test_max_dof_cap(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -185,6 +199,17 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("sgfem: error: ")
         assert "no triangles" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2", ""])
+    def test_bad_sgfem_threads(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SGFEM_THREADS", value)
+        outdir = tmp_path / "sweep"
+        argv = ["sweep", "--tol", "5e-2", "--output-dir", str(outdir)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert "SGFEM_THREADS" in err[0]
+        assert not outdir.exists()
 
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

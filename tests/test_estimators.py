@@ -28,6 +28,7 @@ from sgfem import (
 
 import sgfem
 import sgfem.mesh
+from sgfem import galerkin
 from sgfem.galerkin import Coupling, MeshOperator
 
 import oracles
@@ -49,6 +50,30 @@ def solved(mesh1, spec):
     Q = detail_index_set(P)
     u = solve(TensorSystem(mesh1, P, spec), tol=1e-12)
     return u, P, Q
+
+
+@pytest.fixture(scope="module")
+def large_system(spec):
+    """A system above the pool's gate: the L-shape refined five times
+    uniformly (2945 free nodes) x 24 indices."""
+    mesh = initial_lshape()
+    for _ in range(5):
+        mesh = uniform_refine(mesh)
+    system = TensorSystem(mesh, random_downward_closed(5, 24), spec)
+    assert system.num_dof >= galerkin.PARALLEL_DOFS
+    return system
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """Sets the pool's size for one test; the pool is started again at that
+    size."""
+
+    def set_workers(n):
+        monkeypatch.setattr(galerkin, "_WORKERS", n)
+        monkeypatch.setattr(galerkin, "_pool", None)
+
+    return set_workers
 
 
 class TestSpatialIndicators:
@@ -255,6 +280,26 @@ class TestCopyFreeProducts:
         want = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestColumnPool:
+    """Above the gate the A_0 solves of the parametric estimator run in
+    column blocks on the pool: the same indicators as the serial path, to
+    the bit, whatever the number of workers."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_serial_path(self, large_system, spec, pool_workers, monkeypatch, workers):
+        P = large_system.indices
+        Q = detail_index_set(P)
+        assert large_system.shape[0] * len(Q) >= galerkin.PARALLEL_DOFS
+        coeffs = np.random.default_rng(workers).standard_normal(large_system.shape)
+        u = GalerkinSolution(mesh=large_system.mesh, indices=P, coeffs=coeffs,
+                             system=large_system)
+        pool_workers(workers)
+        got = parametric_indicators(u, Q, spec)
+        assert galerkin._pool is not None
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
+        assert np.array_equal(got, parametric_indicators(u, Q, spec))
 
 
 class TestReuse:

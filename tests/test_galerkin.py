@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -25,12 +27,19 @@ from sgfem import (
 )
 from scipy.sparse.linalg import splu
 
+from sgfem import galerkin
 from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _index_embedding, _pcg
 from sgfem.indices import detail_index_set
 from sgfem.mesh import Mesh, kept_triangles
 
 import oracles
-from test_estimators import nvb_chain, random_downward_closed, wavy_rhs
+from test_estimators import (  # noqa: F401 -- fixtures
+    large_system,
+    nvb_chain,
+    pool_workers,
+    random_downward_closed,
+    wavy_rhs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +400,85 @@ class TestCopyFreeCoupling:
         U = np.random.default_rng(0).standard_normal((5, 2))
         got = Coupling(P).multiply(U, 3)
         assert got.flags.c_contiguous and np.array_equal(got, np.zeros((5, 2)))
+
+
+class TestColumnPool:
+    """Above PARALLEL_DOFS, ``apply`` computes one column range per worker
+    of a thread pool and the A_0 solves run in blocks of four columns on it.
+    Every column is computed as the serial path computes it, so the results
+    do not depend on the number of workers."""
+
+    @staticmethod
+    def operators(system, U):
+        return system.apply(U), system.precondition(U)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiply_column_ranges(self, seed):
+        P = random_downward_closed(seed, 12)
+        Q = detail_index_set(P)
+        coupling = Coupling(P, Q)
+        U = np.random.default_rng(seed).standard_normal((7, len(P)))
+        for m in range(1, Q.max_dimension() + 2):  # the last mode couples nothing
+            for detail in (False, True):
+                whole = coupling.multiply(U, m, detail)
+                for c in (slice(0, 5), slice(3, None), slice(2, 2)):
+                    got = coupling.multiply(U, m, detail, columns=c)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, whole[:, c]), (m, detail, c)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_serial_path(self, large_system, pool_workers, monkeypatch, workers):
+        U = np.random.default_rng(workers).standard_normal(large_system.shape)
+        pool_workers(workers)
+        got = self.operators(large_system, U)
+        assert galerkin._pool is not None
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
+        for out, want in zip(got, self.operators(large_system, U)):
+            assert np.array_equal(out, want)
+
+    def test_fortran_input_gives_c_output(self, large_system, pool_workers):
+        pool_workers(2)
+        U = np.random.default_rng(4).standard_normal(large_system.shape)
+        want = self.operators(large_system, U)
+        for out, ref in zip(self.operators(large_system, np.asfortranarray(U)), want):
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, ref)
+
+    def test_concurrent_solves_of_one_factor(self, large_system, pool_workers):
+        # the pool relies on SuperLU.solve releasing the GIL and being safe
+        # to call on one factor from several threads
+        pool_workers(4)
+        solver = large_system.operator.a0_solver
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((large_system.shape[0], 4)) for _ in range(50)]
+        got = [None] * len(blocks)
+
+        def job(k):
+            got[k] = solver.solve(blocks[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            galerkin._on_pool(job, range(len(blocks)))
+        finally:
+            sys.setswitchinterval(interval)
+        for out, block in zip(got, blocks):
+            assert np.array_equal(out, solver.solve(block))
+
+    def test_forked_child_starts_its_own_pool(self, large_system):
+        U = np.random.default_rng(6).standard_normal(large_system.shape)
+        large_system.apply(U)
+        assert galerkin._pool is not None
+        # the child inherits no pool threads; it must not wait for them
+        child = multiprocessing.get_context("fork").Process(
+            target=large_system.apply, args=(U,)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestMeanFactor:
