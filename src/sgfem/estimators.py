@@ -9,7 +9,10 @@ by element on the current mesh, without building the refined one: the hat of
 an edge midpoint lives on the children of the two triangles next to that
 edge, and the solution's gradient is constant on each triangle.  Parametric
 indicators solve one mean-field problem per detail index for the residual
-component in that direction.
+component in that direction.  Both contract the solution with G_m mode by
+mode; a mode that couples at most half of the index columns (of P in the
+spatial residual, of the detail set in the parametric one) is multiplied and
+accumulated on its coupled columns alone, as ``TensorSystem.apply`` does.
 
 Both read the per-mesh operator and the coupling of the solution's system
 (``u.system``), where the loop keeps them across levels: the coarse
@@ -93,7 +96,9 @@ def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
     res -= tested(terms[0], grad_u)
     flat = grad_u.reshape(-1, grad_u.shape[2])
     for m in range(1, len(terms)):
-        res -= tested(terms[m], coupling.multiply(flat, m).reshape(grad_u.shape))
+        cols = coupling.coupled_columns(m)
+        g = coupling.multiply(flat, m, columns=cols).reshape(grad_u.shape[:2] + (-1,))
+        res[:, :, cols] -= tested(terms[m], g)
 
     # scatter the two triangles' contributions to each z in N+
     rows = np.arange(mesh.num_triangles)[:, None]
@@ -128,7 +133,11 @@ def parametric_indicators(
     # residual r[z, nu] = -B(u, phi_z P_nu); the load vanishes off the zero index
     R = np.zeros((u.coeffs.shape[0], len(detail)))
     for m in range(1, n_modes + 1):
-        R -= operator.stiffness(m) @ coupling.multiply(u.coeffs, m, detail=True)
+        cols = coupling.coupled_columns(m, detail=True)
+        R[:, cols] -= operator.stiffness(m) @ coupling.multiply(
+            u.coeffs, m, detail=True, columns=cols)
+    # E and R are C-ordered, so is their product: its column sums add row
+    # after row, whatever the size of R
     E = operator.solve_mean(R)
     return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 

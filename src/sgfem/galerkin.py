@@ -4,13 +4,18 @@ The discrete operator is a Kronecker sum: stiffness matrices A_m weighted by
 the coefficient modes act on the spatial component, the Legendre coupling
 matrices G_m on the index-set component.  Column mu of G_m has entries only in
 rows mu -+ e_m, so ``Coupling`` keeps G_m as at most two gather passes, found
-by row lookups in the index sets' degree arrays.  The operator is applied
-matrix-free as sum_m A_m U G_m on coefficient arrays U of shape (free nodes,
-#indices); solves use PCG with the mean-based preconditioner A_0 x I.  Every
-array PCG touches is C-ordered (free nodes, #indices), so no sparse or inner
-product copies an operand.  The SPD A_0 is factored by SuperLU in symmetric
-mode, with the minimum-degree ordering of A_0 + A_0^T and no pivoting off the
-diagonal.
+by row lookups in the index sets' degree arrays, and the columns that hold an
+entry at all (the coupled columns).  The operator is applied matrix-free as
+sum_m A_m U G_m on coefficient arrays U of shape (free nodes, #indices).  A
+mode whose G_m couples at most half of the columns is gathered, multiplied by
+A_m and added on its coupled columns alone (the others would add zeros); a
+denser mode keeps the full-width step, which is cheaper than scattering into
+most columns by index.  Solves use PCG with the mean-based preconditioner
+A_0 x I; its normaliser <b, (A_0^{-1} x I) b> solves only the column block
+that holds the load.  Every array PCG touches is C-ordered (free nodes,
+#indices), so no sparse or inner product copies an operand.  The SPD A_0 is
+factored by SuperLU in symmetric mode, with the minimum-degree ordering of
+A_0 + A_0^T and no pivoting off the diagonal.
 
 Every integral over a triangle uses one rule, the 7-point symmetric rule of
 degree 5: the two-level estimator bounds the error of the discrete problem
@@ -29,7 +34,8 @@ estimator's terms of a triangle depend on it alone, so the operator of the
 refined mesh copies those of the kept triangles from the outgoing one and
 computes only those of the new triangles.  Nothing is cached on the mesh or
 at module level but a thread pool, on which large systems apply the operator
-and solve with A_0 in column blocks, each column computed as on one thread.
+and solve with A_0 in column blocks, each column computed as on one thread
+and written into the one result.
 """
 
 from __future__ import annotations
@@ -301,14 +307,19 @@ class MeshOperator:
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
     def solve_mean(self, R: np.ndarray) -> np.ndarray:
-        """A_0^{-1} R for R of shape (free nodes, k), in Fortran order as
-        SuperLU returns it.  A large R is solved in blocks of _BLOCK columns
-        on the pool (SuperLU.solve releases the GIL)."""
+        """A_0^{-1} R for R of shape (free nodes, k), in C order.  A large R
+        is solved in blocks of _BLOCK columns on the pool (SuperLU.solve
+        releases the GIL), each written into its columns of the result."""
         solver = self.a0_solver
         if R.size < PARALLEL_DOFS:
-            return solver.solve(R)
-        blocks = [slice(j, j + _BLOCK) for j in range(0, R.shape[1], _BLOCK)]
-        return np.concatenate(_on_pool(lambda c: solver.solve(R[:, c]), blocks), axis=1)
+            return np.ascontiguousarray(solver.solve(R))
+        out = np.empty(R.shape)
+
+        def block(c):
+            out[:, c] = solver.solve(R[:, c])
+
+        _on_pool(block, [slice(j, j + _BLOCK) for j in range(0, R.shape[1], _BLOCK)])
+        return out
 
     def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Areas (4 nr), basis gradients (nr, 4, 3, 2) and quadrature points
@@ -377,7 +388,8 @@ def _coupling_passes(rows: IndexSet, cols: IndexSet) -> list[tuple[np.ndarray, n
     Column mu of G_m has entries in the rows mu - e_m and mu + e_m that are
     members, with coefficients c(mu_m) and c(mu_m + 1).  Pass k holds the
     k-th entry of each column in row order (source 0, coefficient 0 where a
-    column has fewer), up to the most any column has."""
+    column has fewer), up to the most any column has.  Each mode also gets
+    its coupled columns, those with an entry, in increasing order."""
     width = max(rows.max_dimension(), cols.max_dimension())
     at = row_positions(rows.degrees, cols.neighbours(width)).reshape(2, width, len(cols))
     mu = np.pad(cols.degrees, ((0, 0), (0, width - cols.max_dimension()))).T
@@ -385,14 +397,21 @@ def _coupling_passes(rows: IndexSet, cols: IndexSet) -> list[tuple[np.ndarray, n
     order = np.argsort(np.where(at >= 0, at, len(rows)), axis=0, kind="stable")
     sources = np.maximum(np.take_along_axis(at, order, axis=0), 0)
     coefficients = np.take_along_axis(c, order, axis=0)
-    counts = (at >= 0).sum(axis=0).max(axis=1, initial=0)
-    return [(sources[:k, m], coefficients[:k, m]) for m, k in enumerate(counts)]
+    held = at >= 0
+    counts = held.sum(axis=0).max(axis=1, initial=0)
+    coupled = held.any(axis=0)
+    return [(sources[:k, m], coefficients[:k, m], np.flatnonzero(coupled[m]))
+            for m, k in enumerate(counts)]
+
+
+_NO_COLUMNS = np.zeros(0, dtype=np.intp)
 
 
 class Coupling:
     """The blocks G_m of one index set P, on P x P and, for a detail set Q,
-    on P x Q, as gather passes for every mode either set touches.  The
-    adaptive loop replaces the object when it enriches P."""
+    on P x Q, as gather passes for every mode either set touches, with the
+    columns each G_m couples.  The adaptive loop replaces the object when it
+    enriches P."""
 
     def __init__(self, indices: IndexSet, detail: IndexSet | None = None):
         self.indices = indices
@@ -401,16 +420,31 @@ class Coupling:
         if detail is not None:
             self._passes[True] = _coupling_passes(indices, detail)
 
-    def multiply(self, U: np.ndarray, m: int, detail: bool = False, columns=slice(None)):
-        """(U @ G_m)[:, columns] in C order, for a finite U of shape (n, P)
-        and a mode m >= 1; on P x Q with ``detail``.  Pass k gathers, for
-        every column, the k-th of its rows mu +- e_m as a column of U and
-        scales it.  Summing the passes in row order sums as scipy's sparse
-        product does, whatever the columns."""
+    def _mode(self, m: int, detail: bool):
         if m < 1:
             raise ValueError("G_0 is the identity; coupling modes are m >= 1")
         passes = self._passes[detail]
-        sources, coefficients = passes[m - 1] if m <= len(passes) else ((), ())
+        return passes[m - 1] if m <= len(passes) else ((), (), _NO_COLUMNS)
+
+    def coupled_columns(self, m: int, detail: bool = False, within: slice = slice(None)):
+        """The columns of (U G_m)[:, within] worth computing, as ``columns``
+        for ``multiply``.  Where G_m couples at most half of its columns,
+        those of them in the range ``within``, an index array; otherwise
+        ``within`` itself.  A column left out is a zero column of G_m."""
+        coupled = self._mode(m, detail)[2]
+        width = len(self.detail if detail else self.indices)
+        if 2 * coupled.size > width:
+            return within
+        start, stop, _ = within.indices(width)
+        return coupled[np.searchsorted(coupled, start):np.searchsorted(coupled, stop)]
+
+    def multiply(self, U: np.ndarray, m: int, detail: bool = False, columns=slice(None)):
+        """(U @ G_m)[:, columns] in C order, for a finite U of shape (n, P),
+        a mode m >= 1 and a slice or index array ``columns``; on P x Q with
+        ``detail``.  Pass k gathers, for every column, the k-th of its rows
+        mu +- e_m as a column of U and scales it.  Summing the passes in row
+        order sums as scipy's sparse product does, whatever the columns."""
+        sources, coefficients, _ = self._mode(m, detail)
         out = None
         for source, coefficient in zip(sources, coefficients):
             term = np.take(U, source[columns], axis=1)
@@ -464,24 +498,48 @@ class TensorSystem:
 
     def apply(self, U: np.ndarray) -> np.ndarray:
         """Matrix-free operator: sum_m A_m U G_m, in C order.  A large system
-        splits the columns into one range per worker of the pool."""
+        splits the columns into one range per worker of the pool, each
+        copied into its columns of the result."""
         if U.size < PARALLEL_DOFS:
             return self._columns(U, slice(None))
         bounds = [U.shape[1] * k // _WORKERS for k in range(_WORKERS + 1)]
         ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-        return np.concatenate(_on_pool(lambda c: self._columns(U, c), ranges), axis=1)
+        R = np.empty(self.shape)
+
+        def columns(c):
+            R[:, c] = self._columns(U, c)
+
+        _on_pool(columns, ranges)
+        return R
 
     def _columns(self, U: np.ndarray, c: slice) -> np.ndarray:
-        """Columns c of sum_m A_m U G_m, each summed as in the whole product."""
+        """Columns c of sum_m A_m U G_m, each summed as in the whole product.
+        A mode adds on its coupled columns alone when they are few
+        (``Coupling.coupled_columns``): the others would add zeros."""
         R = self.A[0] @ U[:, c]
         for m in range(1, self.n_modes + 1):
-            R += self.A[m] @ self.coupling.multiply(U, m, columns=c)
+            cols = self.coupling.coupled_columns(m, within=c)
+            at = slice(None) if isinstance(cols, slice) else cols - (c.start or 0)
+            R[:, at] += self.A[m] @ self.coupling.multiply(U, m, columns=cols)
         return R
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """Mean-based preconditioner: A_0^{-1} applied columnwise, returned in
         C order."""
-        return np.ascontiguousarray(self.operator.solve_mean(R))
+        return self.operator.solve_mean(R)
+
+    def load_norm_sq(self) -> float:
+        """<b, (A_0^{-1} x I) b> for the load b, PCG's normaliser.  b is
+        nonzero in the zero-index column alone, so only the block of _BLOCK
+        columns holding it is solved: such a block gives each of its columns
+        as the solve of the whole array does, and the other columns of
+        A_0^{-1} b are zero."""
+        Z = np.zeros(self.shape)
+        if ZERO in self.indices:
+            j = self.indices.position(ZERO)
+            block = slice(j - j % _BLOCK, j - j % _BLOCK + _BLOCK)
+            Z[:, block] = self.operator.a0_solver.solve(self.load[:, block])
+        return _inner(self.load, Z)
 
 
 @dataclass(frozen=True)
@@ -517,8 +575,10 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
+def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000, b_norm_sq=None):
     """Preconditioned CG on arrays; returns (x, relative residual, iters).
+    Residuals are relative to sqrt(<b, M^{-1} b>), which the caller may pass
+    as ``b_norm_sq``; otherwise it costs one preconditioner application.
 
     Raises SolverError on breakdown: a non-finite preconditioned norm, or a
     curvature p.Ap that is non-finite or not positive (the operator or the
@@ -530,8 +590,9 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000):
         return value
 
     it, history = 0, []
-    zb = precond(b)
-    denom = math.sqrt(max(finite("b.Mb", _inner(b, zb)), 0.0))
+    if b_norm_sq is None:
+        b_norm_sq = _inner(b, precond(b))
+    denom = math.sqrt(max(finite("b.Mb", b_norm_sq), 0.0))
     if denom == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = np.zeros_like(b) if x0 is None else x0.copy()
@@ -575,7 +636,8 @@ def solve(
             raise ValueError("initial guess does not match the system shape")
         x0 = initial.coeffs
     U, res, its = _pcg(
-        system.apply, system.precondition, system.load, x0=x0, tol=tol, maxiter=maxiter
+        system.apply, system.precondition, system.load, x0=x0, tol=tol, maxiter=maxiter,
+        b_norm_sq=system.load_norm_sq(),
     )
     return GalerkinSolution(
         mesh=system.mesh,

@@ -505,12 +505,13 @@ def assemble_coupling(rows: IndexSet, cols: IndexSet, m: int) -> sp.csr_matrix:
     )
 
 
-def transposed_coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False):
-    """U @ G_m as the estimators formed it: ``(G @ U.T).T`` on P x P (G is
-    symmetric) in the spatial estimator, ``(G.T @ U.T).T`` on P x Q in the
-    parametric one."""
+def transposed_coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False,
+                                columns=slice(None)):
+    """(U @ G_m)[:, columns] as the estimators formed it: ``(G @ U.T).T`` on
+    P x P (G is symmetric) in the spatial estimator, ``(G.T @ U.T).T`` on
+    P x Q in the parametric one."""
     G = assemble_coupling(coupling.indices, coupling.detail if detail else coupling.indices, m)
-    return (G.T @ U.T).T if detail else (G @ U.T).T
+    return ((G.T @ U.T).T if detail else (G @ U.T).T)[:, columns]
 
 
 def transposed_apply(system, U: np.ndarray) -> np.ndarray:

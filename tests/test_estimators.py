@@ -76,6 +76,21 @@ def pool_workers(monkeypatch):
     return set_workers
 
 
+def full_width(coupling, m, detail=False, within=slice(None)):
+    """``Coupling.coupled_columns`` that keeps every mode full width."""
+    return within
+
+
+def coupled_counts(coupling, detail=False):
+    """How many modes of G_m on P x P (on P x Q with ``detail``) are worked
+    on their coupled columns alone, and how many full width."""
+    width = coupling.indices.max_dimension()
+    if detail:
+        width = max(width, coupling.detail.max_dimension())
+    full = [isinstance(coupling.coupled_columns(m, detail), slice) for m in range(1, width + 1)]
+    return full.count(False), full.count(True)
+
+
 class TestSpatialIndicators:
     def test_matches_dense_residual_oracle(self, solved, spec):
         u, P, _ = solved
@@ -280,6 +295,46 @@ class TestCopyFreeProducts:
         want = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestModeSparse:
+    """Both estimators multiply a mode that couples at most half of the
+    columns on those columns alone: the same indicators, to the bit, as with
+    every mode full width."""
+
+    @pytest.mark.parametrize("seed, size, detail_size",
+                             [(0, 12, None), (1, 18, 6), (2, 30, 6), (5, 24, None)])
+    def test_equals_full_width(self, spec, seed, size, detail_size, monkeypatch):
+        mesh = nvb_chain(initial_lshape(), 4, seed=30 + seed)[-1]
+        P = random_downward_closed(seed, size)
+        Q = detail_index_set(P)
+        if detail_size is not None:
+            Q = IndexSet(Q.members[:detail_size], require_zero=False)
+        coupling = Coupling(P, Q)
+        # some modes couple at most half of the columns, some more
+        assert all(coupled_counts(coupling))
+        if detail_size is not None:
+            assert all(coupled_counts(coupling, detail=True))
+        system = TensorSystem(mesh, P, spec, coupling=coupling)
+        coeffs = np.random.default_rng(seed).standard_normal(system.shape)
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
+        got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        monkeypatch.setattr(Coupling, "coupled_columns", full_width)
+        want = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_pool_equals_full_width(self, large_system, spec, pool_workers, monkeypatch):
+        P = large_system.indices
+        Q = detail_index_set(P)
+        coeffs = np.random.default_rng(7).standard_normal(large_system.shape)
+        u = GalerkinSolution(mesh=large_system.mesh, indices=P, coeffs=coeffs,
+                             system=large_system)
+        pool_workers(2)
+        got = parametric_indicators(u, Q, spec)
+        monkeypatch.setattr(Coupling, "coupled_columns", full_width)
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
+        assert np.array_equal(got, parametric_indicators(u, Q, spec))
 
 
 class TestColumnPool:

@@ -34,6 +34,8 @@ from sgfem.mesh import Mesh, kept_triangles
 
 import oracles
 from test_estimators import (  # noqa: F401 -- fixtures
+    coupled_counts,
+    full_width,
     large_system,
     nvb_chain,
     pool_workers,
@@ -402,6 +404,91 @@ class TestCopyFreeCoupling:
         assert got.flags.c_contiguous and np.array_equal(got, np.zeros((5, 2)))
 
 
+class TestModeSparse:
+    """A mode whose G_m couples at most half of the columns is multiplied on
+    its coupled columns alone; the other columns would only receive zeros,
+    so the products equal the full-width ones to the bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coupled_columns(self, seed):
+        P = random_downward_closed(seed, 8 + 6 * seed)
+        Q = detail_index_set(P)
+        coupling = Coupling(P, Q)
+        for m in range(1, Q.max_dimension() + 2):  # the last mode couples nothing
+            for cols, detail in ((P, False), (Q, True)):
+                held = np.flatnonzero(oracles.assemble_coupling(P, cols, m).getnnz(axis=0))
+                for within in (slice(None), slice(2, 7), slice(5, None)):
+                    got = coupling.coupled_columns(m, detail, within)
+                    if 2 * held.size > len(cols):
+                        assert got is within
+                    else:
+                        start, stop, _ = within.indices(len(cols))
+                        want = held[(held >= start) & (held < stop)]
+                        assert np.array_equal(got, want), (m, detail, within)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiply_index_columns(self, seed):
+        P = random_downward_closed(seed, 14)
+        Q = detail_index_set(P)
+        coupling = Coupling(P, Q)
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((9, len(P)))
+        for m in range(1, Q.max_dimension() + 2):
+            for detail in (False, True):
+                whole = coupling.multiply(U, m, detail)
+                width = whole.shape[1]
+                for cols in (np.arange(0, width, 3), rng.permutation(width)[:4],
+                             np.zeros(0, dtype=np.intp),
+                             coupling.coupled_columns(m, detail)):
+                    got = coupling.multiply(U, m, detail, columns=cols)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, whole[:, cols]), (m, detail, cols)
+
+    @pytest.mark.parametrize("seed, size", [(0, 12), (1, 18), (2, 30), (5, 24)])
+    def test_apply_equals_full_width(self, mesh2, spec, seed, size, monkeypatch):
+        P = random_downward_closed(seed, size)
+        system = TensorSystem(mesh2, P, spec)
+        # some modes couple at most half of the columns, some more
+        assert all(coupled_counts(system.coupling))
+        U = np.random.default_rng(seed).standard_normal(system.shape)
+        got = system.apply(U)
+        assert np.array_equal(got, oracles.transposed_apply(system, U))
+        monkeypatch.setattr(Coupling, "coupled_columns", full_width)
+        assert np.array_equal(got, system.apply(U))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_equals_full_width(self, large_system, pool_workers, workers):
+        # modes of the large system couple 3 to 22 of its 24 columns
+        assert all(coupled_counts(large_system.coupling))
+        U = np.random.default_rng(10 + workers).standard_normal(large_system.shape)
+        pool_workers(workers)
+        got = large_system.apply(U)
+        assert galerkin._pool is not None
+        assert np.array_equal(got, oracles.transposed_apply(large_system, U))
+
+
+class TestNormaliser:
+    """PCG's normaliser <b, M^{-1} b> solves only the column block of A_0
+    that holds the load, to the same bits as ``precondition(b)``."""
+
+    @staticmethod
+    def check(system):
+        b = system.load
+        assert system.load_norm_sq() == galerkin._inner(b, system.precondition(b))
+        u = solve(system, tol=1e-10)
+        x, res, its = _pcg(system.apply, system.precondition, b, tol=1e-10)
+        assert np.array_equal(u.coeffs, x)
+        assert (u.residual, u.iterations) == (res, its)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 9, 17])
+    def test_equals_preconditioned_load(self, mesh2, spec, size):
+        self.check(TensorSystem(mesh2, random_downward_closed(size, size), spec))
+
+    def test_equals_preconditioned_load_on_pool(self, large_system, pool_workers):
+        pool_workers(2)
+        self.check(large_system)
+
+
 class TestColumnPool:
     """Above PARALLEL_DOFS, ``apply`` computes one column range per worker
     of a thread pool and the A_0 solves run in blocks of four columns on it.
@@ -464,6 +551,23 @@ class TestColumnPool:
             sys.setswitchinterval(interval)
         for out, block in zip(got, blocks):
             assert np.array_equal(out, solver.solve(block))
+
+    def test_shared_result_under_switching(self, large_system, pool_workers, monkeypatch):
+        # the workers write their columns into one shared result; more
+        # workers than cores and a short switch interval must lose none
+        U = np.random.default_rng(8).standard_normal(large_system.shape)
+        pool_workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [self.operators(large_system, U) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
+        want = self.operators(large_system, U)
+        for outs in got:
+            for out, ref in zip(outs, want):
+                assert np.array_equal(out, ref)
 
     def test_forked_child_starts_its_own_pool(self, large_system):
         U = np.random.default_rng(6).standard_normal(large_system.shape)
