@@ -13,6 +13,11 @@ component in that direction.  Both contract the solution with G_m mode by
 mode; a mode that couples at most half of the index columns (of P in the
 spatial residual, of the detail set in the parametric one) is multiplied and
 accumulated on its coupled columns alone, as ``TensorSystem.apply`` does.
+The spatial residual has no sparse product, so it is kept index-major: the
+gradients of u as (#indices, 2, triangles), the residual as (#indices, 3,
+triangles), and the coupling gathers, the per-mode subtractions and the
+per-index sums over N+ read contiguous rows.  The parametric residual
+multiplies by A_m and stays node-major.
 
 Both read the per-mesh operator and the coupling of the solution's system
 (``u.system``), where the loop keeps them across levels: the coarse
@@ -36,6 +41,7 @@ from .galerkin import (
     GalerkinSolution,
     MeshOperator,
     assemble_stiffness,  # noqa: F401 -- perfbench's tracer wraps this name
+    gather,
 )
 from .indices import ZERO, IndexSet
 from .problem import ProblemSpec
@@ -82,37 +88,42 @@ def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
     operator, coupling = _operator_and_coupling(u, spec)
 
     def tested(terms, g):
-        """Contract (nt, 3, 2) hat terms with (nt, 2, #indices) gradients."""
-        return terms[:, :, 0, None] * g[:, None, 0] + terms[:, :, 1, None] * g[:, None, 1]
+        """Contract (nt, 3, 2) hat terms with (k, 2, nt) gradients into
+        (k, 3, nt)."""
+        t = np.ascontiguousarray(terms.transpose(2, 1, 0))
+        return t[0] * g[:, 0, None] + t[1] * g[:, 1, None]
 
-    # gradient of u per coarse triangle and index, (nt, 2, #indices)
+    # gradient of u per index and coarse triangle, (#indices, 2, nt)
     grads = operator.pattern.grads
     grad_u = np.einsum("tjd,tjk->tdk", grads, u.vertex_values()[mesh.triangles])
+    grad_u = np.ascontiguousarray(grad_u.transpose(2, 1, 0))
 
     terms, diagonal, load = operator.child_terms(u.indices.max_dimension())
-    res = np.zeros((mesh.num_triangles, 3, len(u.indices)))
+    res = np.zeros((len(u.indices), 3, mesh.num_triangles))
     if ZERO in u.indices:
-        res[:, :, u.indices.position(ZERO)] = load
+        res[u.indices.position(ZERO)] = load.T
     res -= tested(terms[0], grad_u)
-    flat = grad_u.reshape(-1, grad_u.shape[2])
+    rows = grad_u.reshape(grad_u.shape[0], -1)
     for m in range(1, len(terms)):
         cols = coupling.coupled_columns(m)
-        g = coupling.multiply(flat, m, columns=cols).reshape(grad_u.shape[:2] + (-1,))
-        res[:, :, cols] -= tested(terms[m], g)
+        g = gather(rows, coupling.passes(m, columns=cols), axis=0)
+        if g is not None:
+            res[cols] -= tested(terms[m], g.reshape((-1,) + grad_u.shape[1:]))
 
-    # scatter the two triangles' contributions to each z in N+
-    rows = np.arange(mesh.num_triangles)[:, None]
-    position = mesh.triangle_nplus[rows, operator.midpoint_edges].ravel()
+    # scatter the two triangles' contributions to each z in N+, midpoint
+    # slot by midpoint slot; two addends sum alike in either order
+    position = mesh.triangle_nplus[np.arange(mesh.num_triangles),
+                                   operator.midpoint_edges.T].ravel()
     keep = position >= 0
     position = position[keep]
     num_new = mesh.interior_edge_ids.size
 
-    def gather(values):
+    def scattered(values):
         return np.bincount(position, weights=values[keep], minlength=num_new)
 
-    res = res.reshape(-1, res.shape[2])
-    num = sum(gather(res[:, k]) ** 2 for k in range(res.shape[1]))
-    return np.sqrt(num / gather(diagonal.ravel()))
+    res = res.reshape(res.shape[0], -1)
+    num = sum(scattered(r) ** 2 for r in res)
+    return np.sqrt(num / scattered(diagonal.T.ravel()))
 
 
 def parametric_indicators(

@@ -10,12 +10,16 @@ sum_m A_m U G_m on coefficient arrays U of shape (free nodes, #indices).  A
 mode whose G_m couples at most half of the columns is gathered, multiplied by
 A_m and added on its coupled columns alone (the others would add zeros); a
 denser mode keeps the full-width step, which is cheaper than scattering into
-most columns by index.  Solves use PCG with the mean-based preconditioner
-A_0 x I; its normaliser <b, (A_0^{-1} x I) b> solves only the column block
-that holds the load.  Every array PCG touches is C-ordered (free nodes,
-#indices), so no sparse or inner product copies an operand.  The SPD A_0 is
-factored by SuperLU in symmetric mode, with the minimum-degree ordering of
-A_0 + A_0^T and no pivoting off the diagonal.
+most columns by index.  A system resolves this once, into a plan per column
+range: each mode's target columns and its passes restricted to them.  Below
+the pool's gate the operator is accumulated index-major, on U^T of shape
+(#indices, free nodes), so that gathers and adds read contiguous rows; U is
+transposed once on the way in and the result once on the way out.  Solves
+use PCG with the mean-based preconditioner A_0 x I; its normaliser
+<b, (A_0^{-1} x I) b> solves only the column block that holds the load.
+Every array PCG itself touches is C-ordered (free nodes, #indices).  The
+SPD A_0 is factored by SuperLU in symmetric mode, with the minimum-degree
+ordering of A_0 + A_0^T and no pivoting off the diagonal.
 
 Every integral over a triangle uses one rule, the 7-point symmetric rule of
 degree 5: the two-level estimator bounds the error of the discrete problem
@@ -438,22 +442,38 @@ class Coupling:
         start, stop, _ = within.indices(width)
         return coupled[np.searchsorted(coupled, start):np.searchsorted(coupled, stop)]
 
+    def passes(self, m: int, detail: bool = False, columns=slice(None)):
+        """G_m on its ``columns`` as the gather passes ``gather`` sums: per
+        pass, the rows mu +- e_m each column reads and their coefficients."""
+        sources, coefficients, _ = self._mode(m, detail)
+        return [(source[columns], coefficient[columns])
+                for source, coefficient in zip(sources, coefficients)]
+
     def multiply(self, U: np.ndarray, m: int, detail: bool = False, columns=slice(None)):
         """(U @ G_m)[:, columns] in C order, for a finite U of shape (n, P),
         a mode m >= 1 and a slice or index array ``columns``; on P x Q with
-        ``detail``.  Pass k gathers, for every column, the k-th of its rows
-        mu +- e_m as a column of U and scales it.  Summing the passes in row
-        order sums as scipy's sparse product does, whatever the columns."""
-        sources, coefficients, _ = self._mode(m, detail)
-        out = None
-        for source, coefficient in zip(sources, coefficients):
-            term = np.take(U, source[columns], axis=1)
-            term *= coefficient[columns]
-            out = term if out is None else np.add(out, term, out=out)
+        ``detail``."""
+        out = gather(U, self.passes(m, detail, columns), axis=1)
         if out is None:
             width = len(self.detail if detail else self.indices)
             return np.zeros((U.shape[0], width))[:, columns].copy()
         return out
+
+
+def gather(U: np.ndarray, passes, axis: int) -> np.ndarray | None:
+    """Apply G_m, given as ``Coupling.passes``, to U on the passes' columns:
+    U G_m for a node-major U of shape (n, P) and axis 1, (U G_m)^T for an
+    index-major U^T of shape (P, n) and axis 0.  Pass k gathers, for every
+    column, the k-th of its rows mu +- e_m as a slice of U along ``axis``
+    and scales it.  Summing the passes in row order sums as scipy's sparse
+    product does, whatever the layout and the columns.  None without
+    passes."""
+    out = None
+    for source, coefficient in passes:
+        term = np.take(U, source, axis=axis)
+        term *= coefficient if axis == 1 else coefficient[:, None]
+        out = term if out is None else np.add(out, term, out=out)
+    return out
 
 
 class TensorSystem:
@@ -484,6 +504,8 @@ class TensorSystem:
             raise ValueError("operator or coupling built for another space")
 
         self.A = [self.operator.stiffness(m) for m in range(self.n_modes + 1)]
+        # per (column range, layout): what apply needs of each mode
+        self._plans: dict[tuple, list] = {}
         self.load = np.zeros(self.shape)
         if ZERO in indices:
             self.load[:, indices.position(ZERO)] = self.operator.load
@@ -497,31 +519,70 @@ class TensorSystem:
         return self.shape[0] * self.shape[1]
 
     def apply(self, U: np.ndarray) -> np.ndarray:
-        """Matrix-free operator: sum_m A_m U G_m, in C order.  A large system
-        splits the columns into one range per worker of the pool, each
-        copied into its columns of the result."""
-        if U.size < PARALLEL_DOFS:
-            return self._columns(U, slice(None))
+        """Matrix-free operator: sum_m A_m U G_m, in C order.
+
+        A system below PARALLEL_DOFS is accumulated index-major: U is
+        transposed once, each mode gathers its sources as contiguous rows of
+        U^T, and A_m multiplies each gathered row into its row of the
+        transposed result, which is transposed back at the end.  A larger
+        system splits the columns into one range per worker of the pool,
+        each computed node-major and copied into its columns of the
+        result: there one product by A_m per range, which reads A_m once,
+        beats one per index row (see ROADMAP.md, item 5)."""
+        if U.size >= PARALLEL_DOFS:
+            return self._apply_on_pool(U)
+        UT = np.ascontiguousarray(U.T)
+        RT = np.ascontiguousarray((self.A[0] @ U).T)
+        for A, rows, passes in self._plan(slice(None), axis=0):
+            for j, row in zip(rows, gather(UT, passes, axis=0)):
+                RT[j] += A @ row
+        return np.ascontiguousarray(RT.T)
+
+    def _apply_on_pool(self, U: np.ndarray) -> np.ndarray:
         bounds = [U.shape[1] * k // _WORKERS for k in range(_WORKERS + 1)]
         ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        # the plans are built here, never on a worker
+        plans = [self._plan(c, axis=1) for c in ranges]
         R = np.empty(self.shape)
 
-        def columns(c):
-            R[:, c] = self._columns(U, c)
+        def columns(job):
+            c, plan = job
+            R[:, c] = self._columns(U, c, plan)
 
-        _on_pool(columns, ranges)
+        _on_pool(columns, list(zip(ranges, plans)))
         return R
 
-    def _columns(self, U: np.ndarray, c: slice) -> np.ndarray:
-        """Columns c of sum_m A_m U G_m, each summed as in the whole product.
-        A mode adds on its coupled columns alone when they are few
-        (``Coupling.coupled_columns``): the others would add zeros."""
+    def _columns(self, U: np.ndarray, c: slice, plan) -> np.ndarray:
+        """Columns c of sum_m A_m U G_m, node-major, each summed as in the
+        whole product."""
         R = self.A[0] @ U[:, c]
-        for m in range(1, self.n_modes + 1):
-            cols = self.coupling.coupled_columns(m, within=c)
-            at = slice(None) if isinstance(cols, slice) else cols - (c.start or 0)
-            R[:, at] += self.A[m] @ self.coupling.multiply(U, m, columns=cols)
+        for A, target, passes in plan:
+            R[:, target] += A @ gather(U, passes, axis=1)
         return R
+
+    def _plan(self, c: slice, axis: int) -> list:
+        """Per mode m >= 1 on the columns c: A_m, where it adds and its gather
+        passes, resolved once per system, column range and layout.  A
+        mode adds on its coupled columns alone when they are few
+        (``Coupling.coupled_columns``), and not at all when c holds none.
+        Index-major (axis 0) the targets are row indices of the transposed
+        result; node-major, columns of the range's block."""
+        key = (c.start, c.stop, axis)
+        if key not in self._plans:
+            plan = []
+            for m in range(1, self.n_modes + 1):
+                cols = self.coupling.coupled_columns(m, within=c)
+                if axis == 0:
+                    target = np.arange(len(self.indices))[cols]
+                elif isinstance(cols, slice):
+                    target = slice(None)
+                else:
+                    target = cols - c.start
+                if not isinstance(target, slice) and target.size == 0:
+                    continue
+                plan.append((self.A[m], target, self.coupling.passes(m, columns=cols)))
+            self._plans[key] = plan
+        return self._plans[key]
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """Mean-based preconditioner: A_0^{-1} applied columnwise, returned in

@@ -26,6 +26,7 @@ reference to the coarser mesh, so a run keeps alive only the meshes it holds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -423,27 +424,46 @@ def read_mesh(path) -> Mesh:
     """Read the text format: header ``vertices N triangles M``, then N lines
     ``x y boundary_flag`` and M lines ``v0 v1 v2 ref_edge`` (0-based ids).
 
-    Rejects non-conforming or badly oriented input.
+    Rejects a header whose counts the file does not hold, naming the first
+    missing line, before anything is allocated; rejects malformed lines and
+    non-conforming or badly oriented input.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
+        if (len(header) != 4 or header[0] != "vertices" or header[2] != "triangles"
+                or not (header[1].isdigit() and header[3].isdigit())):
             raise ValueError(f"bad mesh header: {' '.join(header)!r}")
         nv, nt = int(header[1]), int(header[3])
         if nt == 0:
             raise ValueError(f"mesh file {path} has no triangles")
-        coords = np.empty((nv, 2))
-        bdry = np.empty(nv, dtype=bool)
-        for i in range(nv):
-            x, y, b = fh.readline().split()
-            coords[i] = (float(x), float(y))
-            bdry[i] = bool(int(b))
-        tris = np.empty((nt, 3), dtype=np.int64)
-        refs = np.empty(nt, dtype=np.int64)
-        for i in range(nt):
-            v0, v1, v2, r = (int(s) for s in fh.readline().split())
-            tris[i] = (v0, v1, v2)
-            refs[i] = r
+        body = list(itertools.islice(fh, nv + nt))
+    if len(body) < nv + nt:
+        k = len(body)
+        what = f"vertex {k}" if k < nv else f"triangle {k - nv}"
+        raise ValueError(
+            f"mesh file {path} announces {nv} vertices and {nt} triangles "
+            f"but ends after line {k + 1}: line {k + 2} ({what}) is missing"
+        )
+
+    def fields(k, names):
+        values = body[k].split()
+        if len(values) != len(names.split()):
+            raise ValueError(f"mesh file {path}, line {k + 2}: expected {names!r}, "
+                             f"got {body[k].strip()!r}")
+        return values
+
+    coords = np.empty((nv, 2))
+    bdry = np.empty(nv, dtype=bool)
+    for i in range(nv):
+        x, y, b = fields(i, "x y boundary_flag")
+        coords[i] = (float(x), float(y))
+        bdry[i] = bool(int(b))
+    tris = np.empty((nt, 3), dtype=np.int64)
+    refs = np.empty(nt, dtype=np.int64)
+    for i in range(nt):
+        v0, v1, v2, r = (int(s) for s in fields(nv + i, "v0 v1 v2 ref_edge"))
+        tris[i] = (v0, v1, v2)
+        refs[i] = r
     if tris.min() < 0 or tris.max() >= nv:
         raise ValueError("triangle vertex id out of range")
     mesh = Mesh(

@@ -6,10 +6,10 @@ loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
-fine-mesh spatial estimator, the COO stiffness assembly, the per-call load
-assembly, the loop-based newest-vertex bisection, the CSR coupling blocks with
-the transposed products formed from them, the prolongation matrix, and the
-loop-based detail set and index embedding, and former library code that only
+fine-mesh and the node-major spatial estimators, the COO stiffness assembly,
+the per-call load assembly, the loop-based newest-vertex bisection, the CSR
+coupling blocks with the transposed products formed from them, the
+prolongation matrix, and the loop-based detail set and index embedding, and former library code that only
 tests use: the orthonormal Legendre polynomials with their Gauss rule, the
 Galerkin solve in the enhanced space of the two-sided estimate, the mean-field
 energy and the contraction series of reference errors.
@@ -26,6 +26,7 @@ from scipy.special import eval_legendre, roots_jacobi, roots_legendre
 
 import scipy.sparse as sp
 
+from sgfem.estimators import _operator_and_coupling
 from sgfem.galerkin import (
     GalerkinSolution,
     MeshOperator,
@@ -266,6 +267,59 @@ def fine_mesh_spatial_indicators(u, spec) -> np.ndarray:
     assert np.all(rows >= 0), "new interior vertex flagged as boundary"
     denom = A_fine[0].diagonal()[rows]
     return np.sqrt((R[rows] ** 2).sum(axis=1) / denom)
+
+
+# ---------------------------------------------------------------------------
+# the former node-major spatial estimator; the index-major one must match it
+# to the bit
+
+def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
+    """``spatial_indicators`` as it was computed node-major: the gradients
+    and the residual as (nt, ..., #indices) arrays, the coupling applied by
+    ``Coupling.multiply`` on columns.
+
+    eta(z)^2 = sum_nu r(z, nu)^2 / B_0(phi_z, phi_z), where r(z, nu) is the
+    residual of u tested against phi_z P_nu and phi_z is the hat of z on the
+    uniformly refined mesh.  Each coarse triangle contributes the integrals
+    over its four children (with the same quadrature as the stiffness
+    assembly, kept by the mesh operator) for the midpoints of its interior
+    edges; the contributions are summed per z.
+    """
+    mesh = u.mesh
+    operator, coupling = _operator_and_coupling(u, spec)
+
+    def tested(terms, g):
+        """Contract (nt, 3, 2) hat terms with (nt, 2, #indices) gradients."""
+        return terms[:, :, 0, None] * g[:, None, 0] + terms[:, :, 1, None] * g[:, None, 1]
+
+    # gradient of u per coarse triangle and index, (nt, 2, #indices)
+    grads = operator.pattern.grads
+    grad_u = np.einsum("tjd,tjk->tdk", grads, u.vertex_values()[mesh.triangles])
+
+    terms, diagonal, load = operator.child_terms(u.indices.max_dimension())
+    res = np.zeros((mesh.num_triangles, 3, len(u.indices)))
+    if ZERO in u.indices:
+        res[:, :, u.indices.position(ZERO)] = load
+    res -= tested(terms[0], grad_u)
+    flat = grad_u.reshape(-1, grad_u.shape[2])
+    for m in range(1, len(terms)):
+        cols = coupling.coupled_columns(m)
+        g = coupling.multiply(flat, m, columns=cols).reshape(grad_u.shape[:2] + (-1,))
+        res[:, :, cols] -= tested(terms[m], g)
+
+    # scatter the two triangles' contributions to each z in N+
+    rows = np.arange(mesh.num_triangles)[:, None]
+    position = mesh.triangle_nplus[rows, operator.midpoint_edges].ravel()
+    keep = position >= 0
+    position = position[keep]
+    num_new = mesh.interior_edge_ids.size
+
+    def gather(values):
+        return np.bincount(position, weights=values[keep], minlength=num_new)
+
+    res = res.reshape(-1, res.shape[2])
+    num = sum(gather(res[:, k]) ** 2 for k in range(res.shape[1]))
+    return np.sqrt(num / gather(diagonal.ravel()))
 
 
 # ---------------------------------------------------------------------------

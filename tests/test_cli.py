@@ -200,6 +200,20 @@ class TestErrors:
         assert "no triangles" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, missing", [
+        ("vertices 100000000000 triangles 1\n0 0 1\n", "line 3 (vertex 1) is missing"),
+        ("vertices 3 triangles 1\n0 0 1\n1 0 1\n0 1 1\n", "line 5 (triangle 0) is missing"),
+    ])
+    def test_mesh_file_shorter_than_its_header(self, tmp_path, capsys, body, missing):
+        mesh_file = tmp_path / "short.mesh"
+        mesh_file.write_text(body, encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--mesh", str(mesh_file), "--output", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert missing in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2", ""])
     def test_bad_sgfem_threads(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("SGFEM_THREADS", value)

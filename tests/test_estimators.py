@@ -292,9 +292,47 @@ class TestCopyFreeProducts:
         u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
         got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
         monkeypatch.setattr(Coupling, "multiply", oracles.transposed_coupling_product)
-        want = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        want = oracles.node_major_spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestIndexMajorResidual:
+    """The spatial estimator keeps the gradients and the residual index-major
+    and gathers the coupling along rows; it equals the node-major estimator
+    it replaced, kept in ``oracles``, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("rhs", [None, wavy_rhs])
+    def test_equals_node_major(self, spec, seed, rhs):
+        spec = dataclasses.replace(spec, rhs=rhs)
+        rng = np.random.default_rng(seed)
+        P = random_downward_closed(seed, 6 + 7 * seed)
+        for mesh in nvb_chain(initial_lshape(), 5, seed=40 + seed)[1::2]:
+            coeffs = rng.standard_normal((mesh.free_nodes.size, len(P)))
+            bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
+            u = dataclasses.replace(bare, system=TensorSystem(mesh, P, spec))
+            want = oracles.node_major_spatial_indicators(u, spec)
+            assert want.shape == (mesh.interior_edge_ids.size,)
+            assert np.array_equal(spatial_indicators(u, spec), want)
+            assert np.array_equal(spatial_indicators(bare, spec), want)
+
+    @pytest.mark.parametrize("seed, size", [(0, 12), (1, 18), (2, 30), (5, 24)])
+    def test_sparse_and_dense_modes(self, spec, seed, size):
+        mesh = nvb_chain(initial_lshape(), 4, seed=50 + seed)[-1]
+        P = random_downward_closed(seed, size)
+        system = TensorSystem(mesh, P, spec)
+        assert all(coupled_counts(system.coupling))
+        coeffs = np.random.default_rng(seed).standard_normal(system.shape)
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
+        assert np.array_equal(spatial_indicators(u, spec),
+                              oracles.node_major_spatial_indicators(u, spec))
+
+    def test_at_galerkin_solution(self, spec):
+        mesh = nvb_chain(initial_lshape(), 5, seed=13)[-1]
+        u = solve(TensorSystem(mesh, random_downward_closed(4, 9), spec), tol=1e-12)
+        assert np.array_equal(spatial_indicators(u, spec),
+                              oracles.node_major_spatial_indicators(u, spec))
 
 
 class TestModeSparse:

@@ -454,7 +454,8 @@ class TestModeSparse:
         got = system.apply(U)
         assert np.array_equal(got, oracles.transposed_apply(system, U))
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
-        assert np.array_equal(got, system.apply(U))
+        # a fresh system: a system keeps the plan of its first apply
+        assert np.array_equal(got, TensorSystem(mesh2, P, spec).apply(U))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pool_equals_full_width(self, large_system, pool_workers, workers):
@@ -465,6 +466,83 @@ class TestModeSparse:
         got = large_system.apply(U)
         assert galerkin._pool is not None
         assert np.array_equal(got, oracles.transposed_apply(large_system, U))
+
+
+class TestIndexMajor:
+    """Below PARALLEL_DOFS, ``apply`` accumulates index-major from a plan
+    resolved once per system; above it the pool computes node-major column
+    ranges, each from its own plan.  Both equal the transposed products to
+    the bit, on index sets with sparse and dense modes."""
+
+    @staticmethod
+    def system(mesh, spec, seed, size):
+        system = TensorSystem(mesh, random_downward_closed(seed, size), spec)
+        # some modes couple at most half of the columns, some more
+        assert all(coupled_counts(system.coupling))
+        return system
+
+    @pytest.mark.parametrize("seed, size", [(0, 12), (1, 18), (2, 30), (5, 24)])
+    def test_equals_oracle_and_pool_below_gate(self, mesh2, spec, seed, size,
+                                               pool_workers, monkeypatch):
+        system = self.system(mesh2, spec, seed, size)
+        assert system.num_dof < galerkin.PARALLEL_DOFS
+        rng = np.random.default_rng(seed)
+        inputs = (rng.standard_normal(system.shape),
+                  np.asfortranarray(rng.standard_normal(system.shape)))
+        got = [system.apply(U) for U in inputs]
+        for U, out in zip(inputs, got):
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, oracles.transposed_apply(system, U))
+        # the node-major column ranges of the pool give the same bits
+        pool_workers(2)
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", 0)
+        for U, out in zip(inputs, got):
+            assert np.array_equal(system.apply(U), out)
+        assert galerkin._pool is not None
+
+    def test_equals_oracle_and_pool_above_gate(self, large_system, pool_workers, monkeypatch):
+        U = np.random.default_rng(12).standard_normal(large_system.shape)
+        pool_workers(2)
+        got = large_system.apply(U)
+        assert np.array_equal(got, oracles.transposed_apply(large_system, U))
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
+        assert np.array_equal(large_system.apply(U), got)
+
+    def test_modes_that_couple_nothing(self, mesh2, spec):
+        # modes 2 and 3 of {0, e_1, e_4} couple no column; they are left out
+        P = IndexSet([ZERO, unit_index(1), unit_index(4)])
+        system = TensorSystem(mesh2, P, spec)
+        assert [len(system.coupling.passes(m)) for m in (2, 3)] == [0, 0]
+        U = np.random.default_rng(3).standard_normal(system.shape)
+        assert np.array_equal(system.apply(U), oracles.transposed_apply(system, U))
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    def test_columns_resolved_once_per_system(self, mesh2, large_system, spec,
+                                              pool_workers, monkeypatch, workers):
+        calls = []
+        coupled_columns = Coupling.coupled_columns
+
+        def counted(self, m, detail=False, within=slice(None)):
+            calls.append((m, detail, within.start, within.stop))
+            return coupled_columns(self, m, detail, within)
+
+        monkeypatch.setattr(Coupling, "coupled_columns", counted)
+        if workers is None:
+            system = self.system(mesh2, spec, 2, 30)
+            ranges = 1
+        else:
+            # a fresh system of the large one's space, above the gate
+            system = TensorSystem(large_system.mesh, large_system.indices, spec,
+                                  operator=large_system.operator)
+            pool_workers(workers)
+            ranges = workers
+        U = np.random.default_rng(0).standard_normal(system.shape)
+        calls.clear()
+        first = system.apply(U)
+        for _ in range(4):
+            assert np.array_equal(system.apply(U), first)
+        assert len(calls) == system.n_modes * ranges
+        assert len(set(calls)) == len(calls)
 
 
 class TestNormaliser:

@@ -300,6 +300,35 @@ class TestIO:
         with pytest.raises(ValueError, match="no triangles"):
             read_mesh(path)
 
+    def test_read_header_counts_beyond_the_file(self, tmp_path):
+        # counts the file cannot hold are rejected before any allocation
+        path = tmp_path / "huge.mesh"
+        path.write_text("vertices 100000000000 triangles 1\n0 0 1\n")
+        with pytest.raises(ValueError, match=r"line 3 \(vertex 1\) is missing"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("keep, missing", [(2, r"line 4 \(vertex 2\)"),
+                                               (3, r"line 5 \(triangle 0\)")])
+    def test_read_truncated_file_names_the_missing_line(self, tmp_path, keep, missing):
+        lines = ["vertices 3 triangles 1", "0 0 1", "1 0 1", "0 1 1", "0 1 2 0"]
+        path = tmp_path / "cut.mesh"
+        path.write_text("\n".join(lines[:1 + keep]) + "\n")
+        with pytest.raises(ValueError, match=missing + " is missing"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("header", ["vertices -3 triangles 1", "vertices 3 triangles x"])
+    def test_read_bad_counts(self, tmp_path, header):
+        path = tmp_path / "bad.mesh"
+        path.write_text(header + "\n0 0 1\n1 0 1\n0 1 1\n0 1 2 0\n")
+        with pytest.raises(ValueError, match="bad mesh header"):
+            read_mesh(path)
+
+    def test_read_malformed_line(self, tmp_path):
+        path = tmp_path / "short.mesh"
+        path.write_text("vertices 3 triangles 1\n0 0 1\n1 0\n0 1 1\n0 1 2 0\n")
+        with pytest.raises(ValueError, match="line 3: expected 'x y boundary_flag'"):
+            read_mesh(path)
+
 
 def assert_same_as_oracle(new, old):
     """`new` (array refinement) equals `old` (loop oracle) bit for bit."""
