@@ -106,9 +106,6 @@ class AdaptiveTrace:
     def eta_series(self) -> np.ndarray:
         return np.asarray([r.eta for r in self.records], dtype=np.float64)
 
-    def energy_series(self) -> np.ndarray:
-        return np.asarray([r.energy_sq for r in self.records], dtype=np.float64)
-
 
 def cumulative_cost(trace: AdaptiveTrace) -> int:
     """Total degrees of freedom summed over all iterations."""

@@ -9,23 +9,22 @@ by element on the current mesh, without building the refined one: the hat of
 an edge midpoint lives on the children of the two triangles next to that
 edge, and the solution's gradient is constant on each triangle.  Parametric
 indicators solve one mean-field problem per detail index for the residual
-component in that direction.  Both contract the solution with G_m mode by
-mode; a mode that couples at most half of the index columns (of P in the
-spatial residual, of the detail set in the parametric one) is multiplied and
-accumulated on its coupled columns alone, as ``TensorSystem.apply`` does.
-The spatial residual has no sparse product, so it is kept index-major: the
-gradients of u as (#indices, 2, triangles), the residual as (#indices, 3,
-triangles), and the coupling gathers, the per-mode subtractions and the
-per-index sums over N+ read contiguous rows.  The parametric residual
-multiplies by A_m and stays node-major.
+component in that direction.  Both contract the solution with G_m through
+the coupling's index-major plans (``Coupling.plan``), on P x P in the
+spatial residual and on P x Q in the parametric one, as
+``TensorSystem.apply`` does.  The spatial residual has no sparse product:
+the gradients of u as (#indices, 2, triangles), the residual as (#indices,
+3, triangles), and the coupling gathers, the per-mode subtractions and the
+per-index sums over N+ read contiguous rows.  The parametric residual is
+the operator's kernel ``accumulate`` on P x Q, run into zeros.
 
 Both read the per-mesh operator and the coupling of the solution's system
 (``u.system``), where the loop keeps them across levels: the coarse
 gradients, the child terms of a mode and the stiffness matrix of a detail
 direction are built once per mesh (the child terms of a triangle that
 refinement kept are copied from the operator of the mesh one step coarser),
-the coupling passes once per index set.  A solution without a system, or
-estimated under another problem, gets fresh ones.
+the coupling passes and plans once per index set.  A solution without a
+system, or estimated under another problem, gets fresh ones.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .galerkin import (
     Coupling,
     GalerkinSolution,
     MeshOperator,
+    accumulate,
     assemble_stiffness,  # noqa: F401 -- perfbench's tracer wraps this name
     gather,
 )
@@ -104,11 +104,9 @@ def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
         res[u.indices.position(ZERO)] = load.T
     res -= tested(terms[0], grad_u)
     rows = grad_u.reshape(grad_u.shape[0], -1)
-    for m in range(1, len(terms)):
-        cols = coupling.coupled_columns(m)
-        g = gather(rows, coupling.passes(m, columns=cols), axis=0)
-        if g is not None:
-            res[cols] -= tested(terms[m], g.reshape((-1,) + grad_u.shape[1:]))
+    for m, targets, passes in coupling.plan():
+        g = gather(rows, passes, axis=0).reshape((-1,) + grad_u.shape[1:])
+        res[targets] -= tested(terms[m], g)
 
     # scatter the two triangles' contributions to each z in N+, midpoint
     # slot by midpoint slot; two addends sum alike in either order
@@ -139,18 +137,17 @@ def parametric_indicators(
     if len(detail) == 0:
         return np.zeros(0)
     operator, coupling = _operator_and_coupling(u, spec, detail)
-    n_modes = max(u.indices.max_dimension(), detail.max_dimension())
-
-    # residual r[z, nu] = -B(u, phi_z P_nu); the load vanishes off the zero index
-    R = np.zeros((u.coeffs.shape[0], len(detail)))
-    for m in range(1, n_modes + 1):
-        cols = coupling.coupled_columns(m, detail=True)
-        R[:, cols] -= operator.stiffness(m) @ coupling.multiply(
-            u.coeffs, m, detail=True, columns=cols)
-    # E and R are C-ordered, so is their product: its column sums add row
-    # after row, whatever the size of R
+    # the residual r[z, nu] = -B(u, phi_z P_nu), the load vanishing off the
+    # zero index, accumulated index-major with the opposite sign: e.r does
+    # not depend on it
+    RT = np.zeros((len(detail), u.coeffs.shape[0]))
+    accumulate(RT, np.ascontiguousarray(u.coeffs.T), coupling.plan(detail=True),
+               operator.stiffness)
+    R = RT.T
+    # E is C-ordered, and so is the product: its column sums add row after
+    # row, whatever the size of R
     E = operator.solve_mean(R)
-    return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
+    return np.sqrt(np.maximum(np.multiply(E, R, order="C").sum(axis=0), 0.0))
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,19 @@ the coefficient modes act on the spatial component, the Legendre coupling
 matrices G_m on the index-set component.  Column mu of G_m has entries only in
 rows mu -+ e_m, so ``Coupling`` keeps G_m as at most two gather passes, found
 by row lookups in the index sets' degree arrays, and the columns that hold an
-entry at all (the coupled columns).  The operator is applied matrix-free as
-sum_m A_m U G_m on coefficient arrays U of shape (free nodes, #indices).  A
-mode whose G_m couples at most half of the columns is gathered, multiplied by
-A_m and added on its coupled columns alone (the others would add zeros); a
-denser mode keeps the full-width step, which is cheaper than scattering into
-most columns by index.  A system resolves this once, into a plan per column
-range: each mode's target columns and its passes restricted to them.  Below
-the pool's gate the operator is accumulated index-major, on U^T of shape
-(#indices, free nodes), so that gathers and adds read contiguous rows; U is
-transposed once on the way in and the result once on the way out.  Solves
-use PCG with the mean-based preconditioner A_0 x I; its normaliser
-<b, (A_0^{-1} x I) b> solves only the column block that holds the load.
+entry at all (the coupled columns).  The sum sum_m A_m U G_m, on coefficient
+arrays U of shape (free nodes, #indices), is the Galerkin operator and the
+core of both estimators' residuals.  ``Coupling.plan`` decides for all three
+which columns each mode adds to and from which rows: a mode whose G_m couples
+at most half of the columns is worked on those alone (the others would add
+zeros); a denser mode keeps the full width, which is cheaper than scattering
+into most columns by index.  ``accumulate`` is the one index-major kernel:
+on U^T of shape (#indices, free nodes) it gathers each mode's sources as
+contiguous rows and adds A_m times each to its row of the transposed
+result.  Below the pool's gate ``apply`` runs it, transposing U once on the
+way in and the result once on the way out.  Solves use PCG with the
+mean-based preconditioner A_0 x I; its normaliser <b, (A_0^{-1} x I) b>
+solves only the column block that holds the load.
 Every array PCG itself touches is C-ordered (free nodes, #indices).  The
 SPD A_0 is factored by SuperLU in symmetric mode, with the minimum-degree
 ordering of A_0 + A_0^T and no pivoting off the diagonal.
@@ -27,19 +28,19 @@ only if it integrates as the Galerkin assembly does.
 
 A system reads its matrices from two objects that outlive it.  A
 ``MeshOperator`` holds what depends on the mesh alone: geometry, quadrature
-points, the free-node CSR pattern with its scatter map, A_m per mode (built
-on first use), the load, the LU of A_0 and the spatial estimator's per-mode
+points, the free-node CSR pattern with its scatter map, A_m per mode (built on
+first use), the load, the LU of A_0 and the spatial estimator's per-mode
 terms.  A ``Coupling`` holds the passes of G_m for one index set, against
-itself and against its detail set.  An adaptive step changes either the mesh
-or the index set, so the loop keeps one object and drops the other: the
-operator goes with its mesh on refinement, the coupling with its index set
-on enrichment.  Refinement leaves most triangles as they were, and the
-estimator's terms of a triangle depend on it alone, so the operator of the
-refined mesh copies those of the kept triangles from the outgoing one and
-computes only those of the new triangles.  Nothing is cached on the mesh or
-at module level but a thread pool, on which large systems apply the operator
-and solve with A_0 in column blocks, each column computed as on one thread
-and written into the one result.
+itself and against its detail set, and the plans built from them.  An adaptive
+step changes either the mesh or the index set, so the loop keeps one object
+and drops the other: the operator goes with its mesh on refinement, the
+coupling with its index set on enrichment.  Refinement leaves most triangles
+as they were, and the estimator's terms of a triangle depend on it alone, so
+the operator of the refined mesh copies those of the kept triangles from the
+outgoing one and computes only those of the new triangles.  Nothing is cached
+on the mesh or at module level but a thread pool, on which large systems apply
+the operator and solve with A_0 in column blocks, each column computed as on
+one thread and written into the one result.
 """
 
 from __future__ import annotations
@@ -414,8 +415,8 @@ _NO_COLUMNS = np.zeros(0, dtype=np.intp)
 class Coupling:
     """The blocks G_m of one index set P, on P x P and, for a detail set Q,
     on P x Q, as gather passes for every mode either set touches, with the
-    columns each G_m couples.  The adaptive loop replaces the object when it
-    enriches P."""
+    columns each G_m couples and the plans of the products built from them.
+    The adaptive loop replaces the object when it enriches P."""
 
     def __init__(self, indices: IndexSet, detail: IndexSet | None = None):
         self.indices = indices
@@ -423,6 +424,8 @@ class Coupling:
         self._passes = {False: _coupling_passes(indices, indices)}
         if detail is not None:
             self._passes[True] = _coupling_passes(indices, detail)
+        # per (block, column range): see ``plan``
+        self._plans: dict[tuple, list] = {}
 
     def _mode(self, m: int, detail: bool):
         if m < 1:
@@ -431,10 +434,10 @@ class Coupling:
         return passes[m - 1] if m <= len(passes) else ((), (), _NO_COLUMNS)
 
     def coupled_columns(self, m: int, detail: bool = False, within: slice = slice(None)):
-        """The columns of (U G_m)[:, within] worth computing, as ``columns``
-        for ``multiply``.  Where G_m couples at most half of its columns,
-        those of them in the range ``within``, an index array; otherwise
-        ``within`` itself.  A column left out is a zero column of G_m."""
+        """The columns of (U G_m)[:, within] worth computing.  Where G_m
+        couples at most half of its columns, those of them in the range
+        ``within``, an index array; otherwise ``within`` itself.  A column
+        left out is a zero column of G_m."""
         coupled = self._mode(m, detail)[2]
         width = len(self.detail if detail else self.indices)
         if 2 * coupled.size > width:
@@ -442,38 +445,58 @@ class Coupling:
         start, stop, _ = within.indices(width)
         return coupled[np.searchsorted(coupled, start):np.searchsorted(coupled, stop)]
 
-    def passes(self, m: int, detail: bool = False, columns=slice(None)):
-        """G_m on its ``columns`` as the gather passes ``gather`` sums: per
-        pass, the rows mu +- e_m each column reads and their coefficients."""
-        sources, coefficients, _ = self._mode(m, detail)
-        return [(source[columns], coefficient[columns])
-                for source, coefficient in zip(sources, coefficients)]
-
-    def multiply(self, U: np.ndarray, m: int, detail: bool = False, columns=slice(None)):
-        """(U @ G_m)[:, columns] in C order, for a finite U of shape (n, P),
-        a mode m >= 1 and a slice or index array ``columns``; on P x Q with
-        ``detail``."""
-        out = gather(U, self.passes(m, detail, columns), axis=1)
-        if out is None:
-            width = len(self.detail if detail else self.indices)
-            return np.zeros((U.shape[0], width))[:, columns].copy()
-        return out
+    def plan(self, detail: bool = False, within: slice = slice(None)) -> list:
+        """What sum_m A_m (U G_m)[:, within] needs of the G_m on P x P (on
+        P x Q with ``detail``): (m, targets, passes) for each mode m >= 1
+        that adds anything.  A mode adds on its ``coupled_columns`` in the
+        range, and is left out where those or its passes are none.  Its
+        targets are those columns counted from the start of the range (a
+        slice where it is worked full width), its passes are restricted to
+        them, and ``gather`` sums them in either layout.  Built once per
+        block and range, on the calling thread: the pool's workers only read
+        plans."""
+        key = (detail, within.start, within.stop)
+        if key not in self._plans:
+            start = within.indices(len(self.detail if detail else self.indices))[0]
+            plan = []
+            for m, (sources, coefficients, _) in enumerate(self._passes[detail], 1):
+                cols = self.coupled_columns(m, detail, within)
+                targets = slice(None) if isinstance(cols, slice) else cols - start
+                if len(sources) and (isinstance(targets, slice) or targets.size):
+                    plan.append((m, targets, [(source[cols], coefficient[cols])
+                                              for source, coefficient in zip(sources, coefficients)]))
+            self._plans[key] = plan
+        return self._plans[key]
 
 
 def gather(U: np.ndarray, passes, axis: int) -> np.ndarray | None:
-    """Apply G_m, given as ``Coupling.passes``, to U on the passes' columns:
-    U G_m for a node-major U of shape (n, P) and axis 1, (U G_m)^T for an
-    index-major U^T of shape (P, n) and axis 0.  Pass k gathers, for every
-    column, the k-th of its rows mu +- e_m as a slice of U along ``axis``
-    and scales it.  Summing the passes in row order sums as scipy's sparse
-    product does, whatever the layout and the columns.  None without
-    passes."""
+    """Apply G_m, given as the passes of a ``Coupling.plan`` entry, to U on
+    the passes' columns: U G_m for a node-major U of shape (n, P) and axis 1,
+    (U G_m)^T for an index-major U^T of shape (P, n) and axis 0.  Pass k
+    gathers, for every column, the k-th of its rows mu +- e_m as a slice of U
+    along ``axis`` and scales it.  Summing the passes in row order sums as
+    scipy's sparse product does, whatever the layout and the columns.  None
+    without passes."""
     out = None
     for source, coefficient in passes:
         term = np.take(U, source, axis=axis)
         term *= coefficient if axis == 1 else coefficient[:, None]
         out = term if out is None else np.add(out, term, out=out)
     return out
+
+
+def accumulate(RT: np.ndarray, UT: np.ndarray, plan, stiffness) -> None:
+    """Add sum_m (A_m U G_m)^T to RT, index-major: U^T has shape (P, n), RT
+    one row per column of G_m.  For each (m, targets, passes) of a
+    ``Coupling.plan`` of all columns, the passes' rows of U^T are gathered,
+    and A_m = ``stiffness(m)`` times each is added to its target row of RT.
+    A row receives its modes in mode order, each as the node-major product
+    of the whole block would give it."""
+    rows = np.arange(RT.shape[0])
+    for m, targets, passes in plan:
+        A = stiffness(m)
+        for j, row in zip(rows[targets], gather(UT, passes, axis=0)):
+            RT[j] += A @ row
 
 
 class TensorSystem:
@@ -504,8 +527,6 @@ class TensorSystem:
             raise ValueError("operator or coupling built for another space")
 
         self.A = [self.operator.stiffness(m) for m in range(self.n_modes + 1)]
-        # per (column range, layout): what apply needs of each mode
-        self._plans: dict[tuple, list] = {}
         self.load = np.zeros(self.shape)
         if ZERO in indices:
             self.load[:, indices.position(ZERO)] = self.operator.load
@@ -522,27 +543,23 @@ class TensorSystem:
         """Matrix-free operator: sum_m A_m U G_m, in C order.
 
         A system below PARALLEL_DOFS is accumulated index-major: U is
-        transposed once, each mode gathers its sources as contiguous rows of
-        U^T, and A_m multiplies each gathered row into its row of the
+        transposed once, ``accumulate`` adds the modes row by row into the
         transposed result, which is transposed back at the end.  A larger
         system splits the columns into one range per worker of the pool,
         each computed node-major and copied into its columns of the
         result: there one product by A_m per range, which reads A_m once,
-        beats one per index row (see ROADMAP.md, item 5)."""
+        beats one per index row.  Both walk the coupling's plans."""
         if U.size >= PARALLEL_DOFS:
             return self._apply_on_pool(U)
-        UT = np.ascontiguousarray(U.T)
         RT = np.ascontiguousarray((self.A[0] @ U).T)
-        for A, rows, passes in self._plan(slice(None), axis=0):
-            for j, row in zip(rows, gather(UT, passes, axis=0)):
-                RT[j] += A @ row
+        accumulate(RT, np.ascontiguousarray(U.T), self.coupling.plan(), self.operator.stiffness)
         return np.ascontiguousarray(RT.T)
 
     def _apply_on_pool(self, U: np.ndarray) -> np.ndarray:
         bounds = [U.shape[1] * k // _WORKERS for k in range(_WORKERS + 1)]
         ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
         # the plans are built here, never on a worker
-        plans = [self._plan(c, axis=1) for c in ranges]
+        plans = [self.coupling.plan(within=c) for c in ranges]
         R = np.empty(self.shape)
 
         def columns(job):
@@ -556,33 +573,9 @@ class TensorSystem:
         """Columns c of sum_m A_m U G_m, node-major, each summed as in the
         whole product."""
         R = self.A[0] @ U[:, c]
-        for A, target, passes in plan:
-            R[:, target] += A @ gather(U, passes, axis=1)
+        for m, targets, passes in plan:
+            R[:, targets] += self.A[m] @ gather(U, passes, axis=1)
         return R
-
-    def _plan(self, c: slice, axis: int) -> list:
-        """Per mode m >= 1 on the columns c: A_m, where it adds and its gather
-        passes, resolved once per system, column range and layout.  A
-        mode adds on its coupled columns alone when they are few
-        (``Coupling.coupled_columns``), and not at all when c holds none.
-        Index-major (axis 0) the targets are row indices of the transposed
-        result; node-major, columns of the range's block."""
-        key = (c.start, c.stop, axis)
-        if key not in self._plans:
-            plan = []
-            for m in range(1, self.n_modes + 1):
-                cols = self.coupling.coupled_columns(m, within=c)
-                if axis == 0:
-                    target = np.arange(len(self.indices))[cols]
-                elif isinstance(cols, slice):
-                    target = slice(None)
-                else:
-                    target = cols - c.start
-                if not isinstance(target, slice) and target.size == 0:
-                    continue
-                plan.append((self.A[m], target, self.coupling.passes(m, columns=cols)))
-            self._plans[key] = plan
-        return self._plans[key]
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """Mean-based preconditioner: A_0^{-1} applied columnwise, returned in

@@ -53,10 +53,6 @@ class MultiIndex:
     def total_degree(self) -> int:
         return sum(d for _, d in self.pairs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.pairs
-
     def sort_key(self):
         return (self.total_degree, self.pairs)
 
@@ -76,17 +72,6 @@ class MultiIndex:
         if not self.pairs:
             return "-"
         return " ".join(f"{m}:{d}" for m, d in self.pairs)
-
-    @classmethod
-    def parse(cls, text: str) -> "MultiIndex":
-        text = text.strip()
-        if text == "-":
-            return ZERO
-        pairs = []
-        for tok in text.split():
-            m, d = tok.split(":")
-            pairs.append((int(m), int(d)))
-        return cls(pairs)
 
 
 ZERO = MultiIndex()
@@ -187,15 +172,6 @@ class IndexSet:
         degrees = np.pad(self.degrees, ((0, 0), (0, width - self.max_dimension())))
         steps = np.eye(width, dtype=np.int64)[:, None]
         return np.stack([degrees - steps, degrees + steps]).reshape(2 * width * len(self), width)
-
-    def dump(self) -> str:
-        """One line per index, sparse ``m:d`` pairs, zero index as ``-``."""
-        return "\n".join(str(nu) for nu in self.members)
-
-    @classmethod
-    def parse(cls, text: str, require_zero: bool = True) -> "IndexSet":
-        members = [MultiIndex.parse(line) for line in text.splitlines() if line.strip()]
-        return cls(members, require_zero=require_zero)
 
 
 def detail_index_set(indices: IndexSet) -> IndexSet:

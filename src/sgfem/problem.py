@@ -108,10 +108,6 @@ class ProblemSpec:
     def mode(self, m: int) -> Callable:
         return fourier_mode(m, self.amplitude, self.sigma)
 
-    def mode_amplitude(self, m: int) -> float:
-        """Supremum norm of a_m (the cosine factors attain one)."""
-        return self.amplitude * m ** (-float(self.sigma))
-
     def coefficient(self, m: int) -> Callable:
         """a_0 for m = 0, otherwise the m-th parametric mode."""
         return self.a0 if m == 0 else self.mode(m)

@@ -6,7 +6,8 @@ loops instead of vectorized einsum, collapsed Gauss product quadrature instead
 of the symmetric triangle rule, and explicit parameter-space integration
 instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
-fine-mesh and the node-major spatial estimators, the COO stiffness assembly,
+fine-mesh and the node-major spatial and parametric estimators with their
+node-major coupling product, the COO stiffness assembly,
 the per-call load assembly, the loop-based newest-vertex bisection, the CSR
 coupling blocks with the transposed products formed from them, the
 prolongation matrix, and the loop-based detail set and index embedding, and former library code that only
@@ -39,6 +40,7 @@ from sgfem.galerkin import (
     element_geometry,
     element_integrals,
     element_load,
+    gather,
     quadrature_points,
 )
 from sgfem.indices import ZERO, IndexSet, MultiIndex
@@ -270,13 +272,32 @@ def fine_mesh_spatial_indicators(u, spec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the former node-major spatial estimator; the index-major one must match it
-# to the bit
+# the former node-major coupling product (``Coupling.multiply``) and the
+# node-major estimators built on it; the coupling's plans and the index-major
+# kernel must match them to the bit
 
-def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
+def coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False,
+                     columns=slice(None)) -> np.ndarray:
+    """(U @ G_m)[:, columns] in C order, for a finite U of shape (n, P), a
+    mode m >= 1 and a slice or index array ``columns``; on P x Q with
+    ``detail``.  The coupling's gather passes of mode m on those columns,
+    summed by ``gather``."""
+    sources, coefficients, _ = coupling._mode(m, detail)
+    passes = [(source[columns], coefficient[columns])
+              for source, coefficient in zip(sources, coefficients)]
+    out = gather(U, passes, axis=1)
+    if out is None:
+        width = len(coupling.detail if detail else coupling.indices)
+        return np.zeros((U.shape[0], width))[:, columns].copy()
+    return out
+
+
+def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec,
+                                  product=coupling_product) -> np.ndarray:
     """``spatial_indicators`` as it was computed node-major: the gradients
     and the residual as (nt, ..., #indices) arrays, the coupling applied by
-    ``Coupling.multiply`` on columns.
+    ``product`` (``coupling_product`` or ``transposed_coupling_product``) on
+    columns.
 
     eta(z)^2 = sum_nu r(z, nu)^2 / B_0(phi_z, phi_z), where r(z, nu) is the
     residual of u tested against phi_z P_nu and phi_z is the hat of z on the
@@ -304,7 +325,7 @@ def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.
     flat = grad_u.reshape(-1, grad_u.shape[2])
     for m in range(1, len(terms)):
         cols = coupling.coupled_columns(m)
-        g = coupling.multiply(flat, m, columns=cols).reshape(grad_u.shape[:2] + (-1,))
+        g = product(coupling, flat, m, columns=cols).reshape(grad_u.shape[:2] + (-1,))
         res[:, :, cols] -= tested(terms[m], g)
 
     # scatter the two triangles' contributions to each z in N+
@@ -320,6 +341,25 @@ def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.
     res = res.reshape(-1, res.shape[2])
     num = sum(gather(res[:, k]) ** 2 for k in range(res.shape[1]))
     return np.sqrt(num / gather(diagonal.ravel()))
+
+
+def node_major_parametric_indicators(u: GalerkinSolution, detail: IndexSet, spec: ProblemSpec,
+                                     product=coupling_product) -> np.ndarray:
+    """``parametric_indicators`` as it was computed node-major: the residual
+    r[z, nu] = -B(u, phi_z P_nu) as a (free nodes, #detail) array, each
+    mode's product formed by ``product`` on its coupled columns and
+    subtracted there."""
+    if len(detail) == 0:
+        return np.zeros(0)
+    operator, coupling = _operator_and_coupling(u, spec, detail)
+    n_modes = max(u.indices.max_dimension(), detail.max_dimension())
+    R = np.zeros((u.coeffs.shape[0], len(detail)))
+    for m in range(1, n_modes + 1):
+        cols = coupling.coupled_columns(m, detail=True)
+        R[:, cols] -= operator.stiffness(m) @ product(coupling, u.coeffs, m, detail=True,
+                                                      columns=cols)
+    E = operator.solve_mean(R)
+    return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +556,9 @@ def loop_uniform_refine(mesh) -> Mesh:
 
 # ---------------------------------------------------------------------------
 # the coupling blocks as CSR matrices, assembled entry by entry through
-# ``bump``, and the transposed products that ``Coupling.multiply`` replaced:
-# the Kronecker operator and both estimators formed U @ G_m through
-# transposes of these blocks
+# ``bump``, and the transposed products that the gather passes replaced: the
+# Kronecker operator and both estimators formed U @ G_m through transposes of
+# these blocks
 
 def bump(nu: MultiIndex, m: int, step: int) -> MultiIndex | None:
     """`nu` with the degree in dimension `m` shifted by `step` (+1/-1); None

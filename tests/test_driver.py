@@ -61,7 +61,7 @@ class TestRunStructure:
             )
 
     def test_energy_monotone(self, short_trace):
-        energies = short_trace.energy_series()
+        energies = np.asarray([r.energy_sq for r in short_trace.records])
         assert np.all(np.diff(energies) >= -1e-12)
 
     def test_dofs_grow(self, short_trace):

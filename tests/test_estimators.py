@@ -279,22 +279,22 @@ class TestParametricIndicators:
 
 
 class TestCopyFreeProducts:
-    """Both estimators with ``Coupling.multiply`` equal them with the
-    transposed coupling products it replaced, to the bit."""
+    """Both estimators equal the node-major estimators on the transposed
+    coupling products that the gather passes replaced, to the bit."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_indicators_equal_transposed_products(self, spec, seed, monkeypatch):
+    def test_indicators_equal_transposed_products(self, spec, seed):
         mesh = nvb_chain(initial_lshape(), 4, seed=20 + seed)[-1]
         P = random_downward_closed(seed, 10 + 8 * seed)
         Q = detail_index_set(P)
         system = TensorSystem(mesh, P, spec)
         coeffs = np.random.default_rng(seed).standard_normal(system.shape)
         u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
-        got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
-        monkeypatch.setattr(Coupling, "multiply", oracles.transposed_coupling_product)
-        want = oracles.node_major_spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        product = oracles.transposed_coupling_product
+        assert np.array_equal(spatial_indicators(u, spec),
+                              oracles.node_major_spatial_indicators(u, spec, product))
+        assert np.array_equal(parametric_indicators(u, Q, spec),
+                              oracles.node_major_parametric_indicators(u, Q, spec, product))
 
 
 class TestIndexMajorResidual:
@@ -334,6 +334,25 @@ class TestIndexMajorResidual:
         assert np.array_equal(spatial_indicators(u, spec),
                               oracles.node_major_spatial_indicators(u, spec))
 
+    @pytest.mark.parametrize("seed, size, detail_size",
+                             [(0, 12, None), (1, 18, 6), (2, 30, 6), (5, 24, None)])
+    def test_parametric_equals_node_major(self, spec, seed, size, detail_size):
+        # the index-major residual has the opposite sign of the node-major
+        # one; the indicators are the same to the bit
+        mesh = nvb_chain(initial_lshape(), 4, seed=60 + seed)[-1]
+        P = random_downward_closed(seed, size)
+        Q = detail_index_set(P)
+        if detail_size is not None:
+            Q = IndexSet(Q.members[:detail_size], require_zero=False)
+        coeffs = np.random.default_rng(seed).standard_normal((mesh.free_nodes.size, len(P)))
+        bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
+        u = dataclasses.replace(bare, system=TensorSystem(mesh, P, spec,
+                                                          coupling=Coupling(P, Q)))
+        want = oracles.node_major_parametric_indicators(u, Q, spec)
+        assert want.shape == (len(Q),) and want.any()
+        assert np.array_equal(parametric_indicators(u, Q, spec), want)
+        assert np.array_equal(parametric_indicators(bare, Q, spec), want)
+
 
 class TestModeSparse:
     """Both estimators multiply a mode that couples at most half of the
@@ -357,8 +376,14 @@ class TestModeSparse:
         coeffs = np.random.default_rng(seed).standard_normal(system.shape)
         u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
         got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        assert np.array_equal(got[0], oracles.node_major_spatial_indicators(u, spec))
+        assert np.array_equal(got[1], oracles.node_major_parametric_indicators(u, Q, spec))
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
-        want = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
+        # a fresh coupling: a coupling keeps the plans it has built
+        wide = dataclasses.replace(u, system=TensorSystem(mesh, P, spec, coupling=Coupling(P, Q)))
+        plan = wide.system.coupling.plan(detail=True)
+        assert all(isinstance(targets, slice) for _, targets, _ in plan)
+        want = spatial_indicators(wide, spec), parametric_indicators(wide, Q, spec)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -370,6 +395,9 @@ class TestModeSparse:
                              system=large_system)
         pool_workers(2)
         got = parametric_indicators(u, Q, spec)
+        # the system's coupling has no detail set, so every call builds a
+        # fresh coupling, with plans that see the patch
+        assert large_system.coupling.detail is None
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
         monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
         assert np.array_equal(got, parametric_indicators(u, Q, spec))

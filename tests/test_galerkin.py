@@ -149,8 +149,9 @@ class TestReuse:
             assert all(same_csr(a, b) for a, b in zip(system.A, fresh.A))
             for m in range(1, fresh.n_modes + 1):
                 G = oracles.assemble_coupling(P, P, m)
-                assert np.array_equal(system.coupling.multiply(U, m), (G @ U.T).T)
-                assert np.array_equal(system.coupling.multiply(U, m), fresh.coupling.multiply(U, m))
+                got = oracles.coupling_product(system.coupling, U, m)
+                assert np.array_equal(got, (G @ U.T).T)
+                assert np.array_equal(got, oracles.coupling_product(fresh.coupling, U, m))
             assert np.array_equal(system.load, fresh.load)
             assert np.array_equal(system.apply(U), fresh.apply(U))
             assert np.array_equal(system.precondition(U), fresh.precondition(U))
@@ -287,9 +288,9 @@ class TestCarry:
 
 
 def dense_coupling(P, m, Q=None):
-    """G_m as a dense matrix, read off ``Coupling.multiply`` applied to the
+    """G_m as a dense matrix, read off the coupling's product with the
     identity: I @ G_m = G_m."""
-    return Coupling(P, Q).multiply(np.eye(len(P)), m, detail=Q is not None)
+    return oracles.coupling_product(Coupling(P, Q), np.eye(len(P)), m, detail=Q is not None)
 
 
 class TestCoupling:
@@ -299,7 +300,7 @@ class TestCoupling:
         G = oracles.assemble_coupling(P, P, 0).toarray()
         assert np.allclose(G, np.eye(3))
         with pytest.raises(ValueError):
-            Coupling(P).multiply(np.eye(3), 0)
+            Coupling(P).coupled_columns(0)
 
     def test_two_member_example(self):
         P = IndexSet([ZERO, unit_index(1)])
@@ -341,7 +342,7 @@ class TestCoupling:
         for m in range(1, Q.max_dimension() + 3):
             for cols, detail in ((P, False), (Q, True)):
                 G = oracles.assemble_coupling(P, cols, m)
-                got = coupling.multiply(U, m, detail)
+                got = oracles.coupling_product(coupling, U, m, detail)
                 assert got.shape == (7, len(cols))
                 assert np.array_equal(got, (G.T @ U.T).T), (m, detail)
                 if G.nnz == 0:
@@ -351,12 +352,13 @@ class TestCoupling:
         V = np.random.default_rng(seed).standard_normal((3, len(Q)))
         for m in range(1, Q.max_dimension() + 2):
             G = oracles.assemble_coupling(Q, Q, m)
-            assert np.array_equal(sparse.multiply(V, m), (G @ V.T).T), m
+            assert np.array_equal(oracles.coupling_product(sparse, V, m), (G @ V.T).T), m
 
 
 class TestCopyFreeCoupling:
-    """``Coupling.multiply`` and the operator built on it against the
-    transposed products they replaced, and the C-order layout contract."""
+    """The coupling's gather passes and the operator built on them against
+    the transposed products they replaced, and the C-order layout
+    contract."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_multiply_equals_transposed_products(self, seed):
@@ -367,13 +369,13 @@ class TestCopyFreeCoupling:
         U = rng.standard_normal((40, len(P)))
         for m in range(1, Q.max_dimension() + 1):
             for detail in (False, True):
-                got = coupling.multiply(U, m, detail)
+                got = oracles.coupling_product(coupling, U, m, detail)
                 want = oracles.transposed_coupling_product(coupling, U, m, detail)
                 assert got.flags.c_contiguous
                 assert got.shape == (40, len(Q) if detail else len(P))
                 assert np.array_equal(got, want), (m, detail)
                 # a kept coupling gives the same product again
-                assert np.array_equal(coupling.multiply(U, m, detail), got)
+                assert np.array_equal(oracles.coupling_product(coupling, U, m, detail), got)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_apply_equals_transposed_apply(self, mesh2, spec, seed):
@@ -400,8 +402,60 @@ class TestCopyFreeCoupling:
         # a dimension the index set does not touch couples nothing
         P = IndexSet([ZERO, unit_index(1)])
         U = np.random.default_rng(0).standard_normal((5, 2))
-        got = Coupling(P).multiply(U, 3)
+        got = oracles.coupling_product(Coupling(P), U, 3)
         assert got.flags.c_contiguous and np.array_equal(got, np.zeros((5, 2)))
+
+
+def pool_ranges(width, workers):
+    """The column ranges of ``apply`` on a pool of `workers` threads."""
+    bounds = [width * k // workers for k in range(workers + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+class TestPlan:
+    """``Coupling.plan`` against the reference product on both blocks, on
+    the whole width and on the pool's column ranges: each entry's passes,
+    gathered node-major or index-major, equal (U G_m) on its targets, a
+    column of the range outside the targets and a mode left out hold only
+    zeros, and the plan is built once per block and range."""
+
+    @pytest.mark.parametrize("seed, size, detail_size",
+                             [(0, 12, None), (1, 18, 6), (2, 30, 6), (5, 24, None)])
+    def test_equals_coupling_product(self, seed, size, detail_size):
+        P = random_downward_closed(seed, size)
+        Q = detail_index_set(P)
+        if detail_size is not None:
+            Q = IndexSet(Q.members[:detail_size], require_zero=False)
+        coupling = Coupling(P, Q)
+        U = np.random.default_rng(seed).standard_normal((5, len(P)))
+        UT = np.ascontiguousarray(U.T)
+        width = max(P.max_dimension(), Q.max_dimension())
+        kinds = set()
+        for detail, cols in ((False, P), (True, Q)):
+            if not detail or detail_size is not None:
+                # some modes are worked on their coupled columns, some full width
+                assert all(coupled_counts(coupling, detail))
+            whole = {m: oracles.coupling_product(coupling, U, m, detail)
+                     for m in range(1, width + 2)}
+            for within in [slice(None)] + pool_ranges(len(cols), 2) + pool_ranges(len(cols), 3):
+                start, stop, _ = within.indices(len(cols))
+                plan = coupling.plan(detail, within)
+                assert coupling.plan(detail, within) is plan
+                modes = [m for m, _, _ in plan]
+                assert modes == sorted(set(modes)) and modes[0] >= 1
+                for m, targets, passes in plan:
+                    block = whole[m][:, start:stop]
+                    rows = np.arange(stop - start)[targets]
+                    kinds.add((detail, isinstance(targets, slice)))
+                    where = (m, detail, within)
+                    assert np.array_equal(galerkin.gather(U, passes, axis=1), block[:, rows]), where
+                    assert np.array_equal(galerkin.gather(UT, passes, axis=0), block[:, rows].T), where
+                    assert not np.delete(block, rows, axis=1).any(), where
+                for m in set(whole) - set(modes):
+                    assert not whole[m][:, start:stop].any(), (m, detail, within)
+        assert {(False, True), (False, False)} <= kinds
+        if detail_size is not None:
+            assert {(True, True), (True, False)} <= kinds
 
 
 class TestModeSparse:
@@ -435,12 +489,12 @@ class TestModeSparse:
         U = rng.standard_normal((9, len(P)))
         for m in range(1, Q.max_dimension() + 2):
             for detail in (False, True):
-                whole = coupling.multiply(U, m, detail)
+                whole = oracles.coupling_product(coupling, U, m, detail)
                 width = whole.shape[1]
                 for cols in (np.arange(0, width, 3), rng.permutation(width)[:4],
                              np.zeros(0, dtype=np.intp),
                              coupling.coupled_columns(m, detail)):
-                    got = coupling.multiply(U, m, detail, columns=cols)
+                    got = oracles.coupling_product(coupling, U, m, detail, columns=cols)
                     assert got.flags.c_contiguous
                     assert np.array_equal(got, whole[:, cols]), (m, detail, cols)
 
@@ -454,7 +508,7 @@ class TestModeSparse:
         got = system.apply(U)
         assert np.array_equal(got, oracles.transposed_apply(system, U))
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
-        # a fresh system: a system keeps the plan of its first apply
+        # a fresh system and coupling: a coupling keeps the plans it has built
         assert np.array_equal(got, TensorSystem(mesh2, P, spec).apply(U))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -470,7 +524,7 @@ class TestModeSparse:
 
 class TestIndexMajor:
     """Below PARALLEL_DOFS, ``apply`` accumulates index-major from a plan
-    resolved once per system; above it the pool computes node-major column
+    resolved once per coupling; above it the pool computes node-major column
     ranges, each from its own plan.  Both equal the transposed products to
     the bit, on index sets with sparse and dense modes."""
 
@@ -512,13 +566,16 @@ class TestIndexMajor:
         # modes 2 and 3 of {0, e_1, e_4} couple no column; they are left out
         P = IndexSet([ZERO, unit_index(1), unit_index(4)])
         system = TensorSystem(mesh2, P, spec)
-        assert [len(system.coupling.passes(m)) for m in (2, 3)] == [0, 0]
+        assert [m for m, _, _ in system.coupling.plan()] == [1, 4]
         U = np.random.default_rng(3).standard_normal(system.shape)
         assert np.array_equal(system.apply(U), oracles.transposed_apply(system, U))
 
     @pytest.mark.parametrize("workers", [None, 1, 3])
     def test_columns_resolved_once_per_system(self, mesh2, large_system, spec,
                                               pool_workers, monkeypatch, workers):
+        """Each mode's columns are resolved once per coupling and column
+        range: repeated applies and a second system on the same coupling
+        resolve none."""
         calls = []
         coupled_columns = Coupling.coupled_columns
 
@@ -539,10 +596,16 @@ class TestIndexMajor:
         U = np.random.default_rng(0).standard_normal(system.shape)
         calls.clear()
         first = system.apply(U)
+        assert np.array_equal(first, oracles.transposed_apply(system, U))
         for _ in range(4):
             assert np.array_equal(system.apply(U), first)
         assert len(calls) == system.n_modes * ranges
         assert len(set(calls)) == len(calls)
+        calls.clear()
+        again = TensorSystem(system.mesh, system.indices, spec, operator=system.operator,
+                             coupling=system.coupling)
+        assert np.array_equal(again.apply(U), first)
+        assert calls == []
 
 
 class TestNormaliser:
@@ -585,9 +648,9 @@ class TestColumnPool:
         U = np.random.default_rng(seed).standard_normal((7, len(P)))
         for m in range(1, Q.max_dimension() + 2):  # the last mode couples nothing
             for detail in (False, True):
-                whole = coupling.multiply(U, m, detail)
+                whole = oracles.coupling_product(coupling, U, m, detail)
                 for c in (slice(0, 5), slice(3, None), slice(2, 2)):
-                    got = coupling.multiply(U, m, detail, columns=c)
+                    got = oracles.coupling_product(coupling, U, m, detail, columns=c)
                     assert got.flags.c_contiguous
                     assert np.array_equal(got, whole[:, c]), (m, detail, c)
 

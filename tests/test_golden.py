@@ -10,10 +10,23 @@ a change of summation order but not a change of method.  Regenerate the
 fixture only for a change that is meant to move the adaptive path:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The fixture also pins sha256 digests of each command line's CSV, ``.config``
+echo and stdout, with the numpy and scipy versions they were made with; they
+are compared only under those versions.  A change that keeps the 1e-12
+checks but moves a digest has moved a last bit; it regenerates the fixture
+as a declared test change.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
 
 import sgfem.cli
 from sgfem.cli import CSV_HEADER, main
@@ -41,10 +54,15 @@ RECORD_INTEGERS = ("refine_type", "dim_x", "card_p", "n_dof", "n_marked",
 RECORD_FLOATS = ("eta", "eta_spatial", "eta_parametric", "energy_sq")
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def trajectory(name: str, outdir: Path) -> dict:
     """Run one command line; its integer columns by name as strings, its
-    float columns as floats (None for an empty ``zeta``), and the PCG
-    iterations of each reference solve it makes."""
+    float columns as floats (None for an empty ``zeta``), the PCG
+    iterations of each reference solve it makes, and the digests of its
+    outputs with the numpy and scipy versions."""
     header = CSV_HEADER.split(",")
     solves = []
     real = sgfem.cli.reference_solution
@@ -55,16 +73,26 @@ def trajectory(name: str, outdir: Path) -> dict:
         return u
 
     out = outdir / f"{name}.csv"
+    stdout = io.StringIO()
     sgfem.cli.reference_solution = counted
     try:
-        main(COMMAND_LINES[name] + ["--output", str(out)])
+        with contextlib.redirect_stdout(stdout):
+            main(COMMAND_LINES[name] + ["--output", str(out)])
     finally:
         sgfem.cli.reference_solution = real
+    digests = {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "csv": sha256(out.read_bytes()),
+        "config": sha256(out.with_name(out.name + ".config").read_bytes()),
+        "stdout": sha256(stdout.getvalue().encode("utf-8")),
+    }
     rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     columns = {c: [row[header.index(c)] for row in rows] for c in INTEGER_COLUMNS}
     floats = {c: [float(row[header.index(c)]) if row[header.index(c)] else None
                   for row in rows] for c in FLOAT_COLUMNS}
-    return {"columns": columns, "floats": floats, "reference_pcg_iters": solves}
+    return {"columns": columns, "floats": floats, "reference_pcg_iters": solves,
+            "digests": digests}
 
 
 def records(trace) -> dict:
@@ -94,16 +122,33 @@ def load_fixture() -> dict:
     return golden
 
 
-def test_golden_trajectories(tmp_path):
+@pytest.fixture(scope="module")
+def trajectories(tmp_path_factory):
+    """The three command lines, each run once for both tests below."""
+    outdir = tmp_path_factory.mktemp("golden")
+    return {name: trajectory(name, outdir) for name in COMMAND_LINES}
+
+
+def test_golden_trajectories(trajectories):
     golden = load_fixture()
     assert golden["reference"]["reference_pcg_iters"] == [18]
     for name in COMMAND_LINES:
-        got = trajectory(name, tmp_path)
+        got = trajectories[name]
         for column in INTEGER_COLUMNS:
             assert got["columns"][column] == golden[name]["columns"][column], (name, column)
         for column in FLOAT_COLUMNS:
             assert_close(got["floats"][column], golden[name]["floats"][column], (name, column))
         assert got["reference_pcg_iters"] == golden[name]["reference_pcg_iters"], name
+
+
+def test_output_digests(trajectories):
+    golden = load_fixture()
+    for name in COMMAND_LINES:
+        got, want = trajectories[name]["digests"], golden[name]["digests"]
+        versions = ("numpy", "scipy")
+        if [got[v] for v in versions] != [want[v] for v in versions]:
+            pytest.skip(f"digests were made with numpy {want['numpy']}, scipy {want['scipy']}")
+        assert got == want, name
 
 
 def test_desk_run_records(desk_runs, runs_07):

@@ -18,7 +18,7 @@ def mi(*pairs):
 
 class TestMultiIndex:
     def test_zero(self):
-        assert ZERO.is_zero
+        assert ZERO.pairs == ()
         assert ZERO.total_degree == 0
         assert ZERO.support == ()
         assert str(ZERO) == "-"
@@ -60,10 +60,6 @@ class TestMultiIndex:
         seq = sorted([unit_index(2), unit_index(1, 2), unit_index(1), ZERO])
         assert seq == [ZERO, unit_index(1), unit_index(2), unit_index(1, 2)]
 
-    def test_parse_roundtrip(self):
-        for nu in (ZERO, unit_index(3), mi((1, 2), (4, 1))):
-            assert MultiIndex.parse(str(nu)) == nu
-
 
 class TestIndexSet:
     def test_default_is_zero_only(self):
@@ -89,10 +85,6 @@ class TestIndexSet:
         P = IndexSet()
         Q = P.union([unit_index(1, 2), unit_index(2), unit_index(1)])
         assert list(Q) == [ZERO, unit_index(1), unit_index(2), unit_index(1, 2)]
-
-    def test_dump_parse_roundtrip(self):
-        P = IndexSet([ZERO, unit_index(1), mi((1, 1), (2, 1))])
-        assert IndexSet.parse(P.dump()) == P
 
     def test_max_dimension(self):
         assert IndexSet([ZERO, mi((3, 2))]).max_dimension() == 3

@@ -91,8 +91,10 @@ class TestProblemSpec:
 
     def test_mode_amplitude_decay(self):
         spec = lshape_benchmark()
+        origin = np.zeros((1, 2))
         for m in (1, 2, 10):
-            assert spec.mode_amplitude(m) == pytest.approx(spec.amplitude * m**-2.0)
+            # both cosine factors are one at the origin
+            assert spec.coefficient(m)(origin)[0] == pytest.approx(spec.amplitude * m**-2.0)
 
     def test_inadmissible_tau_rejected(self):
         with pytest.raises(ValueError):
