@@ -22,7 +22,9 @@ from .estimators import (
     spatial_indicators,
 )
 from .galerkin import (
+    Coupling,
     GalerkinSolution,
+    MeshOperator,
     SolverError,
     TensorSystem,
     assemble_stiffness,

@@ -3,13 +3,15 @@
 Each iteration solves the Galerkin system on the current (mesh, index set)
 pair, computes the two-level spatial and hierarchical parametric indicators,
 marks, and performs exactly one of mesh refinement or parametric enrichment.
-Energy identities and the per-step error-reduction lower bound are checked
-online on every run.
+The loop keeps the pair's ``MeshOperator`` and ``Coupling`` (with the detail
+set) and hands the ``TensorSystem`` made of them to the solve, the
+estimators and the energies; a solution carries no system, so the operator
+or coupling that a step replaces is freed with it.  Energy identities and
+the per-step error-reduction lower bound are checked online on every run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -124,15 +126,14 @@ def run_adaptive(
     max_dof: int = 200_000,
     solver_tol: float = 1e-10,
     mesh: Mesh | None = None,
-    check: bool = True,
 ) -> AdaptiveTrace:
     """Run the adaptive loop until the estimate drops below `tol` or a cap
-    trips.  With ``check`` the energy identities and the per-step reduction
-    lower bound are asserted online (raises AssertionError on violation); a
-    non-finite energy or estimate raises AssertionError in any case; a
-    `tol` that is not finite and positive, a `solver_tol` outside (0, 1), a
-    negative `max_iter` or a `max_dof` below 1 raises ValueError.  With
-    ``max_iter=0`` the loop solves and estimates once."""
+    trips.  The energy identities and the per-step reduction lower bound are
+    asserted online, and so are a finite energy and estimate (each raises
+    AssertionError on violation); a `tol` that is not finite and positive,
+    a `solver_tol` outside (0, 1), a negative `max_iter` or a `max_dof`
+    below 1 raises ValueError.  With ``max_iter=0`` the loop solves and
+    estimates once."""
     params = params or MarkingParams()
     params.validate(criterion)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -157,34 +158,28 @@ def run_adaptive(
     # a step changes the mesh or the index set, never both: keep what the
     # other one determines, and replace the rest
     operator = MeshOperator(mesh, spec)
-    coupling: Coupling | None = None
+    coupling = Coupling(indices, detail_index_set(indices))
 
     while True:
         t0 = time.perf_counter()
         if operator.mesh is not mesh:
             # carries the estimator terms of the triangles the step kept
             operator = MeshOperator(mesh, spec, previous=operator)
-        if coupling is None:
-            detail = detail_index_set(indices)
-            coupling = Coupling(indices, detail)
-        system = TensorSystem(mesh, indices, spec, operator=operator, coupling=coupling)
+        if coupling.indices is not indices:
+            coupling = Coupling(indices, detail_index_set(indices))
+        system = TensorSystem(operator, coupling)
 
         guess = None
         if prev_solution is not None:
-            guess = prolong(prev_solution, mesh, indices, system)
+            guess = prolong(prev_solution, system)
         solution = solve(system, tol=solver_tol, initial=guess)
-        energy = b_energy(solution, solution)
+        energy = solution.energy_sq
         if not math.isfinite(energy):
             raise AssertionError(f"non-finite energy at level {level}: {energy}")
 
-        if prev_solution is not None and guess is not None:
-            diff = GalerkinSolution(
-                mesh=mesh,
-                indices=indices,
-                coeffs=solution.coeffs - guess.coeffs,
-                system=system,
-            )
-            diff_energy = b_energy(diff, diff)
+        if guess is not None:
+            diff = solution.coeffs - guess
+            diff_energy = b_energy(system, diff, diff)
             increment = energy - prev_energy
             pyth_dev = abs(increment - diff_energy) / max(energy, 1e-300)
             lower = lam / K_OVERLAP * pending_marked_sq
@@ -200,24 +195,21 @@ def run_adaptive(
                 )
             )
             # written as not (x <= bound), so that NaN fails them
-            if check:
-                if not (-increment <= 1e-8 * max(energy, 1.0)):
-                    raise AssertionError(
-                        f"energy decreased at level {level}: {increment}"
-                    )
-                if not (pyth_dev <= _CHECK_SLACK):
-                    raise AssertionError(
-                        f"energy orthogonality violated at level {level}: {pyth_dev}"
-                    )
-                if not (lower <= (1.0 + _CHECK_SLACK) * diff_energy):
-                    raise AssertionError(
-                        f"error-reduction lower bound violated at level {level}: "
-                        f"{lower} > {diff_energy}"
-                    )
+            if not (-increment <= 1e-8 * max(energy, 1.0)):
+                raise AssertionError(f"energy decreased at level {level}: {increment}")
+            if not (pyth_dev <= _CHECK_SLACK):
+                raise AssertionError(
+                    f"energy orthogonality violated at level {level}: {pyth_dev}"
+                )
+            if not (lower <= (1.0 + _CHECK_SLACK) * diff_energy):
+                raise AssertionError(
+                    f"error-reduction lower bound violated at level {level}: "
+                    f"{lower} > {diff_energy}"
+                )
 
         indicators = ErrorIndicators(
-            spatial=spatial_indicators(solution, spec),
-            parametric=parametric_indicators(solution, detail, spec),
+            spatial=spatial_indicators(system, solution),
+            parametric=parametric_indicators(system, solution),
         )
         if not math.isfinite(indicators.eta):
             raise AssertionError(f"non-finite estimate at level {level}: {indicators.eta}")
@@ -246,7 +238,7 @@ def run_adaptive(
                 n_marked = len(decision.spatial_marked)
             else:
                 next_indices = indices.union(
-                    detail[i] for i in decision.parametric_marked
+                    coupling.detail[i] for i in decision.parametric_marked
                 )
                 pending_marked_sq = indicators.parametric_subset_sq(
                     decision.parametric_marked
@@ -283,16 +275,12 @@ def run_adaptive(
             trace.stop_reason = stop
             trace.final_mesh = mesh
             trace.final_indices = indices
-            trace.final_detail = detail
-            # without its system, which holds the last mesh's operator
-            trace.final_solution = dataclasses.replace(solution, system=None)
+            trace.final_detail = coupling.detail
+            trace.final_solution = solution
             return trace
 
-        # without its system, so that a replaced operator goes with its mesh
-        prev_solution = dataclasses.replace(solution, system=None)
+        prev_solution = solution
         prev_energy = energy
-        if next_indices is not indices:
-            coupling = None
         mesh = next_mesh
         indices = next_indices
         level += 1
@@ -315,10 +303,9 @@ def reference_solution(
     fine = uniform_refine(trace.final_mesh)
     once = trace.final_indices.union(trace.final_detail)
     indices = once.union(detail_index_set(once))
-    system = TensorSystem(fine, indices, spec)
+    system = TensorSystem(MeshOperator(fine, spec), Coupling(indices))
     del system.operator.pattern  # the solve needs only A_m and the A_0 LU
-    guess = prolong(trace.final_solution, fine, indices, system)
-    return solve(system, tol=solver_tol, initial=guess)
+    return solve(system, tol=solver_tol, initial=prolong(trace.final_solution, system))
 
 
 def effectivity(
@@ -329,7 +316,7 @@ def effectivity(
     Entries are None where the reference gap is within solver noise
     (denominator below 10 * solver_tol * reference energy).
     """
-    ref_energy = b_energy(u_ref, u_ref)
+    ref_energy = u_ref.energy_sq
     out: list[float | None] = []
     for rec in trace.records:
         gap = ref_energy - rec.energy_sq

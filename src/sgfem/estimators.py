@@ -18,13 +18,14 @@ the gradients of u as (#indices, 2, triangles), the residual as (#indices,
 per-index sums over N+ read contiguous rows.  The parametric residual is
 the operator's kernel ``accumulate`` on P x Q, run into zeros.
 
-Both read the per-mesh operator and the coupling of the solution's system
-(``u.system``), where the loop keeps them across levels: the coarse
-gradients, the child terms of a mode and the stiffness matrix of a detail
-direction are built once per mesh (the child terms of a triangle that
-refinement kept are copied from the operator of the mesh one step coarser),
-the coupling passes and plans once per index set.  A solution without a
-system, or estimated under another problem, gets fresh ones.
+Both take the system of the solution's space and read its per-mesh operator
+and coupling, which the loop keeps across levels: the coarse gradients, the
+child terms of a mode and the stiffness matrix of a detail direction are
+built once per mesh (the child terms of a triangle that refinement kept are
+copied from the operator of the mesh one step coarser), the coupling passes
+and plans once per index set, the detail set with them.  A solution of
+another space, or a coupling without a detail set for the parametric
+indicators, raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ from functools import cached_property
 import numpy as np
 
 from .galerkin import (
-    Coupling,
     GalerkinSolution,
-    MeshOperator,
+    TensorSystem,
     accumulate,
     assemble_stiffness,  # noqa: F401 -- perfbench's tracer wraps this name
     gather,
 )
-from .indices import ZERO, IndexSet
-from .problem import ProblemSpec
+from .indices import ZERO
 
 __all__ = [
     "ErrorIndicators",
@@ -58,24 +57,14 @@ __all__ = [
 K_OVERLAP = 3
 
 
-def _operator_and_coupling(
-    u: GalerkinSolution, spec: ProblemSpec, detail: IndexSet | None = None
-) -> tuple[MeshOperator, Coupling]:
-    """The operator and coupling of u's system where they were built for
-    this problem and detail set; fresh ones otherwise."""
-    system = u.system
-    fits = system is not None and system.mesh is u.mesh and system.indices == u.indices
-    operator = system.operator if fits else None
-    if operator is None or operator.spec != spec:
-        operator = MeshOperator(u.mesh, spec)
-    coupling = system.coupling if fits else None
-    if coupling is None or (detail is not None and coupling.detail != detail):
-        coupling = Coupling(u.indices, detail)
-    return operator, coupling
+def _check_space(system: TensorSystem, u: GalerkinSolution) -> None:
+    if u.mesh is not system.mesh or u.indices != system.indices:
+        raise ValueError("solution of another space than the system's; prolong first")
 
 
-def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
-    """Two-level indicators eta(z) for all z in N+ of ``u.mesh``, in N+ order.
+def spatial_indicators(system: TensorSystem, u: GalerkinSolution) -> np.ndarray:
+    """Two-level indicators eta(z) for all z in N+ of the system's mesh, in
+    N+ order, of a solution `u` in the system's space.
 
     eta(z)^2 = sum_nu r(z, nu)^2 / B_0(phi_z, phi_z), where r(z, nu) is the
     residual of u tested against phi_z P_nu and phi_z is the hat of z on the
@@ -84,8 +73,8 @@ def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
     assembly, kept by the mesh operator) for the midpoints of its interior
     edges; the contributions are summed per z.
     """
-    mesh = u.mesh
-    operator, coupling = _operator_and_coupling(u, spec)
+    _check_space(system, u)
+    mesh, operator = system.mesh, system.operator
 
     def tested(terms, g):
         """Contract (nt, 3, 2) hat terms with (k, 2, nt) gradients into
@@ -104,7 +93,7 @@ def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
         res[u.indices.position(ZERO)] = load.T
     res -= tested(terms[0], grad_u)
     rows = grad_u.reshape(grad_u.shape[0], -1)
-    for m, targets, passes in coupling.plan():
+    for m, targets, passes in system.coupling.plan():
         g = gather(rows, passes, axis=0).reshape((-1,) + grad_u.shape[1:])
         res[targets] -= tested(terms[m], g)
 
@@ -124,29 +113,30 @@ def spatial_indicators(u: GalerkinSolution, spec: ProblemSpec) -> np.ndarray:
     return np.sqrt(num / scattered(diagonal.T.ravel()))
 
 
-def parametric_indicators(
-    u: GalerkinSolution,
-    detail: IndexSet,
-    spec: ProblemSpec,
-) -> np.ndarray:
-    """Hierarchical indicators eta(nu) for all nu in `detail`, in set order.
+def parametric_indicators(system: TensorSystem, u: GalerkinSolution) -> np.ndarray:
+    """Hierarchical indicators eta(nu) for all nu in the detail set of the
+    system's coupling, in set order, of a solution `u` in the system's
+    space.
 
     For each detail index, the mean-field Galerkin problem
     A_0 e = r_nu is solved on the current mesh and eta(nu)^2 = e . r_nu.
     """
+    _check_space(system, u)
+    detail = system.coupling.detail
+    if detail is None:
+        raise ValueError("the system's coupling was built without a detail set")
     if len(detail) == 0:
         return np.zeros(0)
-    operator, coupling = _operator_and_coupling(u, spec, detail)
     # the residual r[z, nu] = -B(u, phi_z P_nu), the load vanishing off the
     # zero index, accumulated index-major with the opposite sign: e.r does
     # not depend on it
     RT = np.zeros((len(detail), u.coeffs.shape[0]))
-    accumulate(RT, np.ascontiguousarray(u.coeffs.T), coupling.plan(detail=True),
-               operator.stiffness)
+    accumulate(RT, np.ascontiguousarray(u.coeffs.T), system.coupling.plan(detail=True),
+               system.operator.stiffness)
     R = RT.T
     # E is C-ordered, and so is the product: its column sums add row after
     # row, whatever the size of R
-    E = operator.solve_mean(R)
+    E = system.operator.solve_mean(R)
     return np.sqrt(np.maximum(np.multiply(E, R, order="C").sum(axis=0), 0.0))
 
 

@@ -26,20 +26,23 @@ Every integral over a triangle uses one rule, the 7-point symmetric rule of
 degree 5: the two-level estimator bounds the error of the discrete problem
 only if it integrates as the Galerkin assembly does.
 
-A system reads its matrices from two objects that outlive it.  A
-``MeshOperator`` holds what depends on the mesh alone: geometry, quadrature
-points, the free-node CSR pattern with its scatter map, A_m per mode (built on
-first use), the load, the LU of A_0 and the spatial estimator's per-mode
-terms.  A ``Coupling`` holds the passes of G_m for one index set, against
-itself and against its detail set, and the plans built from them.  An adaptive
-step changes either the mesh or the index set, so the loop keeps one object
-and drops the other: the operator goes with its mesh on refinement, the
-coupling with its index set on enrichment.  Refinement leaves most triangles
-as they were, and the estimator's terms of a triangle depend on it alone, so
-the operator of the refined mesh copies those of the kept triangles from the
-outgoing one and computes only those of the new triangles.  Nothing is cached
-on the mesh or at module level but a thread pool, on which large systems apply
-the operator and solve with A_0 in column blocks, each column computed as on
+A ``TensorSystem`` is the one handle on a (mesh x index set) space, made of
+two objects that outlive it, and the solver, the estimators, the energy
+``b_energy`` and ``prolong`` all take it; a ``GalerkinSolution`` keeps its
+coefficients and energy but no system.  A ``MeshOperator`` holds what
+depends on the mesh alone: geometry, quadrature points, the free-node CSR
+pattern with its scatter map, A_m per mode (built on first use), the load,
+the LU of A_0 and the spatial estimator's per-mode terms.  A ``Coupling``
+holds the passes of G_m for one index set, against itself and against its
+detail set, and the plans built from them.  An adaptive step changes either
+the mesh or the index set, so the loop keeps one object and drops the
+other: the operator goes with its mesh on refinement, the coupling with its
+index set on enrichment.  Refinement leaves most triangles as they were,
+and the estimator's terms of a triangle depend on it alone, so the operator
+of the refined mesh copies those of the kept triangles from the outgoing
+one and computes only those of the new triangles.  Nothing is cached on the
+mesh or at module level but a thread pool, on which large systems apply the
+operator and solve with A_0 in column blocks, each column computed as on
 one thread and written into the one result.
 """
 
@@ -500,36 +503,24 @@ def accumulate(RT: np.ndarray, UT: np.ndarray, plan, stiffness) -> None:
 
 
 class TensorSystem:
-    """Assembled Galerkin system on (free nodes of a mesh) x (index set).
-
-    The stiffness matrices and the load come from a per-mesh ``operator``,
-    the coupling passes from a per-index-set ``coupling``; fresh ones are
-    built when none are given.  A deterministic right-hand side loads only
-    the zero-index column.
+    """Assembled Galerkin system on (free nodes of a mesh) x (index set): the
+    one handle on a space.  Its mesh and spec are the per-mesh
+    ``operator``'s, its index set the per-index-set ``coupling``'s, and it
+    reads the stiffness matrices and the load from the one, the coupling
+    passes from the other.  A deterministic right-hand side loads only the
+    zero-index column.
     """
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        indices: IndexSet,
-        spec: ProblemSpec,
-        operator: MeshOperator | None = None,
-        coupling: Coupling | None = None,
-    ):
-        self.mesh = mesh
-        self.indices = indices
-        self.spec = spec
-        self.n_modes = indices.max_dimension()
-        self.operator = MeshOperator(mesh, spec) if operator is None else operator
-        self.coupling = Coupling(indices) if coupling is None else coupling
-        if (self.operator.mesh is not mesh or self.operator.spec != spec
-                or self.coupling.indices != indices):
-            raise ValueError("operator or coupling built for another space")
-
-        self.A = [self.operator.stiffness(m) for m in range(self.n_modes + 1)]
+    def __init__(self, operator: MeshOperator, coupling: Coupling):
+        self.operator = operator
+        self.coupling = coupling
+        self.mesh = operator.mesh
+        self.spec = operator.spec
+        self.indices = coupling.indices
+        self.A = [operator.stiffness(m) for m in range(self.indices.max_dimension() + 1)]
         self.load = np.zeros(self.shape)
-        if ZERO in indices:
-            self.load[:, indices.position(ZERO)] = self.operator.load
+        if ZERO in self.indices:
+            self.load[:, self.indices.position(ZERO)] = operator.load
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -598,22 +589,19 @@ class TensorSystem:
 
 @dataclass(frozen=True)
 class GalerkinSolution:
-    """Coefficients of a Galerkin solution, bound to mesh and index set."""
+    """Coefficients of a Galerkin solution, bound to mesh and index set, with
+    its squared energy norm |||u|||^2 = B(u, u) where ``solve`` made it."""
 
     mesh: Mesh
     indices: IndexSet
     coeffs: np.ndarray
-    system: TensorSystem | None = None
+    energy_sq: float = math.nan
     residual: float = 0.0
     iterations: int = 0
 
     @property
     def num_dof(self) -> int:
         return self.coeffs.size
-
-    def energy_sq(self) -> float:
-        """Squared energy norm |||u|||^2 = B(u, u)."""
-        return b_energy(self, self)
 
     def vertex_values(self) -> np.ndarray:
         """Coefficients on all vertices (zeros on the boundary)."""
@@ -681,23 +669,22 @@ def solve(
     system: TensorSystem,
     tol: float = 1e-10,
     maxiter: int = 100000,
-    initial: GalerkinSolution | None = None,
+    initial: np.ndarray | None = None,
 ) -> GalerkinSolution:
-    """Solve the Galerkin system by mean-preconditioned CG."""
-    x0 = None
-    if initial is not None:
-        if initial.coeffs.shape != system.shape:
-            raise ValueError("initial guess does not match the system shape")
-        x0 = initial.coeffs
+    """Solve the Galerkin system by mean-preconditioned CG from the
+    coefficients ``initial`` (zero without), and take the energy of the
+    result."""
+    if initial is not None and initial.shape != system.shape:
+        raise ValueError("initial guess does not match the system shape")
     U, res, its = _pcg(
-        system.apply, system.precondition, system.load, x0=x0, tol=tol, maxiter=maxiter,
+        system.apply, system.precondition, system.load, x0=initial, tol=tol, maxiter=maxiter,
         b_norm_sq=system.load_norm_sq(),
     )
     return GalerkinSolution(
         mesh=system.mesh,
         indices=system.indices,
         coeffs=U,
-        system=system,
+        energy_sq=_inner(U, system.apply(U)),
         residual=res,
         iterations=its,
     )
@@ -711,15 +698,12 @@ def _index_embedding(small: IndexSet, large: IndexSet) -> np.ndarray:
     return cols
 
 
-def prolong(
-    u: GalerkinSolution,
-    mesh: Mesh,
-    indices: IndexSet,
-    system: TensorSystem | None = None,
-) -> GalerkinSolution:
-    """Represent `u` in the next larger space: `mesh` is ``u.mesh`` or one
-    refinement step from it, `indices` contains ``u.indices``.  A new vertex
-    takes the mean of its edge's endpoints, a new index coefficient zero."""
+def prolong(u: GalerkinSolution, system: TensorSystem) -> np.ndarray:
+    """The coefficients of `u` in the system's space, whose mesh is
+    ``u.mesh`` or one refinement step from it and whose index set contains
+    ``u.indices``.  A new vertex takes the mean of its edge's endpoints, a
+    new index coefficient zero."""
+    mesh = system.mesh
     spatial = u.coeffs
     if mesh is not u.mesh:
         if bisected_edges(u.mesh, mesh) is None:
@@ -727,21 +711,14 @@ def prolong(
         full = u.vertex_values()
         a, b = mesh.new_vertex_edge.T
         spatial = np.concatenate([full, 0.5 * full[a] + 0.5 * full[b]])[mesh.free_nodes]
-    U = np.zeros((spatial.shape[0], len(indices)))
-    U[:, _index_embedding(u.indices, indices)] = spatial
-    return GalerkinSolution(mesh=mesh, indices=indices, coeffs=U, system=system)
+    U = np.zeros(system.shape)
+    U[:, _index_embedding(u.indices, system.indices)] = spatial
+    return U
 
 
-def _matching_system(u: GalerkinSolution, v: GalerkinSolution) -> TensorSystem:
-    if u.mesh is not v.mesh or u.indices != v.indices:
-        raise ValueError("operands live in different spaces; prolong first")
-    for cand in (u.system, v.system):
-        if cand is not None and cand.mesh is u.mesh and cand.indices == u.indices:
-            return cand
-    raise ValueError("no assembled system attached to either operand")
-
-
-def b_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
-    """Full bilinear form B(u, v) via the Kronecker operator."""
-    system = _matching_system(u, v)
-    return _inner(u.coeffs, system.apply(v.coeffs))
+def b_energy(system: TensorSystem, U: np.ndarray, V: np.ndarray) -> float:
+    """The bilinear form B(u, v) of coefficients U, V of the system's space,
+    via the Kronecker operator."""
+    if U.shape != system.shape or V.shape != system.shape:
+        raise ValueError("coefficients of another space; prolong first")
+    return _inner(U, system.apply(V))

@@ -10,7 +10,10 @@ import re
 import pytest
 
 from sgfem import (
+    Coupling,
     MarkingParams,
+    MeshOperator,
+    TensorSystem,
     effectivity,
     lshape_benchmark,
     reference_solution,
@@ -18,6 +21,12 @@ from sgfem import (
 )
 
 CRITERIA = ("A", "B", "C", "D")
+
+
+def tensor_system(mesh, indices, spec, detail=None):
+    """The system of (mesh, indices) on a fresh operator and a fresh
+    coupling, the coupling with the detail set ``detail``."""
+    return TensorSystem(MeshOperator(mesh, spec), Coupling(indices, detail))
 
 
 @pytest.fixture(scope="session")

@@ -27,16 +27,14 @@ from scipy.special import eval_legendre, roots_jacobi, roots_legendre
 
 import scipy.sparse as sp
 
-from sgfem.estimators import _operator_and_coupling
 from sgfem.galerkin import (
     GalerkinSolution,
     MeshOperator,
+    TensorSystem,
     _inner,
-    _matching_system,
     _QP_DEG5,
     _pcg,
     assemble_stiffness,
-    b_energy,
     element_geometry,
     element_integrals,
     element_load,
@@ -292,12 +290,12 @@ def coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False,
     return out
 
 
-def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec,
+def node_major_spatial_indicators(system: TensorSystem, u: GalerkinSolution,
                                   product=coupling_product) -> np.ndarray:
-    """``spatial_indicators`` as it was computed node-major: the gradients
-    and the residual as (nt, ..., #indices) arrays, the coupling applied by
-    ``product`` (``coupling_product`` or ``transposed_coupling_product``) on
-    columns.
+    """``spatial_indicators`` as it was computed node-major, with the
+    operator and coupling of ``system``: the gradients and the residual as
+    (nt, ..., #indices) arrays, the coupling applied by ``product``
+    (``coupling_product`` or ``transposed_coupling_product``) on columns.
 
     eta(z)^2 = sum_nu r(z, nu)^2 / B_0(phi_z, phi_z), where r(z, nu) is the
     residual of u tested against phi_z P_nu and phi_z is the hat of z on the
@@ -306,8 +304,7 @@ def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec,
     assembly, kept by the mesh operator) for the midpoints of its interior
     edges; the contributions are summed per z.
     """
-    mesh = u.mesh
-    operator, coupling = _operator_and_coupling(u, spec)
+    mesh, operator, coupling = u.mesh, system.operator, system.coupling
 
     def tested(terms, g):
         """Contract (nt, 3, 2) hat terms with (nt, 2, #indices) gradients."""
@@ -343,15 +340,17 @@ def node_major_spatial_indicators(u: GalerkinSolution, spec: ProblemSpec,
     return np.sqrt(num / gather(diagonal.ravel()))
 
 
-def node_major_parametric_indicators(u: GalerkinSolution, detail: IndexSet, spec: ProblemSpec,
+def node_major_parametric_indicators(system: TensorSystem, u: GalerkinSolution,
                                      product=coupling_product) -> np.ndarray:
-    """``parametric_indicators`` as it was computed node-major: the residual
-    r[z, nu] = -B(u, phi_z P_nu) as a (free nodes, #detail) array, each
-    mode's product formed by ``product`` on its coupled columns and
+    """``parametric_indicators`` as it was computed node-major, with the
+    operator and coupling of ``system`` and the coupling's detail set: the
+    residual r[z, nu] = -B(u, phi_z P_nu) as a (free nodes, #detail) array,
+    each mode's product formed by ``product`` on its coupled columns and
     subtracted there."""
+    operator, coupling = system.operator, system.coupling
+    detail = coupling.detail
     if len(detail) == 0:
         return np.zeros(0)
-    operator, coupling = _operator_and_coupling(u, spec, detail)
     n_modes = max(u.indices.max_dimension(), detail.max_dimension())
     R = np.zeros((u.coeffs.shape[0], len(detail)))
     for m in range(1, n_modes + 1):
@@ -612,7 +611,7 @@ def transposed_apply(system, U: np.ndarray) -> np.ndarray:
     """The Kronecker operator sum_m A_m U G_m as ``TensorSystem.apply``
     formed it."""
     R = system.A[0] @ U
-    for m in range(1, system.n_modes + 1):
+    for m in range(1, len(system.A)):
         G = assemble_coupling(system.indices, system.indices, m)
         if G.nnz:
             R += system.A[m] @ (G @ U.T).T  # G is symmetric
@@ -625,10 +624,11 @@ def transposed_apply(system, U: np.ndarray) -> np.ndarray:
 # two-sided estimate, with the uniform refinement `fine` of the mesh, and
 # the contraction series of reference energy errors
 
-def b0_energy(u: GalerkinSolution, v: GalerkinSolution) -> float:
-    """Mean-field bilinear form B_0(u, v)."""
-    system = _matching_system(u, v)
-    return _inner(u.coeffs, system.A[0] @ v.coeffs)
+def b0_energy(system: TensorSystem, U: np.ndarray, V: np.ndarray) -> float:
+    """Mean-field bilinear form B_0(u, v) of coefficients U, V of the
+    system's space."""
+    assert U.shape == V.shape == system.shape
+    return _inner(U, system.A[0] @ V)
 
 
 class EnhancedSystem:
@@ -737,7 +737,7 @@ def solve_enhanced(
 
 def contraction_series(trace, u_ref: GalerkinSolution) -> list[float]:
     """Ratios e_{l+1}/e_l of reference energy errors; logged, not asserted."""
-    ref_energy = b_energy(u_ref, u_ref)
+    ref_energy = u_ref.energy_sq
     errs = [math.sqrt(max(ref_energy - r.energy_sq, 0.0)) for r in trace.records]
     return [b / a for a, b in zip(errs, errs[1:]) if a > 0.0]
 

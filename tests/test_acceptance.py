@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import tensor_system
 from sgfem import (
     IndexSet,
-    TensorSystem,
     contrast_bounds,
     coupling_coefficient,
     detail_index_set,
@@ -123,15 +123,15 @@ def test_criterion_06_two_sided_estimator_bounds(benchmark_spec):
     ratios = []
     for _ in range(5):
         mesh = uniform_refine(mesh)
-        system = TensorSystem(mesh, P, spec)
+        system = tensor_system(mesh, P, spec, Q)
         u = solve(system, tol=1e-12)
         hat = oracles.solve_enhanced(mesh, P, Q, spec, tol=1e-12)
         dim_hat = hat.fine_coeffs.size + hat.detail_coeffs.size
         assert dim_hat <= 20_000
-        err_sq = hat.energy_sq() - u.energy_sq()
+        err_sq = hat.energy_sq() - u.energy_sq
         eta = ErrorIndicators(
-            spatial=spatial_indicators(u, spec),
-            parametric=parametric_indicators(u, Q, spec),
+            spatial=spatial_indicators(system, u),
+            parametric=parametric_indicators(system, u),
         ).eta
         # guaranteed efficiency: (lam/3) eta^2 <= |||u_hat - u|||^2
         assert lam / 3.0 * eta**2 <= (1.0 + 1e-6) * err_sq

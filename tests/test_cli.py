@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -249,7 +250,9 @@ class TestNumericFailure:
         assert not out.exists()
 
     def test_failed_online_check_exit(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sgfem.driver, "b_energy", lambda u, v: math.nan)
+        solve = sgfem.driver.solve
+        monkeypatch.setattr(sgfem.driver, "solve", lambda system, **kwargs: dataclasses.replace(
+            solve(system, **kwargs), energy_sq=math.nan))
         out = tmp_path / "trace.csv"
         assert main(RUN_ARGS + ["--output", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err.splitlines()

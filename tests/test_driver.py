@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import pickle
@@ -13,7 +14,10 @@ import sgfem.mesh
 from sgfem import (
     AdaptiveTrace,
     IterationRecord,
+    Coupling,
     MarkingParams,
+    MeshOperator,
+    TensorSystem,
     b_energy,
     cumulative_cost,
     effectivity,
@@ -292,64 +296,47 @@ class TestCarriedEstimatorTerms:
 
 class TestNonFinite:
     def test_nan_energy_raises(self, monkeypatch):
-        monkeypatch.setattr(sgfem.driver, "b_energy", lambda u, v: math.nan)
+        solve = sgfem.driver.solve
+        monkeypatch.setattr(sgfem.driver, "solve", lambda system, **kwargs: dataclasses.replace(
+            solve(system, **kwargs), energy_sq=math.nan))
         with pytest.raises(AssertionError, match="non-finite energy"):
             run_adaptive(lshape_benchmark(), "A", tol=5e-2)
 
     def test_nan_estimate_raises(self, monkeypatch):
-        def nan_indicators(u, spec):
-            return np.full(u.mesh.interior_edge_ids.size, math.nan)
+        def nan_indicators(system, u):
+            return np.full(system.mesh.interior_edge_ids.size, math.nan)
 
         monkeypatch.setattr(sgfem.driver, "spatial_indicators", nan_indicators)
         with pytest.raises(AssertionError, match="non-finite estimate"):
-            run_adaptive(lshape_benchmark(), "A", tol=5e-2, check=False)
+            run_adaptive(lshape_benchmark(), "A", tol=5e-2)
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_nan_fails_online_check(self, monkeypatch, check):
-        # calls: level 0 energy, level 1 energy, level 1 step difference
-        energy = sgfem.driver.b_energy
-        calls = []
-
-        def nan_difference(u, v):
-            calls.append(u)
-            return math.nan if len(calls) == 3 else energy(u, v)
-
-        monkeypatch.setattr(sgfem.driver, "b_energy", nan_difference)
-        if check:
-            with pytest.raises(AssertionError, match="orthogonality"):
-                run_adaptive(lshape_benchmark(), "A", tol=5e-2)
-        else:
-            trace = run_adaptive(lshape_benchmark(), "A", tol=5e-2, check=False)
-            assert math.isnan(trace.checks[0].diff_energy_sq)
+    def test_nan_fails_online_check(self, monkeypatch):
+        # the first call is the energy of the level 1 step difference
+        monkeypatch.setattr(sgfem.driver, "b_energy", lambda system, U, V: math.nan)
+        with pytest.raises(AssertionError, match="orthogonality"):
+            run_adaptive(lshape_benchmark(), "A", tol=5e-2)
 
 
 class TestReference:
     def test_reference_energy_dominates(self, short_trace, short_ref):
-        ref_energy = b_energy(short_ref, short_ref)
         for rec in short_trace.records:
-            assert ref_energy >= rec.energy_sq - 1e-12
+            assert short_ref.energy_sq >= rec.energy_sq - 1e-12
 
     def test_difference_energy_identity(self, short_trace, short_ref):
-        u = short_trace.final_solution
-        up = prolong(u, short_ref.mesh, short_ref.indices, short_ref.system)
-        from sgfem import GalerkinSolution
-
-        diff = GalerkinSolution(
-            mesh=short_ref.mesh,
-            indices=short_ref.indices,
-            coeffs=short_ref.coeffs - up.coeffs,
-            system=short_ref.system,
-        )
-        gap = b_energy(short_ref, short_ref) - b_energy(up, up)
-        assert b_energy(diff, diff) == pytest.approx(gap, rel=1e-6)
+        system = TensorSystem(MeshOperator(short_ref.mesh, lshape_benchmark()),
+                              Coupling(short_ref.indices))
+        U = short_ref.coeffs
+        assert short_ref.energy_sq == pytest.approx(b_energy(system, U, U), rel=1e-12)
+        up = prolong(short_trace.final_solution, system)
+        gap = short_ref.energy_sq - b_energy(system, up, up)
+        assert b_energy(system, U - up, U - up) == pytest.approx(gap, rel=1e-6)
 
     def test_effectivity_series(self, short_trace, short_ref):
         zetas = effectivity(short_trace, short_ref)
         assert len(zetas) == short_trace.num_levels
-        ref_energy = b_energy(short_ref, short_ref)
         for rec, z in zip(short_trace.records, zetas):
             if z is not None:
-                gap = ref_energy - rec.energy_sq
+                gap = short_ref.energy_sq - rec.energy_sq
                 assert z == pytest.approx(rec.eta / math.sqrt(gap), rel=1e-12)
                 assert z > 0
 
@@ -363,30 +350,46 @@ class TestReference:
         assert len(ratios) == short_trace.num_levels - 1
         assert all(0.0 < r < 1.0 + 1e-9 for r in ratios)
 
-    def test_final_solution_keeps_no_system(self, short_trace):
-        # the last mesh's operator must not outlive the run: the reference
-        # solve only prolongs the coefficients
-        assert short_trace.final_solution.system is None
-        assert short_trace.final_solution.coeffs.shape == (
-            short_trace.final_mesh.free_nodes.size, len(short_trace.final_indices)
+    def test_run_frees_its_operators_and_couplings(self, monkeypatch):
+        # no operator or coupling of the run outlives it, the last mesh's
+        # operator included: the reference solve only prolongs coefficients
+        built = []
+        for name in ("MeshOperator", "Coupling"):
+            def recorded(*args, cls=getattr(sgfem.driver, name), **kwargs):
+                obj = cls(*args, **kwargs)
+                built.append((cls.__name__, weakref.ref(obj)))
+                return obj
+
+            monkeypatch.setattr(sgfem.driver, name, recorded)
+        trace = run_adaptive(lshape_benchmark(), "A", MarkingParams(0.5, 0.5, 1.0), tol=5e-2)
+        gc.collect()
+        steps = {r.refine_type for r in trace.records}
+        assert {"spatial", "parametric"} <= steps
+        names = [name for name, _ in built]
+        assert names.count("MeshOperator") > 1 and names.count("Coupling") > 1
+        assert [name for name, ref in built if ref() is not None] == []
+        assert trace.final_solution.coeffs.shape == (
+            trace.final_mesh.free_nodes.size, len(trace.final_indices)
         )
 
     def test_reference_solve_holds_no_pattern(self, short_trace, monkeypatch):
         # the stiffness pattern of the reference mesh is dropped once its
         # system is assembled: the solve needs only A_m and the A_0 LU
-        seen = []
+        seen, systems = [], []
         real = sgfem.driver.solve
 
         def watched(system, **kwargs):
+            systems.append(system)
             seen.append("pattern" in vars(system.operator))
             u = real(system, **kwargs)
             seen.append("pattern" in vars(system.operator))
             return u
 
         monkeypatch.setattr(sgfem.driver, "solve", watched)
-        u = reference_solution(short_trace, lshape_benchmark())
+        reference_solution(short_trace, lshape_benchmark())
         assert seen == [False, False]
-        assert u.system.A[0] is u.system.operator.stiffness(0)
+        [system] = systems
+        assert system.A[0] is system.operator.stiffness(0)
 
     def test_incomplete_trace_rejected(self):
         empty = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=1e-2,

@@ -32,6 +32,7 @@ from sgfem import galerkin
 from sgfem.galerkin import Coupling, MeshOperator
 
 import oracles
+from conftest import tensor_system
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,8 @@ def mesh1():
 def solved(mesh1, spec):
     P = IndexSet([ZERO, unit_index(1)])
     Q = detail_index_set(P)
-    u = solve(TensorSystem(mesh1, P, spec), tol=1e-12)
-    return u, P, Q
+    system = tensor_system(mesh1, P, spec, Q)
+    return system, solve(system, tol=1e-12), P, Q
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def large_system(spec):
     mesh = initial_lshape()
     for _ in range(5):
         mesh = uniform_refine(mesh)
-    system = TensorSystem(mesh, random_downward_closed(5, 24), spec)
+    system = tensor_system(mesh, random_downward_closed(5, 24), spec)
     assert system.num_dof >= galerkin.PARALLEL_DOFS
     return system
 
@@ -93,8 +94,8 @@ def coupled_counts(coupling, detail=False):
 
 class TestSpatialIndicators:
     def test_matches_dense_residual_oracle(self, solved, spec):
-        u, P, _ = solved
-        got = spatial_indicators(u, spec)
+        system, u, P, _ = solved
+        got = spatial_indicators(system, u)
 
         fine = uniform_refine(u.mesh)
         n_modes = P.max_dimension()
@@ -199,7 +200,7 @@ class TestElementLocalEstimator:
                 indices=RICH_INDICES,
                 coeffs=rng.standard_normal((mesh.free_nodes.size, len(RICH_INDICES))),
             )
-            got = spatial_indicators(u, spec)
+            got = spatial_indicators(tensor_system(mesh, RICH_INDICES, spec), u)
             want = oracles.fine_mesh_spatial_indicators(u, spec)
             assert got.shape == (mesh.interior_edge_ids.size,)
             if want.size:
@@ -210,8 +211,9 @@ class TestElementLocalEstimator:
         # least favourable case for agreement to rounding
         P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(3)])
         for mesh in nvb_chain(initial_lshape(), 6, seed=11)[2:]:
-            u = solve(TensorSystem(mesh, P, spec), tol=1e-12)
-            got = spatial_indicators(u, spec)
+            system = tensor_system(mesh, P, spec)
+            u = solve(system, tol=1e-12)
+            got = spatial_indicators(system, u)
             want = oracles.fine_mesh_spatial_indicators(u, spec)
             assert np.abs(got - want).max() <= 1e-12 * want.max()
 
@@ -230,24 +232,24 @@ class TestElementLocalEstimator:
                 (mesh.free_nodes.size, len(RICH_INDICES))
             ),
         )
-        got = spatial_indicators(u, spec)
+        got = spatial_indicators(tensor_system(mesh, RICH_INDICES, spec), u)
         want = oracles.fine_mesh_spatial_indicators(u, spec)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
-    def test_builds_no_fine_mesh(self, solved, spec, monkeypatch):
-        u, _, _ = solved
+    def test_builds_no_fine_mesh(self, solved, monkeypatch):
+        system, u, _, _ = solved
 
         def forbidden(*args):
             raise AssertionError("the spatial estimator bisected a mesh")
 
         monkeypatch.setattr(sgfem.mesh, "_bisect", forbidden)
-        assert spatial_indicators(u, spec).size == u.mesh.interior_edge_ids.size
+        assert spatial_indicators(system, u).size == u.mesh.interior_edge_ids.size
 
 
 class TestParametricIndicators:
     def test_matches_dense_oracle(self, solved, spec):
-        u, P, Q = solved
-        got = parametric_indicators(u, Q, spec)
+        system, u, P, Q = solved
+        got = parametric_indicators(system, u)
         A = [
             oracles.dense_stiffness(u.mesh, spec.coefficient(m), quad_n=6)
             for m in range(3)
@@ -268,14 +270,15 @@ class TestParametricIndicators:
         spec0 = lshape_benchmark(tau=0.0)
         P = IndexSet()
         Q = detail_index_set(P)
-        u = solve(TensorSystem(mesh1, P, spec0), tol=1e-12)
-        eta = parametric_indicators(u, Q, spec0)
+        system = tensor_system(mesh1, P, spec0, Q)
+        eta = parametric_indicators(system, solve(system, tol=1e-12))
         assert np.allclose(eta, 0.0, atol=1e-14)
 
-    def test_empty_detail_set(self, solved, spec):
-        u, _, _ = solved
+    def test_empty_detail_set(self, solved):
+        system, u, P, _ = solved
         empty = IndexSet([], require_zero=False)
-        assert parametric_indicators(u, empty, spec).size == 0
+        system = TensorSystem(system.operator, Coupling(P, empty))
+        assert parametric_indicators(system, u).size == 0
 
 
 class TestCopyFreeProducts:
@@ -287,14 +290,14 @@ class TestCopyFreeProducts:
         mesh = nvb_chain(initial_lshape(), 4, seed=20 + seed)[-1]
         P = random_downward_closed(seed, 10 + 8 * seed)
         Q = detail_index_set(P)
-        system = TensorSystem(mesh, P, spec)
+        system = tensor_system(mesh, P, spec, Q)
         coeffs = np.random.default_rng(seed).standard_normal(system.shape)
-        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
         product = oracles.transposed_coupling_product
-        assert np.array_equal(spatial_indicators(u, spec),
-                              oracles.node_major_spatial_indicators(u, spec, product))
-        assert np.array_equal(parametric_indicators(u, Q, spec),
-                              oracles.node_major_parametric_indicators(u, Q, spec, product))
+        assert np.array_equal(spatial_indicators(system, u),
+                              oracles.node_major_spatial_indicators(system, u, product))
+        assert np.array_equal(parametric_indicators(system, u),
+                              oracles.node_major_parametric_indicators(system, u, product))
 
 
 class TestIndexMajorResidual:
@@ -310,29 +313,31 @@ class TestIndexMajorResidual:
         P = random_downward_closed(seed, 6 + 7 * seed)
         for mesh in nvb_chain(initial_lshape(), 5, seed=40 + seed)[1::2]:
             coeffs = rng.standard_normal((mesh.free_nodes.size, len(P)))
-            bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
-            u = dataclasses.replace(bare, system=TensorSystem(mesh, P, spec))
-            want = oracles.node_major_spatial_indicators(u, spec)
+            u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
+            system = tensor_system(mesh, P, spec)
+            want = oracles.node_major_spatial_indicators(system, u)
             assert want.shape == (mesh.interior_edge_ids.size,)
-            assert np.array_equal(spatial_indicators(u, spec), want)
-            assert np.array_equal(spatial_indicators(bare, spec), want)
+            assert np.array_equal(spatial_indicators(system, u), want)
+            # on another operator and coupling of the same space
+            assert np.array_equal(spatial_indicators(tensor_system(mesh, P, spec), u), want)
 
     @pytest.mark.parametrize("seed, size", [(0, 12), (1, 18), (2, 30), (5, 24)])
     def test_sparse_and_dense_modes(self, spec, seed, size):
         mesh = nvb_chain(initial_lshape(), 4, seed=50 + seed)[-1]
         P = random_downward_closed(seed, size)
-        system = TensorSystem(mesh, P, spec)
+        system = tensor_system(mesh, P, spec)
         assert all(coupled_counts(system.coupling))
         coeffs = np.random.default_rng(seed).standard_normal(system.shape)
-        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
-        assert np.array_equal(spatial_indicators(u, spec),
-                              oracles.node_major_spatial_indicators(u, spec))
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
+        assert np.array_equal(spatial_indicators(system, u),
+                              oracles.node_major_spatial_indicators(system, u))
 
     def test_at_galerkin_solution(self, spec):
         mesh = nvb_chain(initial_lshape(), 5, seed=13)[-1]
-        u = solve(TensorSystem(mesh, random_downward_closed(4, 9), spec), tol=1e-12)
-        assert np.array_equal(spatial_indicators(u, spec),
-                              oracles.node_major_spatial_indicators(u, spec))
+        system = tensor_system(mesh, random_downward_closed(4, 9), spec)
+        u = solve(system, tol=1e-12)
+        assert np.array_equal(spatial_indicators(system, u),
+                              oracles.node_major_spatial_indicators(system, u))
 
     @pytest.mark.parametrize("seed, size, detail_size",
                              [(0, 12, None), (1, 18, 6), (2, 30, 6), (5, 24, None)])
@@ -345,13 +350,13 @@ class TestIndexMajorResidual:
         if detail_size is not None:
             Q = IndexSet(Q.members[:detail_size], require_zero=False)
         coeffs = np.random.default_rng(seed).standard_normal((mesh.free_nodes.size, len(P)))
-        bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
-        u = dataclasses.replace(bare, system=TensorSystem(mesh, P, spec,
-                                                          coupling=Coupling(P, Q)))
-        want = oracles.node_major_parametric_indicators(u, Q, spec)
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
+        system = tensor_system(mesh, P, spec, Q)
+        want = oracles.node_major_parametric_indicators(system, u)
         assert want.shape == (len(Q),) and want.any()
-        assert np.array_equal(parametric_indicators(u, Q, spec), want)
-        assert np.array_equal(parametric_indicators(bare, Q, spec), want)
+        assert np.array_equal(parametric_indicators(system, u), want)
+        # on another operator and coupling of the same space
+        assert np.array_equal(parametric_indicators(tensor_system(mesh, P, spec, Q), u), want)
 
 
 class TestModeSparse:
@@ -372,18 +377,18 @@ class TestModeSparse:
         assert all(coupled_counts(coupling))
         if detail_size is not None:
             assert all(coupled_counts(coupling, detail=True))
-        system = TensorSystem(mesh, P, spec, coupling=coupling)
+        system = TensorSystem(MeshOperator(mesh, spec), coupling)
         coeffs = np.random.default_rng(seed).standard_normal(system.shape)
-        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs, system=system)
-        got = spatial_indicators(u, spec), parametric_indicators(u, Q, spec)
-        assert np.array_equal(got[0], oracles.node_major_spatial_indicators(u, spec))
-        assert np.array_equal(got[1], oracles.node_major_parametric_indicators(u, Q, spec))
+        u = GalerkinSolution(mesh=mesh, indices=P, coeffs=coeffs)
+        got = spatial_indicators(system, u), parametric_indicators(system, u)
+        assert np.array_equal(got[0], oracles.node_major_spatial_indicators(system, u))
+        assert np.array_equal(got[1], oracles.node_major_parametric_indicators(system, u))
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
         # a fresh coupling: a coupling keeps the plans it has built
-        wide = dataclasses.replace(u, system=TensorSystem(mesh, P, spec, coupling=Coupling(P, Q)))
-        plan = wide.system.coupling.plan(detail=True)
+        wide = TensorSystem(system.operator, Coupling(P, Q))
+        plan = wide.coupling.plan(detail=True)
         assert all(isinstance(targets, slice) for _, targets, _ in plan)
-        want = spatial_indicators(wide, spec), parametric_indicators(wide, Q, spec)
+        want = spatial_indicators(wide, u), parametric_indicators(wide, u)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -391,16 +396,15 @@ class TestModeSparse:
         P = large_system.indices
         Q = detail_index_set(P)
         coeffs = np.random.default_rng(7).standard_normal(large_system.shape)
-        u = GalerkinSolution(mesh=large_system.mesh, indices=P, coeffs=coeffs,
-                             system=large_system)
+        u = GalerkinSolution(mesh=large_system.mesh, indices=P, coeffs=coeffs)
         pool_workers(2)
-        got = parametric_indicators(u, Q, spec)
-        # the system's coupling has no detail set, so every call builds a
-        # fresh coupling, with plans that see the patch
-        assert large_system.coupling.detail is None
+        got = parametric_indicators(TensorSystem(large_system.operator, Coupling(P, Q)), u)
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
         monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
-        assert np.array_equal(got, parametric_indicators(u, Q, spec))
+        # a fresh coupling, with plans that see the patch
+        wide = TensorSystem(large_system.operator, Coupling(P, Q))
+        assert all(isinstance(targets, slice) for _, targets, _ in wide.coupling.plan(detail=True))
+        assert np.array_equal(got, parametric_indicators(wide, u))
 
 
 class TestColumnPool:
@@ -409,18 +413,18 @@ class TestColumnPool:
     the bit, whatever the number of workers."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equals_serial_path(self, large_system, spec, pool_workers, monkeypatch, workers):
+    def test_equals_serial_path(self, large_system, pool_workers, monkeypatch, workers):
         P = large_system.indices
         Q = detail_index_set(P)
         assert large_system.shape[0] * len(Q) >= galerkin.PARALLEL_DOFS
-        coeffs = np.random.default_rng(workers).standard_normal(large_system.shape)
-        u = GalerkinSolution(mesh=large_system.mesh, indices=P, coeffs=coeffs,
-                             system=large_system)
+        system = TensorSystem(large_system.operator, Coupling(P, Q))
+        coeffs = np.random.default_rng(workers).standard_normal(system.shape)
+        u = GalerkinSolution(mesh=system.mesh, indices=P, coeffs=coeffs)
         pool_workers(workers)
-        got = parametric_indicators(u, Q, spec)
+        got = parametric_indicators(system, u)
         assert galerkin._pool is not None
         monkeypatch.setattr(galerkin, "PARALLEL_DOFS", math.inf)
-        assert np.array_equal(got, parametric_indicators(u, Q, spec))
+        assert np.array_equal(got, parametric_indicators(system, u))
 
 
 class TestReuse:
@@ -429,21 +433,20 @@ class TestReuse:
         P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(1, 2)])
         Q = detail_index_set(P)
         operator, coupling = MeshOperator(mesh, spec), Coupling(P, Q)
-        system = TensorSystem(mesh, P, spec, operator=operator, coupling=coupling)
+        system = TensorSystem(operator, coupling)
         u = solve(system, tol=1e-12)
-        # no system attached: the estimators build a fresh operator and coupling
-        bare = GalerkinSolution(mesh=mesh, indices=P, coeffs=u.coeffs)
+        fresh = tensor_system(mesh, P, spec, Q)
         for _ in range(2):  # the second pass reads what the first one kept
-            assert np.array_equal(spatial_indicators(u, spec), spatial_indicators(bare, spec))
+            assert np.array_equal(spatial_indicators(system, u), spatial_indicators(fresh, u))
             assert np.array_equal(
-                parametric_indicators(u, Q, spec), parametric_indicators(bare, Q, spec)
+                parametric_indicators(system, u), parametric_indicators(fresh, u)
             )
-        # a detail set other than the coupling's: fresh blocks for it (the
-        # block solve may round differently with fewer right-hand sides)
+        # the kept operator with a coupling on another detail set (the block
+        # solve may round differently with fewer right-hand sides)
         sub = IndexSet(Q.members[::2], require_zero=False)
         assert np.allclose(
-            parametric_indicators(u, sub, spec),
-            parametric_indicators(bare, Q, spec)[::2],
+            parametric_indicators(TensorSystem(operator, Coupling(P, sub)), u),
+            parametric_indicators(fresh, u)[::2],
             rtol=1e-12,
             atol=0.0,
         )
@@ -452,8 +455,9 @@ class TestReuse:
         mesh = nvb_chain(initial_lshape(), 4, seed=3)[-1]
         P = IndexSet([ZERO, unit_index(1), unit_index(2)])
         operator = MeshOperator(mesh, spec)
-        u = solve(TensorSystem(mesh, P, spec, operator=operator), tol=1e-12)
-        first = spatial_indicators(u, spec)
+        system = TensorSystem(operator, Coupling(P))
+        u = solve(system, tol=1e-12)
+        first = spatial_indicators(system, u)
 
         def forbidden(p):
             raise AssertionError("per-mesh geometry computed again")
@@ -465,10 +469,9 @@ class TestReuse:
                 monkeypatch.setattr(module, "element_geometry", forbidden)
                 patched.append(info.name)
         assert "galerkin" in patched
-        again = TensorSystem(mesh, P, spec, operator=operator)
-        assert np.array_equal(again.load, u.system.load)
-        v = GalerkinSolution(mesh=mesh, indices=P, coeffs=u.coeffs, system=again)
-        assert np.array_equal(spatial_indicators(v, spec), first)
+        again = TensorSystem(operator, Coupling(P))
+        assert np.array_equal(again.load, system.load)
+        assert np.array_equal(spatial_indicators(again, u), first)
 
 
 class TestErrorIndicators:

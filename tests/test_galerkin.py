@@ -17,10 +17,12 @@ from sgfem import (
     b_energy,
     initial_lshape,
     lshape_benchmark,
+    parametric_indicators,
     prolong,
     realized,
     refine,
     solve,
+    spatial_indicators,
     uniform_refine,
     unit_index,
     unit_square,
@@ -33,6 +35,7 @@ from sgfem.indices import detail_index_set
 from sgfem.mesh import Mesh, kept_triangles
 
 import oracles
+from conftest import tensor_system
 from test_estimators import (  # noqa: F401 -- fixtures
     coupled_counts,
     full_width,
@@ -141,13 +144,13 @@ class TestReuse:
         # filled out of order, as parametric steps and estimators do
         operator.stiffness(3)
         operator.a0_solver
-        first = TensorSystem(mesh2, P, spec, operator=operator, coupling=coupling)
-        again = TensorSystem(mesh2, P, spec, operator=operator, coupling=coupling)
-        fresh = TensorSystem(mesh2, P, spec)
+        first = TensorSystem(operator, coupling)
+        again = TensorSystem(operator, coupling)
+        fresh = tensor_system(mesh2, P, spec)
         U = np.random.default_rng(0).standard_normal(fresh.shape)
         for system in (first, again):
             assert all(same_csr(a, b) for a, b in zip(system.A, fresh.A))
-            for m in range(1, fresh.n_modes + 1):
+            for m in range(1, P.max_dimension() + 1):
                 G = oracles.assemble_coupling(P, P, m)
                 got = oracles.coupling_product(system.coupling, U, m)
                 assert np.array_equal(got, (G @ U.T).T)
@@ -158,12 +161,13 @@ class TestReuse:
         assert all(a is b for a, b in zip(first.A, again.A))
         assert first.coupling is again.coupling is coupling
 
-    def test_foreign_operator_or_coupling_rejected(self, mesh1, mesh2, spec):
+    def test_space_read_from_parts(self, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        with pytest.raises(ValueError):
-            TensorSystem(mesh1, P, spec, operator=MeshOperator(mesh2, spec))
-        with pytest.raises(ValueError):
-            TensorSystem(mesh1, P, spec, coupling=Coupling(IndexSet()))
+        operator, coupling = MeshOperator(mesh2, spec), Coupling(P)
+        system = TensorSystem(operator, coupling)
+        assert system.mesh is mesh2 and system.spec is spec and system.indices is P
+        assert system.shape == (mesh2.free_nodes.size, len(P))
+        assert len(system.A) == P.max_dimension() + 1
 
 
 def same_child_terms(a, b) -> bool:
@@ -380,14 +384,14 @@ class TestCopyFreeCoupling:
     @pytest.mark.parametrize("seed", range(4))
     def test_apply_equals_transposed_apply(self, mesh2, spec, seed):
         P = random_downward_closed(10 + seed, 6 + 6 * seed)
-        system = TensorSystem(mesh2, P, spec)
+        system = tensor_system(mesh2, P, spec)
         rng = np.random.default_rng(seed)
         for U in (rng.standard_normal(system.shape),
                   np.asfortranarray(rng.standard_normal(system.shape))):
             assert np.array_equal(system.apply(U), oracles.transposed_apply(system, U))
 
     def test_layout_contract(self, mesh2, spec):
-        system = TensorSystem(mesh2, random_downward_closed(3, 12), spec)
+        system = tensor_system(mesh2, random_downward_closed(3, 12), spec)
         rng = np.random.default_rng(1)
         for U in (rng.standard_normal(system.shape),
                   np.asfortranarray(rng.standard_normal(system.shape))):
@@ -501,7 +505,7 @@ class TestModeSparse:
     @pytest.mark.parametrize("seed, size", [(0, 12), (1, 18), (2, 30), (5, 24)])
     def test_apply_equals_full_width(self, mesh2, spec, seed, size, monkeypatch):
         P = random_downward_closed(seed, size)
-        system = TensorSystem(mesh2, P, spec)
+        system = tensor_system(mesh2, P, spec)
         # some modes couple at most half of the columns, some more
         assert all(coupled_counts(system.coupling))
         U = np.random.default_rng(seed).standard_normal(system.shape)
@@ -509,7 +513,7 @@ class TestModeSparse:
         assert np.array_equal(got, oracles.transposed_apply(system, U))
         monkeypatch.setattr(Coupling, "coupled_columns", full_width)
         # a fresh system and coupling: a coupling keeps the plans it has built
-        assert np.array_equal(got, TensorSystem(mesh2, P, spec).apply(U))
+        assert np.array_equal(got, tensor_system(mesh2, P, spec).apply(U))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pool_equals_full_width(self, large_system, pool_workers, workers):
@@ -530,7 +534,7 @@ class TestIndexMajor:
 
     @staticmethod
     def system(mesh, spec, seed, size):
-        system = TensorSystem(mesh, random_downward_closed(seed, size), spec)
+        system = tensor_system(mesh, random_downward_closed(seed, size), spec)
         # some modes couple at most half of the columns, some more
         assert all(coupled_counts(system.coupling))
         return system
@@ -565,7 +569,7 @@ class TestIndexMajor:
     def test_modes_that_couple_nothing(self, mesh2, spec):
         # modes 2 and 3 of {0, e_1, e_4} couple no column; they are left out
         P = IndexSet([ZERO, unit_index(1), unit_index(4)])
-        system = TensorSystem(mesh2, P, spec)
+        system = tensor_system(mesh2, P, spec)
         assert [m for m, _, _ in system.coupling.plan()] == [1, 4]
         U = np.random.default_rng(3).standard_normal(system.shape)
         assert np.array_equal(system.apply(U), oracles.transposed_apply(system, U))
@@ -589,8 +593,7 @@ class TestIndexMajor:
             ranges = 1
         else:
             # a fresh system of the large one's space, above the gate
-            system = TensorSystem(large_system.mesh, large_system.indices, spec,
-                                  operator=large_system.operator)
+            system = TensorSystem(large_system.operator, Coupling(large_system.indices))
             pool_workers(workers)
             ranges = workers
         U = np.random.default_rng(0).standard_normal(system.shape)
@@ -599,11 +602,10 @@ class TestIndexMajor:
         assert np.array_equal(first, oracles.transposed_apply(system, U))
         for _ in range(4):
             assert np.array_equal(system.apply(U), first)
-        assert len(calls) == system.n_modes * ranges
+        assert len(calls) == system.indices.max_dimension() * ranges
         assert len(set(calls)) == len(calls)
         calls.clear()
-        again = TensorSystem(system.mesh, system.indices, spec, operator=system.operator,
-                             coupling=system.coupling)
+        again = TensorSystem(system.operator, system.coupling)
         assert np.array_equal(again.apply(U), first)
         assert calls == []
 
@@ -623,7 +625,7 @@ class TestNormaliser:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 9, 17])
     def test_equals_preconditioned_load(self, mesh2, spec, size):
-        self.check(TensorSystem(mesh2, random_downward_closed(size, size), spec))
+        self.check(tensor_system(mesh2, random_downward_closed(size, size), spec))
 
     def test_equals_preconditioned_load_on_pool(self, large_system, pool_workers):
         pool_workers(2)
@@ -769,7 +771,7 @@ class TestLoad:
 
     def test_load_zero_off_mean_index(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        system = TensorSystem(mesh1, P, dataclasses.replace(spec, rhs=wavy_rhs))
+        system = tensor_system(mesh1, P, dataclasses.replace(spec, rhs=wavy_rhs))
         assert np.array_equal(system.load, oracles.assemble_load(mesh1, wavy_rhs, P))
         assert np.all(system.load[:, 1] == 0.0)
 
@@ -780,7 +782,7 @@ class TestSolve:
         import scipy.sparse as sp
 
         spec0 = lshape_benchmark(tau=0.0)
-        system = TensorSystem(mesh2, IndexSet(), spec0)
+        system = tensor_system(mesh2, IndexSet(), spec0)
         u = solve(system, tol=1e-12)
         A = sp.csr_matrix(oracles.dense_stiffness(mesh2, ones))
         want = spsolve(A, oracles.dense_load_one(mesh2))
@@ -788,7 +790,7 @@ class TestSolve:
 
     def test_matches_dense_kronecker_oracle(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1), unit_index(2), unit_index(1, 2)])
-        system = TensorSystem(mesh1, P, spec)
+        system = tensor_system(mesh1, P, spec)
         u = solve(system, tol=1e-12)
         want = oracles.dense_tensor_solve(mesh1, P, spec, n_modes=2)
         # element quadrature of the cosines differs slightly from the oracle
@@ -797,35 +799,36 @@ class TestSolve:
 
     def test_galerkin_energy_identity(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        system = TensorSystem(mesh1, P, spec)
+        system = tensor_system(mesh1, P, spec)
         u = solve(system)
         # B(u, u) = F(u) at the Galerkin solution
-        assert b_energy(u, u) == pytest.approx(
+        assert u.energy_sq == b_energy(system, u.coeffs, u.coeffs)
+        assert u.energy_sq == pytest.approx(
             float(np.vdot(system.load, u.coeffs)), rel=1e-10
         )
 
     def test_nested_energies_grow(self, mesh1, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        u1 = solve(TensorSystem(mesh1, P, spec))
-        u2 = solve(TensorSystem(mesh2, P, spec))
+        u1 = solve(tensor_system(mesh1, P, spec))
+        u2 = solve(tensor_system(mesh2, P, spec))
         P_big = P.union([unit_index(2)])
-        u3 = solve(TensorSystem(mesh1, P_big, spec))
-        assert u2.energy_sq() > u1.energy_sq()
-        assert u3.energy_sq() > u1.energy_sq()
+        u3 = solve(tensor_system(mesh1, P_big, spec))
+        assert u2.energy_sq > u1.energy_sq
+        assert u3.energy_sq > u1.energy_sq
 
     def test_solver_cap_raises(self, mesh2, spec):
-        system = TensorSystem(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
+        system = tensor_system(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
         with pytest.raises(SolverError):
             solve(system, tol=1e-14, maxiter=2)
 
     def test_nan_operator_raises(self, mesh2, spec):
-        system = TensorSystem(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
+        system = tensor_system(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
         system.A[1].data[:] = np.nan
         with pytest.raises(SolverError, match="breakdown"):
             solve(system)
 
     def test_nan_preconditioner_raises(self, mesh2, spec):
-        system = TensorSystem(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
+        system = tensor_system(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
         system.precondition = lambda R: np.full_like(R, np.nan)
         with pytest.raises(SolverError, match="breakdown"):
             solve(system)
@@ -837,10 +840,10 @@ class TestSolve:
 
     def test_warm_start_reduces_iterations(self, mesh1, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        u1 = solve(TensorSystem(mesh1, P, spec))
-        system2 = TensorSystem(mesh2, P, spec)
+        u1 = solve(tensor_system(mesh1, P, spec))
+        system2 = tensor_system(mesh2, P, spec)
         cold = solve(system2)
-        warm = solve(system2, initial=prolong(u1, mesh2, P, system2))
+        warm = solve(system2, initial=prolong(u1, system2))
         assert warm.iterations <= cold.iterations
         assert np.allclose(warm.coeffs, cold.coeffs, atol=1e-8)
 
@@ -859,7 +862,7 @@ class TestProlongation:
             U = rng.standard_normal((mesh.free_nodes.size, len(P))) * np.logspace(-8, 8, len(P))
             u = GalerkinSolution(mesh=mesh, indices=P, coeffs=U)
             want = oracles.prolongation_matrix(mesh, fine) @ U
-            assert np.array_equal(prolong(u, fine, P).coeffs, want)
+            assert np.array_equal(prolong(u, tensor_system(fine, P, spec)), want)
             mesh = fine
 
     def test_midpoint_average(self, mesh1):
@@ -878,10 +881,13 @@ class TestProlongation:
 
     def test_pointwise_values_preserved(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        u = solve(TensorSystem(mesh1, P, spec))
+        u = solve(tensor_system(mesh1, P, spec))
         step = refine(mesh1, [0, 1])
         fine = refine(step, [2, 3])
-        up = prolong(prolong(u, step, P, None), fine, P, None)
+        u_step = GalerkinSolution(mesh=step, indices=P,
+                                  coeffs=prolong(u, tensor_system(step, P, spec)))
+        up = GalerkinSolution(mesh=fine, indices=P,
+                              coeffs=prolong(u_step, tensor_system(fine, P, spec)))
         rng = np.random.default_rng(11)
         pts = []
         while len(pts) < 50:
@@ -898,32 +904,33 @@ class TestProlongation:
 
     def test_energy_preserved(self, mesh1, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        u = solve(TensorSystem(mesh1, P, spec))
-        system2 = TensorSystem(mesh2, P, spec)
-        up = prolong(u, mesh2, P, system2)
+        system1, system2 = tensor_system(mesh1, P, spec), tensor_system(mesh2, P, spec)
+        u = solve(system1)
+        up = prolong(u, system2)
         # the constant-coefficient energy is integrated exactly on both meshes
-        assert oracles.b0_energy(up, up) == pytest.approx(oracles.b0_energy(u, u), rel=1e-12)
+        assert oracles.b0_energy(system2, up, up) == pytest.approx(
+            oracles.b0_energy(system1, u.coeffs, u.coeffs), rel=1e-12)
         # the cosine modes are under-integrated differently on the two meshes,
         # so the full energy agrees only up to the element quadrature error
-        assert b_energy(up, up) == pytest.approx(b_energy(u, u), rel=1e-5)
+        assert b_energy(system2, up, up) == pytest.approx(u.energy_sq, rel=1e-5)
 
     def test_index_set_extension_pads_zeros(self, mesh1, spec):
         P = IndexSet()
-        u = solve(TensorSystem(mesh1, P, spec))
+        u = solve(tensor_system(mesh1, P, spec))
         P_big = P.union([unit_index(1)])
-        up = prolong(u, mesh1, P_big, None)
-        assert np.allclose(up.coeffs[:, 0], u.coeffs[:, 0])
-        assert np.all(up.coeffs[:, 1] == 0.0)
+        up = prolong(u, tensor_system(mesh1, P_big, spec))
+        assert np.allclose(up[:, 0], u.coeffs[:, 0])
+        assert np.all(up[:, 1] == 0.0)
 
     def test_non_nested_rejected(self, mesh1, mesh2, spec):
         P = IndexSet()
-        u = solve(TensorSystem(mesh2, P, spec))
+        u = solve(tensor_system(mesh2, P, spec))
         with pytest.raises(ValueError, match="one refinement step"):
-            prolong(u, mesh1, P, None)
+            prolong(u, tensor_system(mesh1, P, spec))
         # two steps at once are not one step
-        u = solve(TensorSystem(mesh1, P, spec))
+        u = solve(tensor_system(mesh1, P, spec))
         with pytest.raises(ValueError, match="one refinement step"):
-            prolong(u, uniform_refine(mesh2), P, None)
+            prolong(u, tensor_system(uniform_refine(mesh2), P, spec))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_index_embedding_equals_loop(self, seed):
@@ -943,7 +950,7 @@ class TestEnhancedSolve:
         Q = IndexSet([unit_index(1)], require_zero=False)
         hat = oracles.solve_enhanced(mesh1, P, Q, spec0, tol=1e-12)
         fine = uniform_refine(mesh1)
-        u_fine = solve(TensorSystem(fine, P, spec0), tol=1e-12)
+        u_fine = solve(tensor_system(fine, P, spec0), tol=1e-12)
         assert np.allclose(hat.fine_coeffs[:, 0], u_fine.coeffs[:, 0], atol=1e-9)
         assert np.max(np.abs(hat.detail_coeffs)) < 1e-9
 
@@ -952,9 +959,9 @@ class TestEnhancedSolve:
 
         P = IndexSet([ZERO, unit_index(1)])
         Q = detail_index_set(P)
-        u = solve(TensorSystem(mesh1, P, spec))
+        u = solve(tensor_system(mesh1, P, spec))
         hat = oracles.solve_enhanced(mesh1, P, Q, spec)
-        assert hat.energy_sq() >= u.energy_sq() - 1e-12
+        assert hat.energy_sq() >= u.energy_sq - 1e-12
 
     def test_matches_dense_direct_solve(self, spec):
         # coarse instance: enumerate the direct-sum basis explicitly
@@ -1007,24 +1014,38 @@ class TestEnhancedSolve:
         assert hat.energy_sq() == pytest.approx(energy_want, rel=1e-3)
 
 
+# each call with a system and a solution of another space
+OTHER_SPACE_CALLS = {
+    "spatial_indicators": lambda system, u: spatial_indicators(system, u),
+    "parametric_indicators": lambda system, u: parametric_indicators(system, u),
+    "b_energy_U": lambda system, u: b_energy(system, u.coeffs, np.zeros(system.shape)),
+    "b_energy_V": lambda system, u: b_energy(system, np.zeros(system.shape), u.coeffs),
+}
+
+
 class TestEnergies:
-    def test_b_energy_requires_matching_spaces(self, mesh1, mesh2, spec):
-        P = IndexSet()
-        u1 = solve(TensorSystem(mesh1, P, spec))
-        u2 = solve(TensorSystem(mesh2, P, spec))
-        with pytest.raises(ValueError):
-            b_energy(u1, u2)
+    @pytest.mark.parametrize("other", ["mesh", "indices"])
+    @pytest.mark.parametrize("call", sorted(OTHER_SPACE_CALLS))
+    def test_other_space_rejected(self, mesh1, mesh2, spec, call, other):
+        P = IndexSet([ZERO, unit_index(1)])
+        system = tensor_system(mesh1, P, spec, detail_index_set(P))
+        if other == "mesh":
+            u = solve(tensor_system(mesh2, P, spec))
+        else:
+            u = solve(tensor_system(mesh1, P.union([unit_index(2)]), spec))
+        with pytest.raises(ValueError, match="another space"):
+            OTHER_SPACE_CALLS[call](system, u)
+
+    def test_parametric_needs_detail_set(self, mesh1, spec):
+        system = tensor_system(mesh1, IndexSet([ZERO, unit_index(1)]), spec)
+        u = solve(system)
+        with pytest.raises(ValueError, match="detail set"):
+            parametric_indicators(system, u)
 
     def test_b_energy_symmetric_bilinear(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        system = TensorSystem(mesh1, P, spec)
-        u = solve(system)
-        rng = np.random.default_rng(5)
-        from sgfem import GalerkinSolution
-
-        v = GalerkinSolution(
-            mesh=mesh1, indices=P, coeffs=rng.standard_normal(u.coeffs.shape),
-            system=system,
-        )
-        assert b_energy(u, v) == pytest.approx(b_energy(v, u), rel=1e-12)
-        assert oracles.b0_energy(v, v) > 0
+        system = tensor_system(mesh1, P, spec)
+        U = solve(system).coeffs
+        V = np.random.default_rng(5).standard_normal(U.shape)
+        assert b_energy(system, U, V) == pytest.approx(b_energy(system, V, U), rel=1e-12)
+        assert oracles.b0_energy(system, V, V) > 0

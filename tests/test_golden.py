@@ -12,8 +12,10 @@ fixture only for a change that is meant to move the adaptive path:
     PYTHONPATH=src python tests/test_golden.py
 
 The fixture also pins sha256 digests of each command line's CSV, ``.config``
-echo and stdout, with the numpy and scipy versions they were made with; they
-are compared only under those versions.  A change that keeps the 1e-12
+echo and stdout, and of each desk run's CSV (``format_trace_csv``, the bytes
+``sgfem run --criterion X --theta-x 0.5 --theta-p 0.5 --tol 1e-2`` writes),
+with the numpy and scipy versions they were made with; they are compared
+only under those versions.  A change that keeps the 1e-12
 checks but moves a digest has moved a last bit; it regenerates the fixture
 as a declared test change.
 """
@@ -29,7 +31,7 @@ import pytest
 import scipy
 
 import sgfem.cli
-from sgfem.cli import CSV_HEADER, main
+from sgfem.cli import CSV_HEADER, format_trace_csv, main
 
 FIXTURE = Path(__file__).with_name("golden_trajectories.json")
 
@@ -104,6 +106,16 @@ def records(trace) -> dict:
     }
 
 
+def csv_digests(trace) -> dict:
+    """The digest of one adaptive run's CSV, with the numpy and scipy
+    versions."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "csv": sha256(format_trace_csv(trace).encode("utf-8")),
+    }
+
+
 def close(got, want) -> bool:
     return got is want is None or (
         got is not None and want is not None and abs(got - want) <= FLOAT_RTOL * abs(want)
@@ -164,6 +176,18 @@ def test_desk_run_records(desk_runs, runs_07):
                 assert_close(got["floats"][field], want["floats"][field], (name, crit, field))
 
 
+def test_desk_run_digests(desk_runs):
+    """The desk runs' CSV bytes, with the digests stored in each criterion's
+    record of the fixture."""
+    golden = load_fixture()["desk_runs"]
+    for crit, trace in desk_runs.items():
+        got, want = csv_digests(trace), golden[crit]["digests"]
+        versions = ("numpy", "scipy")
+        if [got[v] for v in versions] != [want[v] for v in versions]:
+            pytest.skip(f"digests were made with numpy {want['numpy']}, scipy {want['scipy']}")
+        assert got == want, crit
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -175,4 +199,7 @@ if __name__ == "__main__":
     for name, theta_x in RUN_SETS.items():
         runs = criterion_runs(lshape_benchmark(), theta_x)
         data[name] = {crit: records(trace) for crit, trace in runs.items()}
+        if name == "desk_runs":
+            for crit, trace in runs.items():
+                data[name][crit]["digests"] = csv_digests(trace)
     FIXTURE.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")

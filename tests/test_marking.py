@@ -9,7 +9,6 @@ from sgfem import (
     ErrorIndicators,
     IndexSet,
     MarkingParams,
-    TensorSystem,
     ZERO,
     decide,
     detail_index_set,
@@ -26,6 +25,7 @@ from sgfem import (
 )
 
 import oracles
+from conftest import tensor_system
 
 
 class TestDoerfler:
@@ -163,10 +163,11 @@ def context():
     mesh = uniform_refine(initial_lshape())
     P = IndexSet([ZERO, unit_index(1)])
     Q = detail_index_set(P)
-    u = solve(TensorSystem(mesh, P, spec))
+    system = tensor_system(mesh, P, spec, Q)
+    u = solve(system)
     ind = ErrorIndicators(
-        spatial=spatial_indicators(u, spec),
-        parametric=parametric_indicators(u, Q, spec),
+        spatial=spatial_indicators(system, u),
+        parametric=parametric_indicators(system, u),
     )
     return mesh, ind
 
