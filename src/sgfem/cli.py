@@ -29,7 +29,7 @@ from .driver import (
 from .galerkin import SolverError
 from .marking import CRITERIA, MarkingParams
 from .mesh import initial_lshape, read_mesh
-from .problem import ProblemSpec, amplitude_from_tau, parse_config, spec_from_config
+from .problem import ProblemSpec, parse_config, spec_from_config
 
 __all__ = ["main"]
 

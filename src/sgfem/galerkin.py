@@ -43,7 +43,9 @@ of the refined mesh copies those of the kept triangles from the outgoing
 one and computes only those of the new triangles.  Nothing is cached on the
 mesh or at module level but a thread pool, on which large systems apply the
 operator and solve with A_0 in column blocks, each column computed as on
-one thread and written into the one result.
+one thread and written into the one result.  The parametric estimator's
+A_0 solves take such blocks at every size, in turn below the pool's gate,
+so that none wakes scipy's OpenBLAS worker (see ``_BLOCK``).
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ class SolverError(RuntimeError):
 # apply plus one precondition on 2 vCPUs, serial / two workers: 1.5 / 2.9 ms
 # at 26k dofs, 3.5-5.4 / 4.4-4.9 ms at 47k, 7.5 / 5.5 ms at 65k, 12 / 8.7 ms at 109k.
 PARALLEL_DOFS = 1 << 16
-# Columns per SuperLU solve on the pool.  Blocks this narrow keep OpenBLAS's
-# level-3 calls on the calling thread, and each column comes out as from one
-# solve of the whole block (blocks of 2, 3, 5 or 6 columns do not).
+# Columns per SuperLU call of ``MeshOperator.solve_blocks``; each column comes
+# out as from one solve of the whole block (blocks of 2, 3, 5 or 6 do not).  A
+# wide call (from 33k entries on the workloads' meshes) wakes scipy's OpenBLAS
+# worker, which then spins some 130 ms on another core; one of 4 columns did
+# not up to n = 12,033 free nodes (uniform L-shape meshes) but did at 48,641.
 _BLOCK = 4
 _WORKERS = min(len(os.sched_getaffinity(0)), 4)
 # the worker threads, started on first use; a forked child starts its own
@@ -314,19 +318,22 @@ class MeshOperator:
         return splu(self.stiffness(0).tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
-    def solve_mean(self, R: np.ndarray) -> np.ndarray:
-        """A_0^{-1} R for R of shape (free nodes, k), in C order.  A large R
-        is solved in blocks of _BLOCK columns on the pool (SuperLU.solve
-        releases the GIL), each written into its columns of the result."""
+    def solve_blocks(self, R: np.ndarray) -> np.ndarray:
+        """A_0^{-1} R for R of shape (free nodes, k), in C order, solved in
+        SuperLU calls of _BLOCK columns: on the pool at or above PARALLEL_DOFS
+        (SuperLU.solve releases the GIL), in turn on this thread below it."""
         solver = self.a0_solver
-        if R.size < PARALLEL_DOFS:
-            return np.ascontiguousarray(solver.solve(R))
         out = np.empty(R.shape)
 
         def block(c):
             out[:, c] = solver.solve(R[:, c])
 
-        _on_pool(block, [slice(j, j + _BLOCK) for j in range(0, R.shape[1], _BLOCK)])
+        blocks = [slice(j, j + _BLOCK) for j in range(0, R.shape[1], _BLOCK)]
+        if R.size >= PARALLEL_DOFS:
+            _on_pool(block, blocks)
+        else:
+            for c in blocks:
+                block(c)
         return out
 
     def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,8 +577,10 @@ class TensorSystem:
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """Mean-based preconditioner: A_0^{-1} applied columnwise, returned in
-        C order."""
-        return self.operator.solve_mean(R)
+        C order, in one SuperLU call below PARALLEL_DOFS."""
+        if R.size < PARALLEL_DOFS:
+            return np.ascontiguousarray(self.operator.a0_solver.solve(R))
+        return self.operator.solve_blocks(R)
 
     def load_norm_sq(self) -> float:
         """<b, (A_0^{-1} x I) b> for the load b, PCG's normaliser.  b is

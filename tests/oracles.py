@@ -18,7 +18,6 @@ energy and the contraction series of reference errors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -346,7 +345,8 @@ def node_major_parametric_indicators(system: TensorSystem, u: GalerkinSolution,
     operator and coupling of ``system`` and the coupling's detail set: the
     residual r[z, nu] = -B(u, phi_z P_nu) as a (free nodes, #detail) array,
     each mode's product formed by ``product`` on its coupled columns and
-    subtracted there."""
+    subtracted there, and A_0 solved on the whole array in one SuperLU
+    call."""
     operator, coupling = system.operator, system.coupling
     detail = coupling.detail
     if len(detail) == 0:
@@ -357,7 +357,7 @@ def node_major_parametric_indicators(system: TensorSystem, u: GalerkinSolution,
         cols = coupling.coupled_columns(m, detail=True)
         R[:, cols] -= operator.stiffness(m) @ product(coupling, u.coeffs, m, detail=True,
                                                       columns=cols)
-    E = operator.solve_mean(R)
+    E = np.ascontiguousarray(operator.a0_solver.solve(R))
     return np.sqrt(np.maximum((E * R).sum(axis=0), 0.0))
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -726,6 +727,87 @@ class TestColumnPool:
             child.kill()
             child.join()
         assert child.exitcode == 0
+
+
+class SolveSpy:
+    """Stands in for an operator's A_0 factor: records the width of every
+    block handed to SuperLU and the thread that handed it."""
+
+    def __init__(self, solver):
+        self.solver, self.widths, self.threads = solver, [], set()
+
+    def solve(self, B):
+        self.widths.append(B.shape[1])
+        self.threads.add(threading.get_ident())
+        return self.solver.solve(B)
+
+
+def spied(operator):
+    operator.a0_solver = SolveSpy(operator.a0_solver)
+    return operator.a0_solver
+
+
+class TestBlockedSolve:
+    """``MeshOperator.solve_blocks`` hands SuperLU blocks of _BLOCK columns:
+    on the pool at or above PARALLEL_DOFS, one after another on the calling
+    thread below it.  Each column comes out as from one solve of the whole
+    array.  The parametric estimator solves this way at every size, and
+    ``precondition`` keeps one call on the whole array below the gate."""
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("width", range(1, 14))
+    def test_equals_whole_solve(self, large_system, pool_workers, monkeypatch, width, order):
+        # at 2945 free nodes, blocks of 2 or 3 columns differ in the last bit
+        operator = large_system.operator
+        R = np.random.default_rng(width).standard_normal((operator.load.size, width))
+        R = np.asarray(R, order=order)
+        want = operator.a0_solver.solve(R)
+        # the gate just above R's size runs the blocks in turn, at it on the pool
+        for gate, pool in ((R.size + 1, False), (R.size, True)):
+            monkeypatch.setattr(galerkin, "PARALLEL_DOFS", gate)
+            pool_workers(2)
+            got = operator.solve_blocks(R)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want), gate
+            assert (galerkin._pool is not None) == pool
+
+    def test_equals_whole_solve_at_the_gate(self, large_system, pool_workers):
+        operator = large_system.operator
+        n = operator.load.size
+        below = (galerkin.PARALLEL_DOFS - 1) // n
+        assert n * below < galerkin.PARALLEL_DOFS <= n * (below + 1)
+        solver = operator.a0_solver
+        spy = spied(operator)
+        rng = np.random.default_rng(9)
+        for width, pool in ((below, False), (below + 1, True)):
+            pool_workers(2)
+            spy.widths.clear()
+            spy.threads.clear()
+            R = rng.standard_normal((n, width))
+            assert np.array_equal(operator.solve_blocks(R), solver.solve(R))
+            assert max(spy.widths) == galerkin._BLOCK and sum(spy.widths) == width
+            assert (spy.threads == {threading.get_ident()}) != pool, width
+
+    @pytest.mark.parametrize("gate", [math.inf, 0])
+    def test_parametric_indicators_solve_in_blocks(self, mesh2, spec, monkeypatch, gate):
+        P = random_downward_closed(2, 9)
+        Q = detail_index_set(P)
+        assert len(Q) > 2 * galerkin._BLOCK
+        system = tensor_system(mesh2, P, spec, Q)
+        u = solve(system, tol=1e-12)
+        want = oracles.node_major_parametric_indicators(system, u)
+        monkeypatch.setattr(galerkin, "PARALLEL_DOFS", gate)
+        spy = spied(system.operator)
+        assert np.array_equal(parametric_indicators(system, u), want)
+        assert max(spy.widths) <= galerkin._BLOCK
+        assert sum(spy.widths) == len(Q)
+
+    def test_precondition_below_gate_is_one_call(self, mesh2, spec):
+        system = tensor_system(mesh2, random_downward_closed(3, 9), spec)
+        assert system.num_dof < galerkin.PARALLEL_DOFS
+        spy = spied(system.operator)
+        system.precondition(np.random.default_rng(3).standard_normal(system.shape))
+        assert spy.widths == [9]
 
 
 class TestMeanFactor:
