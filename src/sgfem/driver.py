@@ -91,7 +91,6 @@ class AdaptiveTrace:
     stop_reason: str = "running"
     final_mesh: Mesh | None = None
     final_indices: IndexSet | None = None
-    final_detail: IndexSet | None = None
     final_solution: GalerkinSolution | None = None
 
     @property
@@ -275,7 +274,6 @@ def run_adaptive(
             trace.stop_reason = stop
             trace.final_mesh = mesh
             trace.final_indices = indices
-            trace.final_detail = coupling.detail
             trace.final_solution = solution
             return trace
 
@@ -301,7 +299,7 @@ def reference_solution(
     if trace.final_mesh is None:
         raise ValueError("trace has no final state (run did not finish)")
     fine = uniform_refine(trace.final_mesh)
-    once = trace.final_indices.union(trace.final_detail)
+    once = trace.final_indices.union(detail_index_set(trace.final_indices))
     indices = once.union(detail_index_set(once))
     system = TensorSystem(MeshOperator(fine, spec), Coupling(indices))
     del system.operator.pattern  # the solve needs only A_m and the A_0 LU

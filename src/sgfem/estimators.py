@@ -7,7 +7,9 @@ and ``Mesh.triangle_nplus``); the scaling is the corresponding diagonal entry
 of the mean-field stiffness on the refined mesh.  Both are computed element
 by element on the current mesh, without building the refined one: the hat of
 an edge midpoint lives on the children of the two triangles next to that
-edge, and the solution's gradient is constant on each triangle.  Parametric
+edge, and the solution's gradient is constant on each triangle.  The mesh
+module owns the children's layout; the sum over N+ reads the midpoints'
+positions from ``Mesh.midpoint_nplus``.  Parametric
 indicators solve one mean-field problem per detail index for the residual
 component in that direction, in SuperLU calls of four columns, which up to
 12k free nodes wake no OpenBLAS thread.  Both contract the solution with G_m
@@ -100,8 +102,7 @@ def spatial_indicators(system: TensorSystem, u: GalerkinSolution) -> np.ndarray:
 
     # scatter the two triangles' contributions to each z in N+, midpoint
     # slot by midpoint slot; two addends sum alike in either order
-    position = mesh.triangle_nplus[np.arange(mesh.num_triangles),
-                                   operator.midpoint_edges.T].ravel()
+    position = mesh.midpoint_nplus.T.ravel()
     keep = position >= 0
     position = position[keep]
     num_new = mesh.interior_edge_ids.size

@@ -32,7 +32,8 @@ two objects that outlive it, and the solver, the estimators, the energy
 coefficients and energy but no system.  A ``MeshOperator`` holds what
 depends on the mesh alone: geometry, quadrature points, the free-node CSR
 pattern with its scatter map, A_m per mode (built on first use), the load,
-the LU of A_0 and the spatial estimator's per-mode terms.  A ``Coupling``
+the LU of A_0 and the spatial estimator's per-mode terms on the NVB
+children of each triangle, laid out by ``mesh``.  A ``Coupling``
 holds the passes of G_m for one index set, against itself and against its
 detail set, and the plans built from them.  An adaptive step changes either
 the mesh or the index set, so the loop keeps one object and drops the
@@ -63,7 +64,7 @@ from scipy.sparse.linalg import splu
 
 from .indices import IndexSet, ZERO, row_positions
 from .legendre import coupling_coefficient
-from .mesh import Mesh, bisected_edges, kept_triangles
+from .mesh import MIDPOINT_SLOTS, Mesh, bisected_edges, child_corners, kept_triangles
 from .problem import ProblemSpec
 
 __all__ = [
@@ -239,26 +240,11 @@ def assemble_stiffness(
     return pattern.matrix(element_integrals(pattern.points, pattern.area, coefficient))
 
 
-# NVB uniform refinement of T = (a, b, c) = (v[r], v[r+1], v[r+2]), r the
-# reference edge, with m = mid(b, c), w1 = mid(a, b), w2 = mid(c, a): the four
-# children, in the vertex order of the refined mesh, as indices into
-# (a, b, c, m, w1, w2)
-_CHILDREN = np.array([[3, 0, 4], [1, 3, 4], [3, 2, 5], [0, 3, 5]])
-# per midpoint m, w1, w2: the (child, local vertex) pairs where it sits
-_MIDPOINT_SLOTS = (
-    ((0, 0), (1, 1), (2, 0), (3, 1)),
-    ((0, 2), (1, 2)),
-    ((2, 2), (3, 2)),
-)
-# the local edge of T holding m, w1, w2, as an offset from r
-_MIDPOINT_EDGE = np.array([0, 2, 1])
-
-
 def _per_midpoint(values: np.ndarray) -> np.ndarray:
     """Sum child-vertex values (nt, 4, 3, ...) into values at the midpoints
     m, w1, w2 (nt, 3, ...)."""
     return np.stack(
-        [sum(values[:, c, k] for c, k in slots) for slots in _MIDPOINT_SLOTS], axis=1
+        [sum(values[:, c, k] for c, k in slots) for slots in MIDPOINT_SLOTS], axis=1
     )
 
 
@@ -339,11 +325,7 @@ class MeshOperator:
     def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Areas (4 nr), basis gradients (nr, 4, 3, 2) and quadrature points
         (4 nr, #points, 2) of the four NVB children of the triangles `rows`."""
-        mesh = self.mesh
-        r = mesh.ref_edge[rows, None]
-        p3 = mesh.vertices[mesh.triangles[rows[:, None], (r + np.arange(3)) % 3]]
-        p6 = np.concatenate([p3, 0.5 * (p3[:, [1, 0, 2]] + p3[:, [2, 1, 0]])], axis=1)
-        child = p6[:, _CHILDREN].reshape(4 * rows.size, 3, 2)
+        child = child_corners(self.mesh, rows).reshape(4 * rows.size, 3, 2)
         area, grads = element_geometry(child)
         return area, grads.reshape(-1, 4, 3, 2), quadrature_points(child)
 
@@ -377,11 +359,6 @@ class MeshOperator:
                 values[fresh] = new
                 merged.append(values)
             self._child_terms[m] = tuple(merged)
-
-    @property
-    def midpoint_edges(self) -> np.ndarray:
-        """Local edge (nt, 3) of each triangle that holds m, w1, w2."""
-        return (self.mesh.ref_edge[:, None] + _MIDPOINT_EDGE) % 3
 
     def child_terms(self, n_modes: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Per triangle and midpoint z: the hat terms int a_m grad phi_z

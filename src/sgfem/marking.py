@@ -68,7 +68,6 @@ class MarkingDecision:
     kind: str  # "spatial" | "parametric" | "terminate"
     spatial_marked: tuple[int, ...] = ()
     parametric_marked: tuple[int, ...] = ()
-    case: str | None = None
     diagnostics: dict = field(default_factory=dict)
     refined: Mesh | None = None
 
@@ -173,16 +172,13 @@ def decide(
     if criterion in ("A", "C"):
         if params.vartheta * eta_q <= eta_x:
             marked = doerfler(indicators.spatial, params.theta_x)
-            return MarkingDecision(
-                kind="spatial", spatial_marked=tuple(marked), case="a", diagnostics=diag
-            )
+            return MarkingDecision(kind="spatial", spatial_marked=tuple(marked), diagnostics=diag)
         if criterion == "A":
             marked = doerfler(indicators.parametric, params.theta_p)
         else:
             marked = maximum_mark(indicators.parametric, params.theta_p)
-        return MarkingDecision(
-            kind="parametric", parametric_marked=tuple(marked), case="b", diagnostics=diag
-        )
+        return MarkingDecision(kind="parametric", parametric_marked=tuple(marked),
+                               diagnostics=diag)
 
     # criteria B and D: compare the estimated error reduction of a trial
     # spatial refinement against the marked parametric aggregate
@@ -203,13 +199,7 @@ def decide(
         "eta_realized_spatial": eta_realized,
     }
     if params.vartheta * eta_trial_param <= eta_realized:
-        return MarkingDecision(
-            kind="spatial",
-            spatial_marked=tuple(trial_spatial),
-            case="a",
-            diagnostics=diag,
-            refined=trial,
-        )
-    return MarkingDecision(
-        kind="parametric", parametric_marked=tuple(trial_param), case="b", diagnostics=diag
-    )
+        return MarkingDecision(kind="spatial", spatial_marked=tuple(trial_spatial),
+                               diagnostics=diag, refined=trial)
+    return MarkingDecision(kind="parametric", parametric_marked=tuple(trial_param),
+                           diagnostics=diag)

@@ -14,6 +14,11 @@ order: ``interior_edge_ids`` lists their edges and ``triangle_nplus`` the N+
 position of each (triangle, local edge).  Both are derived from the edge
 table on each access, not kept on the mesh.
 
+This module alone knows how NVB lays out a triangle's children.  The
+estimator takes the corners of the uniform refinement's children from
+``child_corners``, where each midpoint sits among them from
+``MIDPOINT_SLOTS`` and its N+ position from ``Mesh.midpoint_nplus``.
+
 Refinement follows the 2D NVB rule: a triangle is bisected at its reference
 edge and the reference edges of the two children are opposite the new vertex.
 It runs as array passes over the edge table, with no loop over triangles.
@@ -38,6 +43,8 @@ __all__ = [
     "initial_lshape",
     "unit_square",
     "uniform_refine",
+    "child_corners",
+    "MIDPOINT_SLOTS",
     "refine",
     "realized",
     "kept_triangles",
@@ -129,6 +136,13 @@ class Mesh:
         boundary."""
         interior = self.edge_counts == 2
         return np.where(interior, np.cumsum(interior) - 1, -1)[self.triangle_edges]
+
+    @property
+    def midpoint_nplus(self) -> np.ndarray:
+        """(m, 3) N+ position of the midpoints m, w1, w2 of each triangle
+        (see ``child_corners``), -1 on the boundary."""
+        frame = (self.ref_edge[:, None] + _FRAME[3:]) % 3
+        return self.triangle_nplus[np.arange(self.num_triangles)[:, None], frame]
 
     @property
     def interior_edges(self) -> np.ndarray:
@@ -232,6 +246,10 @@ for _case, _children in {
     7: [(3, 0, 4), (1, 3, 4), (3, 2, 5), (0, 3, 5)],
 }.items():
     _CHILD_SLOTS[_case, : len(_children)] = _children
+# the local vertex of a, b, c and the local edge of m, w1, w2, offsets from r
+_FRAME = np.array([0, 1, 2, 0, 2, 1])
+# per midpoint m, w1, w2: its (child, corner) pairs in ``child_corners``
+MIDPOINT_SLOTS = tuple(np.argwhere(_CHILD_SLOTS[7] == k) for k in (3, 4, 5))
 
 
 def _bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
@@ -246,10 +264,9 @@ def _bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     new_coords = 0.5 * (mesh.vertices[new_edges[:, 0]] + mesh.vertices[new_edges[:, 1]])
 
     rows = np.arange(nt)[:, None]
-    r = mesh.ref_edge[:, None]
-    abc = mesh.triangles[rows, (r + np.arange(3)) % 3]
-    # midpoints of bc, ab, ca: local edges r, r+2, r+1
-    mids = midpoint[mesh.triangle_edges[rows, (r + np.array([0, 2, 1])) % 3]]
+    frame = (mesh.ref_edge[:, None] + _FRAME) % 3
+    abc = mesh.triangles[rows, frame[:, :3]]
+    mids = midpoint[mesh.triangle_edges[rows, frame[:, 3:]]]
     case = (mids >= 0) @ np.array([1, 2, 4])
     count = _NUM_CHILDREN[case]
     if not count.all():
@@ -291,6 +308,16 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     ``num_vertices + interior_edge_ids[i]``, and the four children of
     triangle t are triangles 4t..4t+3."""
     return _bisect(mesh, np.ones(mesh.edge_keys.size, dtype=bool))
+
+
+def child_corners(mesh: Mesh, rows: np.ndarray) -> np.ndarray:
+    """(nr, 4, 3, 2) corners of the four children that ``uniform_refine``
+    makes of each triangle t in `rows` (its triangles 4t..4t+3), in their
+    vertex order, without building the refined mesh."""
+    frame = (mesh.ref_edge[rows, None] + _FRAME[:3]) % 3
+    p3 = mesh.vertices[mesh.triangles[rows[:, None], frame]]
+    p6 = np.concatenate([p3, 0.5 * (p3[:, [1, 0, 2]] + p3[:, [2, 1, 0]])], axis=1)
+    return p6[:, _CHILD_SLOTS[7]]
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
@@ -425,8 +452,9 @@ def read_mesh(path) -> Mesh:
     ``x y boundary_flag`` and M lines ``v0 v1 v2 ref_edge`` (0-based ids).
 
     Rejects a header whose counts the file does not hold, naming the first
-    missing line, before anything is allocated; rejects malformed lines and
-    non-conforming or badly oriented input.
+    missing line, before anything is allocated; rejects malformed lines, a
+    vertex of no triangle (naming the first) and non-conforming or badly
+    oriented input.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -466,6 +494,10 @@ def read_mesh(path) -> Mesh:
         refs[i] = r
     if tris.min() < 0 or tris.max() >= nv:
         raise ValueError("triangle vertex id out of range")
+    unused = np.setdiff1d(np.arange(nv), tris)
+    if unused.size:
+        raise ValueError(f"mesh file {path}, line {unused[0] + 2}: vertex {unused[0]} "
+                         "belongs to no triangle")
     mesh = Mesh(
         vertices=coords,
         boundary=bdry,

@@ -325,8 +325,7 @@ def node_major_spatial_indicators(system: TensorSystem, u: GalerkinSolution,
         res[:, :, cols] -= tested(terms[m], g)
 
     # scatter the two triangles' contributions to each z in N+
-    rows = np.arange(mesh.num_triangles)[:, None]
-    position = mesh.triangle_nplus[rows, operator.midpoint_edges].ravel()
+    position = mesh.midpoint_nplus.ravel()
     keep = position >= 0
     position = position[keep]
     num_new = mesh.interior_edge_ids.size

@@ -22,6 +22,7 @@ from sgfem.cli import (
     _parse_range,
     main,
 )
+from test_mesh import STRAY_VERTICES_MESH
 
 RUN_ARGS = ["run", "--criterion", "A", "--tol", "5e-2"]
 
@@ -199,6 +200,17 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("sgfem: error: ")
         assert "no triangles" in err[0]
+        assert not out.exists()
+
+    def test_mesh_file_with_vertex_of_no_triangle(self, tmp_path, capsys):
+        # a free vertex of no triangle would give A_0 a zero row
+        mesh_file = tmp_path / "stray.mesh"
+        mesh_file.write_text(STRAY_VERTICES_MESH, encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--mesh", str(mesh_file), "--output", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert "vertex 4 belongs to no triangle" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("body, missing", [

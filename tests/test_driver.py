@@ -86,7 +86,6 @@ class TestRunStructure:
     def test_final_state_consistent(self, short_trace):
         assert short_trace.final_solution.mesh is short_trace.final_mesh
         assert short_trace.final_solution.indices is short_trace.final_indices
-        assert len(short_trace.final_detail) > 0
         assert short_trace.records[-1].refine_type == "final"
 
     def test_deterministic_rerun_identical(self, short_trace):
@@ -103,7 +102,6 @@ class TestRunStructure:
         assert back.records == short_trace.records
         assert back.checks == short_trace.checks
         assert back.final_indices == short_trace.final_indices
-        assert back.final_detail == short_trace.final_detail
         assert np.array_equal(back.final_mesh.triangles, short_trace.final_mesh.triangles)
         assert np.array_equal(back.final_solution.coeffs, short_trace.final_solution.coeffs)
 

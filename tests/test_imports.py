@@ -1,4 +1,7 @@
-"""Every name the package and the tests import is used.
+"""Every name the package and the tests import is used, and no module of
+the package imports another module's ``_``-prefixed name: what modules
+share, such as the refinement's child layout in ``mesh``, crosses module
+boundaries by public name only.
 
 Each module is parsed with ``ast``: a name that an import binds must be
 read somewhere in the module, as a name or as an entry of ``__all__``.
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "sgfem").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "sgfem").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str, reexports: bool = False) -> list[tuple[int, str]]:
@@ -68,3 +72,31 @@ def test_checker_finds_unused_names():
     unused = [(2, "os"), (2, "system"), (11, "parse"), (12, "np")]
     assert unused_imports(source) == unused[:2] + [(5, "solve")] + unused[2:]
     assert unused_imports(source, reexports=True) == [(2, "os"), (2, "system"), (12, "np")]
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``_``-prefixed name that `source` imports from
+    another module, in line order."""
+    return sorted((alias.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_private_imports_between_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_checker_finds_private_names():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import numpy as np",
+        "from .mesh import (",
+        "    Mesh,",
+        "    _CHILD_SLOTS,",
+        ")",
+        "from sgfem.galerkin import _pcg as pcg, solve",
+        "from . import _helpers",
+        "_private = np.zeros(3)",
+    ])
+    assert private_imports(source) == [(5, "_CHILD_SLOTS"), (7, "_pcg"), (8, "_helpers")]

@@ -196,7 +196,6 @@ class TestDecide:
         vt = ind.eta_spatial / ind.eta_parametric
         out = decide("A", ind, MarkingParams(vartheta=vt), mesh)
         assert out.kind == "spatial"
-        assert out.case == "a"
 
     def test_criterion_c_uses_maximum_marking(self, context):
         mesh, ind = context

@@ -18,6 +18,19 @@ from sgfem import (
 )
 
 
+# the unit square as two triangles plus two free vertices no triangle uses
+STRAY_VERTICES_MESH = """vertices 6 triangles 2
+0 0 1
+1 0 1
+1 1 1
+0 1 1
+0.5 0.25 0
+0.25 0.5 0
+0 1 2 1
+0 2 3 2
+"""
+
+
 @pytest.fixture
 def lmesh():
     return initial_lshape()
@@ -152,6 +165,57 @@ class TestUniformRefine:
             assert children.size == 4
             child_area = fine.signed_areas()[children].sum()
             assert child_area == pytest.approx(lmesh.signed_areas()[t], abs=1e-14)
+
+
+def nvb_chain(start, seed, steps=8):
+    """`steps` meshes of a seeded NVB chain from `start()`, each refined
+    from the one before by a third of its N+ marked at random."""
+    rng = np.random.default_rng(seed)
+    mesh = start()
+    for _ in range(steps):
+        yield mesh
+        num_new = mesh.interior_edge_ids.size
+        mesh = refine(mesh, rng.choice(num_new, size=max(1, num_new // 3), replace=False))
+
+
+class TestChildLayout:
+    """``child_corners``, ``MIDPOINT_SLOTS`` and ``Mesh.midpoint_nplus``
+    describe the triangles and new vertices that ``uniform_refine`` makes."""
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    def test_children_are_those_of_uniform_refine(self, start):
+        rng = np.random.default_rng(1)
+        for mesh in nvb_chain(start, 3):
+            fine = uniform_refine(mesh)
+            children = fine.vertices[fine.triangles].reshape(mesh.num_triangles, 4, 3, 2)
+            rows = np.arange(mesh.num_triangles)
+            assert np.array_equal(sgfem.mesh.child_corners(mesh, rows), children)
+            some = rng.permutation(rows)[: max(1, rows.size // 2)]
+            assert np.array_equal(sgfem.mesh.child_corners(mesh, some), children[some])
+
+    @pytest.mark.parametrize("start", [initial_lshape, unit_square])
+    def test_midpoints_sit_at_their_slots(self, start):
+        for mesh in nvb_chain(start, 4):
+            fine = uniform_refine(mesh)
+            children = fine.triangles.reshape(mesh.num_triangles, 4, 3)
+            nplus = mesh.midpoint_nplus
+            vertex = mesh.num_vertices + mesh.interior_edge_ids[np.maximum(nplus, 0)]
+            new = np.zeros((4, 3), dtype=bool)
+            for j, slots in enumerate(sgfem.mesh.MIDPOINT_SLOTS):
+                child, corner = slots.T
+                at = children[:, child, corner]
+                assert (at == at[:, :1]).all()  # one new vertex in all its slots
+                inside = nplus[:, j] >= 0
+                assert np.array_equal(at[inside, 0], vertex[inside, j])
+                assert fine.boundary[at[~inside, 0]].all()
+                assert not new[child, corner].any()
+                new[child, corner] = True
+            # the other corners are the coarse triangle's vertices
+            assert (children[:, new] >= mesh.num_vertices).all()
+            assert (children[:, ~new] < mesh.num_vertices).all()
+            # midpoint m halves the reference edge
+            ref = mesh.triangle_nplus[np.arange(mesh.num_triangles), mesh.ref_edge]
+            assert np.array_equal(nplus[:, 0], ref)
 
 
 class TestRefine:
@@ -321,6 +385,12 @@ class TestIO:
         path = tmp_path / "bad.mesh"
         path.write_text(header + "\n0 0 1\n1 0 1\n0 1 1\n0 1 2 0\n")
         with pytest.raises(ValueError, match="bad mesh header"):
+            read_mesh(path)
+
+    def test_read_vertex_of_no_triangle(self, tmp_path):
+        path = tmp_path / "stray.mesh"
+        path.write_text(STRAY_VERTICES_MESH)
+        with pytest.raises(ValueError, match="line 6: vertex 4 belongs to no triangle"):
             read_mesh(path)
 
     def test_read_malformed_line(self, tmp_path):
