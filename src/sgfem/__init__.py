@@ -43,9 +43,7 @@ from .legendre import coupling_coefficient
 from .marking import MarkingDecision, MarkingParams, decide, doerfler, maximum_mark
 from .mesh import (
     Mesh,
-    MeshAudit,
     initial_lshape,
-    mesh_audit,
     read_mesh,
     realized,
     refine,

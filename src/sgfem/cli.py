@@ -6,7 +6,8 @@ Subcommands:
           a summary table (cost and fitted rate per parameter pair)
 
 Runs are fully deterministic: identical configurations produce byte-identical
-output files.
+output files under the same numpy, scipy and BLAS kernel; another kernel may
+move the last bits of the floats.
 """
 
 from __future__ import annotations
@@ -129,8 +130,6 @@ def _build_spec(args) -> ProblemSpec:
     if args.mesh is not None:
         settings["mesh"] = args.mesh
     args.mesh = settings.get("mesh", "lshape")
-    if "tau" in settings and not 0.0 <= settings["tau"] < 1.0:
-        raise ValueError(f"inadmissible problem: tau = {settings['tau']} not in [0, 1)")
     return spec_from_config(settings)
 
 

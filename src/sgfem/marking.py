@@ -14,7 +14,7 @@ parametric enrichment:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class MarkingDecision:
     kind: str  # "spatial" | "parametric" | "terminate"
     spatial_marked: tuple[int, ...] = ()
     parametric_marked: tuple[int, ...] = ()
-    diagnostics: dict = field(default_factory=dict)
     refined: Mesh | None = None
 
 
@@ -167,18 +166,15 @@ def decide(
     if eta_x == 0.0 and eta_q == 0.0:
         return MarkingDecision(kind="terminate")
 
-    diag: dict = {"eta_spatial": eta_x, "eta_parametric": eta_q}
-
     if criterion in ("A", "C"):
         if params.vartheta * eta_q <= eta_x:
             marked = doerfler(indicators.spatial, params.theta_x)
-            return MarkingDecision(kind="spatial", spatial_marked=tuple(marked), diagnostics=diag)
+            return MarkingDecision(kind="spatial", spatial_marked=tuple(marked))
         if criterion == "A":
             marked = doerfler(indicators.parametric, params.theta_p)
         else:
             marked = maximum_mark(indicators.parametric, params.theta_p)
-        return MarkingDecision(kind="parametric", parametric_marked=tuple(marked),
-                               diagnostics=diag)
+        return MarkingDecision(kind="parametric", parametric_marked=tuple(marked))
 
     # criteria B and D: compare the estimated error reduction of a trial
     # spatial refinement against the marked parametric aggregate
@@ -188,18 +184,9 @@ def decide(
         trial_param = maximum_mark(indicators.parametric, params.theta_p)
     trial_spatial = doerfler(indicators.spatial, params.theta_x)
     trial = refine(mesh, trial_spatial)
-    trial_realized = realized(mesh, trial).tolist()
     eta_trial_param = _aggregate(indicators.parametric, trial_param)
-    eta_realized = math.sqrt(indicators.spatial_subset_sq(trial_realized))
-    diag |= {
-        "trial_parametric": tuple(trial_param),
-        "trial_spatial": tuple(trial_spatial),
-        "realized_spatial": tuple(trial_realized),
-        "eta_trial_parametric": eta_trial_param,
-        "eta_realized_spatial": eta_realized,
-    }
+    eta_realized = math.sqrt(indicators.spatial_subset_sq(realized(mesh, trial)))
     if params.vartheta * eta_trial_param <= eta_realized:
         return MarkingDecision(kind="spatial", spatial_marked=tuple(trial_spatial),
-                               diagnostics=diag, refined=trial)
-    return MarkingDecision(kind="parametric", parametric_marked=tuple(trial_param),
-                           diagnostics=diag)
+                               refined=trial)
+    return MarkingDecision(kind="parametric", parametric_marked=tuple(trial_param))

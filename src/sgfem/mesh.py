@@ -27,11 +27,18 @@ from a dyadic initial mesh are exactly representable in float64.
 
 A refined mesh records its own step only (``new_vertex_edge``) and keeps no
 reference to the coarser mesh, so a run keeps alive only the meshes it holds.
+
+``read_mesh`` is the one way in for a mesh from outside.  It accepts only a
+conforming, positively oriented triangulation that tiles the region its
+boundary encloses, with every vertex of a boundary edge flagged as boundary,
+and raises a ValueError that names the first property a file fails.  Meshes
+made by refinement keep these properties and are not checked again.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +46,6 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "MeshAudit",
     "initial_lshape",
     "unit_square",
     "uniform_refine",
@@ -49,7 +55,6 @@ __all__ = [
     "realized",
     "kept_triangles",
     "bisected_edges",
-    "mesh_audit",
     "read_mesh",
     "write_mesh",
 ]
@@ -144,14 +149,6 @@ class Mesh:
         frame = (self.ref_edge[:, None] + _FRAME[3:]) % 3
         return self.triangle_nplus[np.arange(self.num_triangles)[:, None], frame]
 
-    @property
-    def interior_edges(self) -> np.ndarray:
-        return self.edges[self.interior_edge_ids]
-
-    @property
-    def boundary_edges(self) -> np.ndarray:
-        return self.edges[self.edge_counts == 1]
-
     @cached_property
     def free_nodes(self) -> np.ndarray:
         """Ids of interior (non-Dirichlet) vertices, ascending."""
@@ -163,19 +160,6 @@ class Mesh:
         idx = np.full(self.num_vertices, -1, dtype=np.int64)
         idx[self.free_nodes] = np.arange(self.free_nodes.size)
         return idx
-
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in degrees."""
-        p = self.vertices[self.triangles]
-        ang = np.empty((self.num_triangles, 3))
-        for k in range(3):
-            u = p[:, (k + 1) % 3] - p[:, k]
-            v = p[:, (k + 2) % 3] - p[:, k]
-            cosang = (u * v).sum(axis=1) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            ang[:, k] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(ang.min())
 
     def signed_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -388,55 +372,6 @@ def kept_triangles(coarse: Mesh, refined: Mesh) -> tuple[np.ndarray, np.ndarray]
     return rows, np.cumsum(count)[rows] - 1
 
 
-@dataclass(frozen=True)
-class MeshAudit:
-    conforming: bool
-    oriented: bool
-    ref_edges_valid: bool
-    min_angle_deg: float
-    num_vertices: int
-    num_triangles: int
-    num_edges: int
-    num_boundary_edges: int
-    num_interior_edges: int
-
-    @property
-    def ok(self) -> bool:
-        return self.conforming and self.oriented and self.ref_edges_valid
-
-
-def mesh_audit(mesh: Mesh) -> MeshAudit:
-    """Run invariant checks; used by the fuzz tests and the mesh reader."""
-    counts = mesh.edge_counts
-    conforming = bool(np.all((counts == 1) | (counts == 2)))
-
-    # NVB hanging nodes sit at midpoints of once-counted edges
-    if conforming:
-        a, b = mesh.boundary_edges.T
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        points = np.concatenate([mesh.vertices, mid])
-        _, which = np.unique(points, axis=0, return_inverse=True)
-        hanging = np.isin(which[mesh.num_vertices:], which[: mesh.num_vertices])
-        conforming = bool(np.all(mesh.boundary[a] & mesh.boundary[b])) and not hanging.any()
-
-    oriented = bool(np.all(mesh.signed_areas() > 0.0))
-    refs_valid = bool(
-        np.all((mesh.ref_edge >= 0) & (mesh.ref_edge <= 2))
-    ) and mesh.ref_edge.shape == (mesh.num_triangles,)
-
-    return MeshAudit(
-        conforming=conforming,
-        oriented=oriented,
-        ref_edges_valid=refs_valid,
-        min_angle_deg=mesh.min_angle(),
-        num_vertices=mesh.num_vertices,
-        num_triangles=mesh.num_triangles,
-        num_edges=len(mesh.edges),
-        num_boundary_edges=len(mesh.boundary_edges),
-        num_interior_edges=len(mesh.interior_edges),
-    )
-
-
 def write_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the plain text format (see ``read_mesh``)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -447,14 +382,66 @@ def write_mesh(mesh: Mesh, path) -> None:
             fh.write(f"{tri[0]} {tri[1]} {tri[2]} {r}\n")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge coordinates fail below, not warn
+def _check(mesh: Mesh, path) -> None:
+    """Raise a ValueError naming the first property of a conforming,
+    positively oriented triangulation that `mesh`, read from `path`, lacks.
+    Triangle t is line ``num_vertices + 2 + t`` of the file."""
+    areas = mesh.signed_areas()
+    if not (areas > 0.0).all():
+        t = int(np.argmin(areas > 0.0))
+        raise ValueError(f"mesh file {path}, line {mesh.num_vertices + 2 + t}: triangle {t} "
+                         f"is not positively oriented (signed area {areas[t]:g})")
+    counts = mesh.edge_counts
+    if counts.max() > 2:
+        e = int(np.argmax(counts > 2))
+        raise ValueError(f"mesh file {path}: edge {tuple(mesh.edges[e].tolist())} lies on "
+                         f"{counts[e]} triangles")
+    # NVB hanging nodes sit at midpoints of once-counted edges
+    a, b = mesh.edges[counts == 1].T
+    points = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+    _, which = np.unique(points, axis=0, return_inverse=True)
+    hanging = np.isin(which[mesh.num_vertices:], which[: mesh.num_vertices])
+    if hanging.any():
+        e = int(np.argmax(hanging))
+        v = int(np.argmax(which[: mesh.num_vertices] == which[mesh.num_vertices + e]))
+        raise ValueError(f"mesh file {path}: hanging node: vertex {v} is the midpoint of "
+                         f"boundary edge ({a[e]}, {b[e]})")
+    free = ~(mesh.boundary[a] & mesh.boundary[b])
+    if free.any():
+        e = int(np.argmax(free))
+        v = a[e] if not mesh.boundary[a[e]] else b[e]
+        raise ValueError(f"mesh file {path}, line {v + 2}: vertex {v} lies on boundary edge "
+                         f"({a[e]}, {b[e]}) but is not flagged as boundary")
+    # the triangles tile the region their boundary encloses: their areas sum
+    # to the shoelace area of the once-counted edges, each oriented as in its
+    # triangle (a duplicated or folded triangle counts its edges twice);
+    # coordinates are taken from a vertex to keep the cross products small
+    t, k = np.nonzero(counts[mesh.triangle_edges] == 1)
+    p = mesh.vertices[mesh.triangles[t, (k + 1) % 3]] - mesh.vertices[0]
+    q = mesh.vertices[mesh.triangles[t, (k + 2) % 3]] - mesh.vertices[0]
+    total, enclosed = areas.sum(), 0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]).sum()
+    if not np.isfinite([total, enclosed]).all():
+        raise ValueError(f"mesh file {path}: the coordinates are too large: the areas overflow")
+    if abs(total - enclosed) > 1e-10 * total:
+        raise ValueError(f"mesh file {path}: the triangles do not tile the region their "
+                         f"boundary encloses: their areas sum to {total:.17g}, the "
+                         f"boundary encloses {enclosed:.17g}")
+
+
 def read_mesh(path) -> Mesh:
     """Read the text format: header ``vertices N triangles M``, then N lines
     ``x y boundary_flag`` and M lines ``v0 v1 v2 ref_edge`` (0-based ids).
 
     Rejects a header whose counts the file does not hold, naming the first
-    missing line, before anything is allocated; rejects malformed lines, a
-    vertex of no triangle (naming the first) and non-conforming or badly
-    oriented input.
+    missing line, before anything is allocated.  Then rejects, naming the
+    first offence and its line where it has one: a malformed line, a
+    non-finite coordinate, a vertex id or reference edge out of range, a
+    vertex of no triangle, a triangle that is not positively oriented, an
+    edge on more than two triangles, a hanging node, a boundary edge with a
+    vertex not flagged as boundary, coordinates so large that the areas
+    overflow, and triangles that do not tile the region their boundary
+    encloses (a duplicated or folded triangle).
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -473,27 +460,36 @@ def read_mesh(path) -> Mesh:
             f"but ends after line {k + 1}: line {k + 2} ({what}) is missing"
         )
 
-    def fields(k, names):
+    def fail(k, what):
+        raise ValueError(f"mesh file {path}, line {k + 2}: {what}")
+
+    def fields(k, names, kinds):
         values = body[k].split()
-        if len(values) != len(names.split()):
-            raise ValueError(f"mesh file {path}, line {k + 2}: expected {names!r}, "
-                             f"got {body[k].strip()!r}")
-        return values
+        if len(values) == len(kinds):
+            try:
+                return [kind(s) for kind, s in zip(kinds, values)]
+            except ValueError:
+                pass
+        fail(k, f"expected {names!r}, got {body[k].strip()!r}")
 
     coords = np.empty((nv, 2))
     bdry = np.empty(nv, dtype=bool)
     for i in range(nv):
-        x, y, b = fields(i, "x y boundary_flag")
-        coords[i] = (float(x), float(y))
-        bdry[i] = bool(int(b))
+        x, y, b = fields(i, "x y boundary_flag", (float, float, int))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            fail(i, f"vertex {i} has a non-finite coordinate ({x}, {y})")
+        coords[i] = (x, y)
+        bdry[i] = bool(b)
     tris = np.empty((nt, 3), dtype=np.int64)
     refs = np.empty(nt, dtype=np.int64)
     for i in range(nt):
-        v0, v1, v2, r = (int(s) for s in fields(nv + i, "v0 v1 v2 ref_edge"))
+        v0, v1, v2, r = fields(nv + i, "v0 v1 v2 ref_edge", (int,) * 4)
+        if not (0 <= v0 < nv and 0 <= v1 < nv and 0 <= v2 < nv):
+            fail(nv + i, f"triangle {i} has a vertex id out of range 0..{nv - 1}")
+        if not 0 <= r <= 2:
+            fail(nv + i, f"triangle {i} has reference edge {r} out of range 0..2")
         tris[i] = (v0, v1, v2)
         refs[i] = r
-    if tris.min() < 0 or tris.max() >= nv:
-        raise ValueError("triangle vertex id out of range")
     unused = np.setdiff1d(np.arange(nv), tris)
     if unused.size:
         raise ValueError(f"mesh file {path}, line {unused[0] + 2}: vertex {unused[0]} "
@@ -504,7 +500,5 @@ def read_mesh(path) -> Mesh:
         triangles=tris,
         ref_edge=refs,
     )
-    audit = mesh_audit(mesh)
-    if not audit.ok:
-        raise ValueError(f"mesh file {path} failed validation: {audit}")
+    _check(mesh, path)
     return mesh

@@ -105,12 +105,9 @@ class ProblemSpec:
             return 0.0
         return self.amplitude * float(zeta(self.sigma)) / self.a0_min
 
-    def mode(self, m: int) -> Callable:
-        return fourier_mode(m, self.amplitude, self.sigma)
-
     def coefficient(self, m: int) -> Callable:
         """a_0 for m = 0, otherwise the m-th parametric mode."""
-        return self.a0 if m == 0 else self.mode(m)
+        return self.a0 if m == 0 else fourier_mode(m, self.amplitude, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,6 @@ class ContrastBounds:
 def contrast_bounds(spec: ProblemSpec) -> ContrastBounds:
     """Norm-equivalence constants between the full and mean-field energies."""
     tau = spec.tau
-    if tau >= 1.0:
-        raise ValueError("inadmissible problem: tau >= 1")
     lam = spec.a0_min / (spec.a0_max * (1.0 + tau))
     Lam = spec.a0_max / (spec.a0_min * (1.0 - tau))
     return ContrastBounds(lam=lam, Lam=Lam)
@@ -173,8 +168,6 @@ def spec_from_config(settings: dict) -> ProblemSpec:
     sigma = float(settings.get("sigma", 2.0))
     if "amplitude" in settings:
         amplitude = float(settings["amplitude"])
-        if amplitude * float(zeta(sigma)) >= 1.0:
-            raise ValueError("inadmissible problem: amplitude * zeta(sigma) >= 1")
     else:
         amplitude = amplitude_from_tau(float(settings.get("tau", 0.9)), sigma)
     return ProblemSpec(sigma=sigma, amplitude=amplitude)

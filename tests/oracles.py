@@ -11,7 +11,8 @@ node-major coupling product, the COO stiffness assembly,
 the per-call load assembly, the loop-based newest-vertex bisection, the CSR
 coupling blocks with the transposed products formed from them, the
 prolongation matrix, and the loop-based detail set and index embedding, and former library code that only
-tests use: the orthonormal Legendre polynomials with their Gauss rule, the
+tests use: the mesh audit with its minimum angle, the orthonormal Legendre
+polynomials with their Gauss rule, the
 Galerkin solve in the enhanced space of the two-sided estimate, the mean-field
 energy and the contraction series of reference errors.
 """
@@ -434,6 +435,75 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     data = np.concatenate([np.ones(n_old), np.full(2 * (n_new - n_old), 0.5)])
     P = sp.csr_matrix((data, (rows, cols)), shape=(n_new, n_old))
     return P[fine.free_nodes][:, coarse.free_nodes].tocsr()
+
+
+# ---------------------------------------------------------------------------
+# the former library mesh audit: its fields serve the refinement fuzz tests
+# (minimum angle, edge counts) and the mesh-file fuzz test, where a failed
+# audit must make `read_mesh` raise
+
+@dataclass(frozen=True)
+class MeshAudit:
+    conforming: bool
+    oriented: bool
+    ref_edges_valid: bool
+    min_angle_deg: float
+    num_vertices: int
+    num_triangles: int
+    num_edges: int
+    num_boundary_edges: int
+    num_interior_edges: int
+
+    @property
+    def ok(self) -> bool:
+        return self.conforming and self.oriented and self.ref_edges_valid
+
+
+def min_angle(mesh) -> float:
+    """Smallest interior angle over all triangles, in degrees."""
+    p = mesh.vertices[mesh.triangles]
+    ang = np.empty((mesh.num_triangles, 3))
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        cosang = (u * v).sum(axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        )
+        ang[:, k] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(ang.min())
+
+
+def mesh_audit(mesh) -> MeshAudit:
+    """Run invariant checks."""
+    counts = mesh.edge_counts
+    boundary_edges = mesh.edges[counts == 1]
+    conforming = bool(np.all((counts == 1) | (counts == 2)))
+
+    # NVB hanging nodes sit at midpoints of once-counted edges
+    if conforming:
+        a, b = boundary_edges.T
+        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        points = np.concatenate([mesh.vertices, mid])
+        _, which = np.unique(points, axis=0, return_inverse=True)
+        hanging = np.isin(which[mesh.num_vertices:], which[: mesh.num_vertices])
+        conforming = bool(np.all(mesh.boundary[a] & mesh.boundary[b])) and not hanging.any()
+
+    oriented = bool(np.all(mesh.signed_areas() > 0.0))
+    refs_valid = bool(
+        np.all((mesh.ref_edge >= 0) & (mesh.ref_edge <= 2))
+    ) and mesh.ref_edge.shape == (mesh.num_triangles,)
+
+    return MeshAudit(
+        conforming=conforming,
+        oriented=oriented,
+        ref_edges_valid=refs_valid,
+        min_angle_deg=min_angle(mesh),
+        num_vertices=mesh.num_vertices,
+        num_triangles=mesh.num_triangles,
+        num_edges=len(mesh.edges),
+        num_boundary_edges=len(boundary_edges),
+        num_interior_edges=int((counts == 2).sum()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from sgfem import (
     doerfler,
     fit_rate,
     maximum_mark,
-    mesh_audit,
     refine,
     solve,
     spatial_indicators,
@@ -56,7 +55,7 @@ def test_criterion_02_mesh_refinement_fuzz():
             marked = rng.choice(num_new, size=min(k, num_new), replace=False)
             mesh = refine(mesh, marked)
             calls += 1
-            audit = mesh_audit(mesh)
+            audit = oracles.mesh_audit(mesh)
             assert audit.ok, f"audit failed after {calls} refinements"
             assert audit.min_angle_deg >= 22.5 - 1e-9
     assert calls == 1000

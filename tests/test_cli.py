@@ -1,16 +1,23 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 import sgfem
 import sgfem.driver
-from sgfem import SolverError, write_mesh
+from sgfem import Mesh, SolverError, refine, unit_square, write_mesh
 from sgfem.mesh import initial_lshape
 from sgfem.cli import (
     CSV_HEADER,
@@ -22,7 +29,7 @@ from sgfem.cli import (
     _parse_range,
     main,
 )
-from test_mesh import STRAY_VERTICES_MESH
+from test_mesh import DUPLICATE_TRIANGLE_MESHES, STRAY_VERTICES_MESH
 
 RUN_ARGS = ["run", "--criterion", "A", "--tol", "5e-2"]
 
@@ -132,6 +139,15 @@ class TestErrors:
         out = tmp_path / "trace.csv"
         assert main(["run", "--tau", "1.5", "--output", str(out)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", "1.5", "tau must lie in [0, 1)"),
+        ("--amplitude", "0.9", "inadmissible problem: tau = 1.48044 >= 1"),
+    ])
+    def test_inadmissible_problem_message(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "trace.csv"
+        assert main(["run", flag, value, "--output", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"sgfem: error: {message}"]
+
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma = 2\nwavelength = 7\n", encoding="utf-8")
@@ -211,6 +227,19 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("sgfem: error: ")
         assert "vertex 4 belongs to no triangle" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vertices", sorted(DUPLICATE_TRIANGLE_MESHES))
+    def test_mesh_file_with_duplicate_triangle(self, tmp_path, capsys, vertices):
+        # free vertices made A_0 singular; boundary ones ran to the cap
+        mesh_file = tmp_path / "twice.mesh"
+        mesh_file.write_text(DUPLICATE_TRIANGLE_MESHES[vertices], encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        argv = ["run", "--mesh", str(mesh_file), "--max-iter", "5", "--output", str(out)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert "do not tile the region their boundary encloses" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("body, missing", [
@@ -366,3 +395,90 @@ class TestParseRange:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("sgfem: error: bad range")
         assert not outdir.exists()
+
+
+# valid meshes to mutate: all vertices on the boundary, some free, one triangle
+FUZZ_MESHES = (
+    initial_lshape(),
+    refine(initial_lshape(), [0]),
+    unit_square(),
+    Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), boundary=np.ones(3, dtype=bool),
+         triangles=np.array([[0, 1, 2]]), ref_edge=np.array([0])),
+)
+
+
+def mesh_lines(mesh) -> list[str]:
+    """The lines of `mesh` in the mesh file format."""
+    return ([f"vertices {mesh.num_vertices} triangles {mesh.num_triangles}"]
+            + [f"{x!r} {y!r} {int(b)}" for (x, y), b in zip(mesh.vertices.tolist(), mesh.boundary)]
+            + [f"{a} {b} {c} {r}"
+               for (a, b, c), r in zip(mesh.triangles.tolist(), mesh.ref_edge.tolist())])
+
+
+@st.composite
+def mutated_mesh_files(draw):
+    """The text of a mesh file made from a valid mesh by one or two edits of
+    its arrays (drop, duplicate or reverse a triangle, flip a boundary flag,
+    put a reference edge out of range), then maybe one edit of its text (a
+    non-finite coordinate, a truncated line); with the edited mesh, or None
+    after a text edit."""
+    mesh = draw(st.sampled_from(FUZZ_MESHES))
+    tris, refs, boundary = mesh.triangles.copy(), mesh.ref_edge.copy(), mesh.boundary.copy()
+    edits = st.sampled_from(["drop", "duplicate", "reverse", "flip", "ref_edge"])
+    for edit in draw(st.lists(edits, min_size=1, max_size=2)):
+        t = draw(st.integers(0, len(tris) - 1))
+        if edit == "drop" and len(tris) > 1:
+            tris, refs = np.delete(tris, t, axis=0), np.delete(refs, t)
+        elif edit == "duplicate":
+            tris, refs = np.insert(tris, t, tris[t], axis=0), np.insert(refs, t, refs[t])
+        elif edit == "reverse":
+            tris[t] = tris[t, ::-1]
+        elif edit == "flip":
+            v = draw(st.integers(0, len(boundary) - 1))
+            boundary[v] = not boundary[v]
+        elif edit == "ref_edge":
+            refs[t] = draw(st.sampled_from([-1, 3]))
+    mesh = dataclasses.replace(mesh, boundary=boundary, triangles=tris, ref_edge=refs)
+    lines = mesh_lines(mesh)
+    text_edit = draw(st.sampled_from([None, "non_finite", "truncate"]))
+    if text_edit == "non_finite":
+        k = draw(st.integers(1, mesh.num_vertices))
+        fields = lines[k].split()
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[k] = " ".join(fields)
+    elif text_edit == "truncate":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k][: draw(st.integers(0, len(lines[k]) - 1))]
+    return "\n".join(lines) + "\n", mesh if text_edit is None else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mutated_mesh_files())
+@example(case=(DUPLICATE_TRIANGLE_MESHES["free"], None))
+@example(case=(DUPLICATE_TRIANGLE_MESHES["boundary"], None))
+def test_mutated_mesh_files(case):
+    """``sgfem run`` on a mutated mesh file never raises and warns nothing.
+    It exits with a documented code; an error exit writes exactly one
+    ``sgfem: error:`` line, while a run that stops at the tolerance or the
+    cap writes none.  A mesh the oracle audit rejects exits 1.  The runs are
+    tiny: tolerance 1e-1, at most 5 levels."""
+    text, mesh = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.mesh"
+        path.write_text(text, encoding="utf-8")
+        argv = ["run", "--mesh", str(path), "--tol", "1e-1", "--max-iter", "5",
+                "--output", str(Path(tmp) / "trace.csv")]
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_CAP, EXIT_NUMERIC, EXIT_USAGE)
+    lines = err.getvalue().splitlines()
+    if code in (EXIT_OK, EXIT_CAP):
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("sgfem: error: "), lines
+    if mesh is not None and not oracles.mesh_audit(mesh).ok:
+        assert code == EXIT_ERROR

@@ -236,7 +236,7 @@ class TestCarry:
         operator = MeshOperator(mesh, spec)
         operator.child_terms(3)
         for _ in range(30):
-            mid = mesh.vertices[mesh.interior_edges].mean(axis=1)
+            mid = mesh.vertices[mesh.edges[mesh.interior_edge_ids]].mean(axis=1)
             mesh, operator = self.step(
                 mesh, operator, [int(np.argmin(np.hypot(*mid.T)))], children_rows, 3)
         # NVB halves areas exactly: some triangle is 60 bisections deep

@@ -13,14 +13,23 @@ fixture only for a change that is meant to move the adaptive path:
 
 The fixture also pins sha256 digests of each command line's CSV, ``.config``
 echo and stdout, and of each desk run's CSV (``format_trace_csv``, the bytes
-``sgfem run --criterion X --theta-x 0.5 --theta-p 0.5 --tol 1e-2`` writes),
-with the numpy and scipy versions they were made with; they are compared
-only under those versions.  A change that keeps the 1e-12
-checks but moves a digest has moved a last bit; it regenerates the fixture
-as a declared test change.
+``sgfem run --criterion X --theta-x 0.5 --theta-p 0.5 --tol 1e-2`` writes).
+SuperLU reaches BLAS through scipy's bundled OpenBLAS, whose kernels (chosen
+by CPU, or by ``OPENBLAS_CORETYPE``) round the factors of A_0 differently in
+the last bits, so the fixture keeps one digest set per kernel, each with the
+numpy and scipy versions it was made with.  A set is compared only on its
+kernel and under its versions; on a kernel without a set the digest tests
+skip and name it.  A change that keeps the 1e-12 checks but moves a digest
+has moved a last bit; it regenerates the fixture as a declared test change,
+the digests of the other kernels included:
+
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_golden.py --digests
+
+which writes only the running kernel's digests and keeps the rest.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -54,6 +63,19 @@ FLOAT_RTOL = 1e-12
 RECORD_INTEGERS = ("refine_type", "dim_x", "card_p", "n_dof", "n_marked",
                    "max_active_dim", "solver_iterations")
 RECORD_FLOATS = ("eta", "eta_spatial", "eta_parametric", "energy_sq")
+
+
+def blas_kernel() -> str:
+    """The kernel that scipy's bundled OpenBLAS runs, which follows the CPU
+    or ``OPENBLAS_CORETYPE``; "unknown" for another BLAS."""
+    for lib in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def sha256(data: bytes) -> str:
@@ -128,6 +150,25 @@ def assert_close(got: list, want: list, where) -> None:
     assert not bad, (where, bad)
 
 
+def expected_digests(got: dict, stored: dict) -> dict:
+    """The digests of `stored` (one set per BLAS kernel) that `got` must
+    equal; skips without a set for this kernel, or under other numpy and
+    scipy versions than the set was made with."""
+    kernel = blas_kernel()
+    if kernel not in stored:
+        pytest.skip(f"no digests for the {kernel} BLAS kernel, only for {', '.join(sorted(stored))}")
+    want = stored[kernel]
+    if [got[v] for v in ("numpy", "scipy")] != [want[v] for v in ("numpy", "scipy")]:
+        pytest.skip(f"{kernel} digests were made with numpy {want['numpy']}, scipy {want['scipy']}")
+    return want
+
+
+def digest_holders(data: dict) -> list[dict]:
+    """The entries of a fixture that carry digests: the command lines and
+    the desk runs."""
+    return [data[name] for name in COMMAND_LINES] + [data["desk_runs"][c] for c in sorted(data["desk_runs"])]
+
+
 def load_fixture() -> dict:
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted([*COMMAND_LINES, "desk_runs", "runs_07"])
@@ -156,11 +197,8 @@ def test_golden_trajectories(trajectories):
 def test_output_digests(trajectories):
     golden = load_fixture()
     for name in COMMAND_LINES:
-        got, want = trajectories[name]["digests"], golden[name]["digests"]
-        versions = ("numpy", "scipy")
-        if [got[v] for v in versions] != [want[v] for v in versions]:
-            pytest.skip(f"digests were made with numpy {want['numpy']}, scipy {want['scipy']}")
-        assert got == want, name
+        got = trajectories[name]["digests"]
+        assert got == expected_digests(got, golden[name]["digests"]), name
 
 
 def test_desk_run_records(desk_runs, runs_07):
@@ -181,19 +219,19 @@ def test_desk_run_digests(desk_runs):
     record of the fixture."""
     golden = load_fixture()["desk_runs"]
     for crit, trace in desk_runs.items():
-        got, want = csv_digests(trace), golden[crit]["digests"]
-        versions = ("numpy", "scipy")
-        if [got[v] for v in versions] != [want[v] for v in versions]:
-            pytest.skip(f"digests were made with numpy {want['numpy']}, scipy {want['scipy']}")
-        assert got == want, crit
+        got = csv_digests(trace)
+        assert got == expected_digests(got, golden[crit]["digests"]), crit
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     from conftest import RUN_SETS, criterion_runs
     from sgfem import lshape_benchmark
 
+    # a full regeneration keeps no other kernel's digests: they would be stale
+    digests_only = sys.argv[1:] == ["--digests"]
     with tempfile.TemporaryDirectory() as tmp:
         data = {name: trajectory(name, Path(tmp)) for name in COMMAND_LINES}
     for name, theta_x in RUN_SETS.items():
@@ -202,4 +240,8 @@ if __name__ == "__main__":
         if name == "desk_runs":
             for crit, trace in runs.items():
                 data[name][crit]["digests"] = csv_digests(trace)
-    FIXTURE.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    fixture = load_fixture() if digests_only else data
+    for new, kept in zip(digest_holders(data), digest_holders(fixture)):
+        sets = kept["digests"] if digests_only else {}
+        kept["digests"] = dict(sorted({**sets, blas_kernel(): new["digests"]}.items()))
+    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")

@@ -17,6 +17,7 @@ from sgfem import (
     lshape_benchmark,
     maximum_mark,
     parametric_indicators,
+    realized,
     refine,
     solve,
     spatial_indicators,
@@ -207,17 +208,21 @@ class TestDecide:
 
     def test_b_compares_realized_reduction(self, context):
         mesh, ind = context
-        out = decide("B", ind, MarkingParams(), mesh)
+        params = MarkingParams()
+        out = decide("B", ind, params, mesh)
         assert out.kind in ("spatial", "parametric")
-        realized = out.diagnostics["realized_spatial"]
-        trial = out.diagnostics["trial_spatial"]
-        assert set(realized) >= set(trial)
+        trial = doerfler(ind.spatial, params.theta_x)
+        trial_param = doerfler(ind.parametric, params.theta_p)
+        realized_set = realized(mesh, refine(mesh, trial)).tolist()
+        assert set(realized_set) >= set(trial)
         # the comparison uses the realized aggregate, not the marked one
-        eta_re = math.sqrt(ind.spatial_subset_sq(realized))
-        eta_tp = out.diagnostics["eta_trial_parametric"]
+        eta_re = math.sqrt(ind.spatial_subset_sq(realized_set))
+        eta_tp = math.sqrt(ind.parametric_subset_sq(trial_param))
         if out.kind == "spatial":
+            assert out.spatial_marked == tuple(trial)
             assert eta_tp <= eta_re
         else:
+            assert out.parametric_marked == tuple(trial_param)
             assert eta_tp > eta_re
 
     def test_realized_set_matches_actual_refinement(self, context):
@@ -225,13 +230,13 @@ class TestDecide:
         out = decide("B", ind, MarkingParams(), mesh)
         if out.kind == "spatial":
             nxt = refine(mesh, out.spatial_marked)
-            position = {tuple(e): i for i, e in enumerate(mesh.interior_edges.tolist())}
-            realized = sorted(
+            position = {tuple(mesh.edges[e]): i for i, e in enumerate(mesh.interior_edge_ids)}
+            realized_set = sorted(
                 position[tuple(e)]
                 for e in nxt.new_vertex_edge.tolist()
                 if tuple(e) in position
             )
-            assert realized == sorted(out.diagnostics["realized_spatial"])
+            assert realized_set == realized(mesh, out.refined).tolist()
 
     @pytest.mark.parametrize("criterion", ["B", "D"])
     def test_spatial_decision_carries_the_refined_mesh(self, context, criterion):

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 import oracles
 import sgfem.mesh
+from oracles import mesh_audit, min_angle
 from sgfem import (
     initial_lshape,
-    mesh_audit,
     read_mesh,
     refine,
     uniform_refine,
@@ -29,6 +30,14 @@ STRAY_VERTICES_MESH = """vertices 6 triangles 2
 0 1 2 1
 0 2 3 2
 """
+
+
+# one triangle listed twice: every edge counts 2, so no edge is on the
+# boundary; with its vertices free or flagged as boundary
+DUPLICATE_TRIANGLE_MESHES = {
+    name: f"vertices 3 triangles 2\n0 0 {flag}\n1 0 {flag}\n0 1 {flag}\n0 1 2 0\n0 1 2 0\n"
+    for name, flag in (("free", 0), ("boundary", 1))
+}
 
 
 @pytest.fixture
@@ -60,15 +69,15 @@ class TestInitialMeshes:
         assert lmesh.num_vertices == 8
         assert lmesh.num_triangles == 6
         assert len(lmesh.edges) == 13
-        assert len(lmesh.boundary_edges) == 8
-        assert len(lmesh.interior_edges) == 5
+        assert (lmesh.edge_counts == 1).sum() == 8
+        assert lmesh.interior_edge_ids.size == 5
         assert bool(lmesh.boundary.all())
         assert lmesh.free_nodes.size == 0
 
     def test_lshape_geometry(self, lmesh):
         assert lmesh.signed_areas().sum() == pytest.approx(3.0, abs=1e-14)
         assert np.all(lmesh.signed_areas() > 0)
-        assert lmesh.min_angle() == pytest.approx(45.0, abs=1e-10)
+        assert min_angle(lmesh) == pytest.approx(45.0, abs=1e-10)
 
     def test_lshape_reference_edges_are_diagonals(self, lmesh):
         # every reference edge has length sqrt(2)
@@ -105,7 +114,7 @@ class TestUniformRefine:
         assert sgfem.mesh.bisected_edges(lmesh, fine).tolist() == list(range(13))
         assert lmesh.interior_edge_ids.size == 5  # interior-edge midpoints
         assert mesh_audit(fine).ok
-        assert fine.min_angle() == pytest.approx(45.0, abs=1e-10)
+        assert min_angle(fine) == pytest.approx(45.0, abs=1e-10)
 
     def test_new_vertices_are_midpoints(self, lmesh):
         fine = uniform_refine(lmesh)
@@ -139,7 +148,6 @@ class TestUniformRefine:
             assert [tuple(e) for e in mesh.edges.tolist()] == sorted(counts)
             assert mesh.edge_counts.tolist() == [counts[e] for e in sorted(counts)]
             nplus = oracles.interior_edges(mesh)
-            assert [tuple(e) for e in mesh.interior_edges.tolist()] == nplus
             assert [tuple(mesh.edges[e]) for e in mesh.interior_edge_ids] == nplus
             position = {e: i for i, e in enumerate(nplus)}
             for t in range(mesh.num_triangles):
@@ -236,7 +244,7 @@ class TestRefine:
         assert out.num_triangles == 15
         audit = mesh_audit(out)
         assert audit.ok
-        assert out.min_angle() == pytest.approx(45.0, abs=1e-10)
+        assert min_angle(out) == pytest.approx(45.0, abs=1e-10)
 
     def test_marked_vertices_present(self, lmesh):
         fine = uniform_refine(lmesh)
@@ -393,6 +401,78 @@ class TestIO:
         with pytest.raises(ValueError, match="line 6: vertex 4 belongs to no triangle"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("vertices", sorted(DUPLICATE_TRIANGLE_MESHES))
+    def test_read_duplicate_triangle(self, tmp_path, vertices):
+        path = tmp_path / "twice.mesh"
+        path.write_text(DUPLICATE_TRIANGLE_MESHES[vertices])
+        with pytest.raises(ValueError, match="do not tile the region their boundary encloses"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_read_non_finite_coordinate(self, tmp_path, value):
+        path = tmp_path / "nan.mesh"
+        path.write_text(f"vertices 3 triangles 1\n0 0 1\n{value} 0 1\n0 1 1\n0 1 2 0\n")
+        with pytest.raises(ValueError, match="line 3: vertex 1 has a non-finite coordinate"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("line, what", [
+        ("0 1 2 3", "triangle 0 has reference edge 3 out of range 0..2"),
+        ("0 1 2 -1", "triangle 0 has reference edge -1 out of range 0..2"),
+        ("0 1 3 0", "triangle 0 has a vertex id out of range 0..2"),
+        ("0 1 2 99999999999999999999", "triangle 0 has reference edge 99999999999999999999 out of"),
+    ])
+    def test_read_triangle_line_out_of_range(self, tmp_path, line, what):
+        path = tmp_path / "range.mesh"
+        path.write_text(f"vertices 3 triangles 1\n0 0 1\n1 0 1\n0 1 1\n{line}\n")
+        with pytest.raises(ValueError, match="line 5: " + what):
+            read_mesh(path)
+
+    def test_read_coordinates_too_large(self, tmp_path):
+        path = tmp_path / "huge.mesh"
+        path.write_text("vertices 3 triangles 1\n0 0 1\n1e200 0 1\n0 1e200 1\n0 1 2 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coordinates are too large: the areas overflow"):
+                read_mesh(path)
+
+    @staticmethod
+    def reject(tmp_path, mesh, what):
+        path = tmp_path / "bad.mesh"
+        write_mesh(mesh, path)
+        with pytest.raises(ValueError, match=what):
+            read_mesh(path)
+
+    def test_read_reversed_triangle(self, tmp_path, lmesh):
+        tris = lmesh.triangles.copy()
+        tris[2] = tris[2, ::-1]
+        # triangle 2 is on line 2 + 8 vertices + 2
+        self.reject(tmp_path, dataclasses.replace(lmesh, triangles=tris),
+                    r"line 12: triangle 2 is not positively oriented \(signed area -0.5\)")
+
+    def test_read_edge_on_three_triangles(self, tmp_path, lmesh):
+        tris = np.vstack([lmesh.triangles, lmesh.triangles[:1]])
+        refs = np.append(lmesh.ref_edge, lmesh.ref_edge[0])
+        self.reject(tmp_path, dataclasses.replace(lmesh, triangles=tris, ref_edge=refs),
+                    r"edge \(0, 4\) lies on 3 triangles")
+
+    def test_read_hanging_node(self, tmp_path):
+        # the unit square's triangle (0, 1, 2) bisected at the diagonal's
+        # midpoint 4, the other triangle (0, 2, 3) not
+        square = unit_square()
+        mesh = dataclasses.replace(
+            square, vertices=np.vstack([square.vertices, [0.5, 0.5]]),
+            boundary=np.append(square.boundary, False),
+            triangles=np.array([[0, 1, 4], [1, 2, 4], [0, 2, 3]]), ref_edge=np.array([2, 2, 1]))
+        self.reject(tmp_path, mesh,
+                    r"hanging node: vertex 4 is the midpoint of boundary edge \(0, 2\)")
+
+    def test_read_boundary_vertex_not_flagged(self, tmp_path):
+        square = unit_square()
+        boundary = square.boundary.copy()
+        boundary[1] = False
+        self.reject(tmp_path, dataclasses.replace(square, boundary=boundary),
+                    r"line 3: vertex 1 lies on boundary edge \(0, 1\) but is not flagged")
+
     def test_read_malformed_line(self, tmp_path):
         path = tmp_path / "short.mesh"
         path.write_text("vertices 3 triangles 1\n0 0 1\n1 0\n0 1 1\n0 1 2 0\n")
@@ -462,7 +542,7 @@ class TestLoopOracle:
         # closure runs through dozens of generations
         mesh = initial_lshape()
         for _ in range(40):
-            edges = mesh.interior_edges
+            edges = mesh.edges[mesh.interior_edge_ids]
             mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
             mesh = self.step(mesh, [int(np.argmin(np.hypot(*mid.T)))])
         # NVB halves areas exactly: some triangle is 60 bisections deep

@@ -158,3 +158,14 @@ class TestConfig:
         assert spec.amplitude == 0.2
         with pytest.raises(ValueError):
             spec_from_config({"sigma": 2.0, "amplitude": 0.9})
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"tau": 1.0}, r"tau must lie in \[0, 1\)"),
+        ({"tau": -0.1}, r"tau must lie in \[0, 1\)"),
+        ({"amplitude": 0.9}, r"inadmissible problem: tau = 1.48044 >= 1"),
+    ])
+    def test_inadmissible_settings(self, settings, message):
+        # amplitude_from_tau checks a given tau, ProblemSpec the tau of a
+        # given amplitude; spec_from_config adds no check of its own
+        with pytest.raises(ValueError, match=message):
+            spec_from_config(settings)
