@@ -134,9 +134,7 @@ def _build_spec(args) -> ProblemSpec:
 
 
 def _load_mesh(source: str):
-    if source == "lshape":
-        return initial_lshape()
-    return read_mesh(source)
+    return initial_lshape() if source == "lshape" else read_mesh(source)
 
 
 def _add_common_flags(p: _Parser) -> None:
@@ -198,10 +196,7 @@ def _cmd_run(args) -> int:
     spec = _build_spec(args)
     mesh = _load_mesh(args.mesh)
     trace = _run_single(spec, mesh, args, args.theta_x, args.theta_p)
-    zetas = None
-    if args.with_reference:
-        u_ref = reference_solution(trace, spec, args.solver_tol)
-        zetas = effectivity(trace, u_ref, args.solver_tol)
+    zetas = effectivity(trace, reference_solution(trace)) if args.with_reference else None
     out = Path(args.output)
     _write_atomic(out, format_trace_csv(trace, zetas))
     _write_atomic(out.with_suffix(out.suffix + ".config"), _config_echo(args, spec))

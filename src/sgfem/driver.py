@@ -8,6 +8,8 @@ set) and hands the ``TensorSystem`` made of them to the solve, the
 estimators and the energies; a solution carries no system, so the operator
 or coupling that a step replaces is freed with it.  Energy identities and
 the per-step error-reduction lower bound are checked online on every run.
+The trace keeps the run's problem and tolerances, and the reference
+solution and the effectivity series read them from it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .galerkin import (
     solve,
 )
 from .indices import IndexSet, detail_index_set
-from .marking import MarkingDecision, MarkingParams, decide
+from .marking import MarkingParams, decide
 from .mesh import Mesh, initial_lshape, realized, refine, uniform_refine
 from .problem import ProblemSpec, contrast_bounds
 
@@ -82,6 +84,7 @@ class StepChecks:
 
 @dataclass
 class AdaptiveTrace:
+    spec: ProblemSpec
     criterion: str
     params: MarkingParams
     tol: float
@@ -147,9 +150,7 @@ def run_adaptive(
     indices = IndexSet()
     lam = contrast_bounds(spec).lam
 
-    trace = AdaptiveTrace(
-        criterion=criterion, params=params, tol=tol, solver_tol=solver_tol
-    )
+    trace = AdaptiveTrace(spec, criterion, params, tol, solver_tol)
     prev_solution: GalerkinSolution | None = None
     prev_energy: float | None = None
     pending_marked_sq: float | None = None
@@ -168,9 +169,7 @@ def run_adaptive(
             coupling = Coupling(indices, detail_index_set(indices))
         system = TensorSystem(operator, coupling)
 
-        guess = None
-        if prev_solution is not None:
-            guess = prolong(prev_solution, system)
+        guess = None if prev_solution is None else prolong(prev_solution, system)
         solution = solve(system, tol=solver_tol, initial=guess)
         energy = solution.energy_sq
         if not math.isfinite(energy):
@@ -213,7 +212,6 @@ def run_adaptive(
         if not math.isfinite(indicators.eta):
             raise AssertionError(f"non-finite estimate at level {level}: {indicators.eta}")
 
-        decision: MarkingDecision | None = None
         refine_type = "final"
         n_marked = 0
         stop: str | None = None
@@ -284,12 +282,11 @@ def run_adaptive(
         level += 1
 
 
-def reference_solution(
-    trace: AdaptiveTrace, spec: ProblemSpec, solver_tol: float = 1e-10
-) -> GalerkinSolution:
-    """Reference Galerkin solution on the uniform refinement of the final
-    mesh with the final index set enlarged twice by detail sets; the
-    reference space contains every space visited by the run.
+def reference_solution(trace: AdaptiveTrace) -> GalerkinSolution:
+    """Reference Galerkin solution of the run's problem, to the run's solver
+    tolerance, on the uniform refinement of the final mesh with the final
+    index set enlarged twice by detail sets; the reference space contains
+    every space visited by the run.
 
     The double index enrichment keeps the reference gap meaningful at the
     last few levels, where a single enrichment is barely richer than the
@@ -301,28 +298,21 @@ def reference_solution(
     fine = uniform_refine(trace.final_mesh)
     once = trace.final_indices.union(detail_index_set(trace.final_indices))
     indices = once.union(detail_index_set(once))
-    system = TensorSystem(MeshOperator(fine, spec), Coupling(indices))
+    system = TensorSystem(MeshOperator(fine, trace.spec), Coupling(indices))
     del system.operator.pattern  # the solve needs only A_m and the A_0 LU
-    return solve(system, tol=solver_tol, initial=prolong(trace.final_solution, system))
+    return solve(system, tol=trace.solver_tol, initial=prolong(trace.final_solution, system))
 
 
-def effectivity(
-    trace: AdaptiveTrace, u_ref: GalerkinSolution, solver_tol: float = 1e-10
-) -> list[float | None]:
+def effectivity(trace: AdaptiveTrace, u_ref: GalerkinSolution) -> list[float | None]:
     """Effectivity series: estimate over reference energy error per level.
 
-    Entries are None where the reference gap is within solver noise
-    (denominator below 10 * solver_tol * reference energy).
+    Entries are None where the reference gap is within the run's solver
+    noise (denominator below 10 * trace.solver_tol * reference energy).
     """
-    ref_energy = u_ref.energy_sq
-    out: list[float | None] = []
-    for rec in trace.records:
-        gap = ref_energy - rec.energy_sq
-        if gap <= 10.0 * solver_tol * ref_energy:
-            out.append(None)
-        else:
-            out.append(rec.eta / math.sqrt(gap))
-    return out
+    noise = 10.0 * trace.solver_tol * u_ref.energy_sq
+    gaps = [u_ref.energy_sq - rec.energy_sq for rec in trace.records]
+    return [None if gap <= noise else rec.eta / math.sqrt(gap)
+            for rec, gap in zip(trace.records, gaps)]
 
 
 def fit_rate(trace: AdaptiveTrace) -> float:

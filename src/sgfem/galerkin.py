@@ -17,7 +17,8 @@ contiguous rows and adds A_m times each to its row of the transposed
 result.  Below the pool's gate ``apply`` runs it, transposing U once on the
 way in and the result once on the way out.  Solves use PCG with the
 mean-based preconditioner A_0 x I; its normaliser <b, (A_0^{-1} x I) b>
-solves only the column block that holds the load.
+solves only the column block that holds the load.  PCG gives up past twice
+the iteration bound that the problem's contrast gives, plus two (``solve``).
 Every array PCG itself touches is C-ordered (free nodes, #indices).  The
 SPD A_0 is factored by SuperLU in symmetric mode, with the minimum-degree
 ordering of A_0 + A_0^T and no pivoting off the diagonal.
@@ -65,7 +66,7 @@ from scipy.sparse.linalg import splu
 from .indices import IndexSet, ZERO, row_positions
 from .legendre import coupling_coefficient
 from .mesh import MIDPOINT_SLOTS, Mesh, bisected_edges, child_corners, kept_triangles
-from .problem import ProblemSpec
+from .problem import ProblemSpec, contrast_bounds
 
 __all__ = [
     "SolverError",
@@ -172,9 +173,7 @@ def quadrature_points(p: np.ndarray) -> np.ndarray:
 def element_integrals(points: np.ndarray, area: np.ndarray, coefficient):
     """int_T a dx per triangle, by the rule at its ``points`` (see
     ``quadrature_points``)."""
-    cvals = np.asarray(coefficient(points), dtype=np.float64)
-    if cvals.shape != points.shape[:2]:
-        cvals = np.broadcast_to(cvals, points.shape[:2])
+    cvals = np.broadcast_to(np.asarray(coefficient(points), dtype=np.float64), points.shape[:2])
     return area * (cvals @ _QW_DEG5)
 
 
@@ -603,10 +602,11 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000, b_norm_sq=None):
-    """Preconditioned CG on arrays; returns (x, relative residual, iters).
-    Residuals are relative to sqrt(<b, M^{-1} b>), which the caller may pass
-    as ``b_norm_sq``; otherwise it costs one preconditioner application.
+def _pcg(apply_op, precond, b, x0, tol, cap, b_norm_sq):
+    """Preconditioned CG on arrays from x0 (zero for None), for at most `cap`
+    iterations; returns x and the history of residuals relative to
+    sqrt(b_norm_sq) = sqrt(<b, M^{-1} b>), which ends above `tol` if the cap
+    stopped it.
 
     Raises SolverError on breakdown: a non-finite preconditioned norm, or a
     curvature p.Ap that is non-finite or not positive (the operator or the
@@ -618,11 +618,9 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000, b_norm_sq=Non
         return value
 
     it, history = 0, []
-    if b_norm_sq is None:
-        b_norm_sq = _inner(b, precond(b))
     denom = math.sqrt(max(finite("b.Mb", b_norm_sq), 0.0))
     if denom == 0.0:
-        return np.zeros_like(b), 0.0, 0
+        return np.zeros_like(b), [0.0]
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - apply_op(x)
     z = precond(r)
@@ -630,13 +628,7 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000, b_norm_sq=Non
     p = z.copy()
     scratch = np.empty_like(p)
     history.append(math.sqrt(max(rho, 0.0)) / denom)
-    while history[-1] > tol:
-        if it >= maxiter:
-            raise SolverError(
-                f"PCG did not converge in {maxiter} iterations "
-                f"(relative residual {history[-1]:.3e})",
-                history,
-            )
+    while history[-1] > tol and it < cap:
         Ap = apply_op(p)
         alpha = rho / finite("p.Ap", _inner(p, Ap), positive=True)
         x += np.multiply(p, alpha, out=scratch)
@@ -648,31 +640,44 @@ def _pcg(apply_op, precond, b, x0=None, tol=1e-10, maxiter=100000, b_norm_sq=Non
         rho = rho_new
         it += 1
         history.append(math.sqrt(max(rho, 0.0)) / denom)
-    return x, history[-1], it
+    return x, history
 
 
 def solve(
-    system: TensorSystem,
-    tol: float = 1e-10,
-    maxiter: int = 100000,
-    initial: np.ndarray | None = None,
+    system: TensorSystem, tol: float = 1e-10, initial: np.ndarray | None = None
 ) -> GalerkinSolution:
     """Solve the Galerkin system by mean-preconditioned CG from the
     coefficients ``initial`` (zero without), and take the energy of the
-    result."""
+    result.  From an initial error no larger in energy than the solution,
+    CG reaches the relative residual `tol` within
+    ceil(ln(2 sqrt(kappa) / tol) / -ln rho) iterations, rho = (sqrt(kappa)
+    - 1) / (sqrt(kappa) + 1) but at least eps, with kappa = Lambda / lambda
+    of ``contrast_bounds`` (Powell and Elman 2009); past twice that bound
+    plus two it raises SolverError.  A `tol` outside (0, 1) raises
+    ValueError."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"solver tol must lie in (0, 1), got {tol}")
     if initial is not None and initial.shape != system.shape:
         raise ValueError("initial guess does not match the system shape")
-    U, res, its = _pcg(
-        system.apply, system.precondition, system.load, x0=initial, tol=tol, maxiter=maxiter,
-        b_norm_sq=system.load_norm_sq(),
-    )
+    bounds = contrast_bounds(system.spec)
+    k = math.sqrt(bounds.Lam / bounds.lam)  # sqrt(kappa)
+    # rounding lets no iteration gain more than about eps, rho = 0 at tau = 0 included
+    rho = max((k - 1.0) / (k + 1.0), np.finfo(float).eps)
+    bound = math.ceil((math.log(2.0 * k) - math.log(tol)) / -math.log(rho))
+    cap = 2 * bound + 2
+    U, history = _pcg(system.apply, system.precondition, system.load, initial, tol, cap,
+                      system.load_norm_sq())
+    if history[-1] > tol:
+        raise SolverError(f"PCG did not reach tol {tol:g} in its cap of {cap} iterations (the "
+                          f"bound at tau = {system.spec.tau:.6g} is {bound}; relative residual "
+                          f"{history[-1]:.3e})", history)
     return GalerkinSolution(
         mesh=system.mesh,
         indices=system.indices,
         coeffs=U,
         energy_sq=_inner(U, system.apply(U)),
-        residual=res,
-        iterations=its,
+        residual=history[-1],
+        iterations=len(history) - 1,
     )
 
 

@@ -51,12 +51,12 @@ def desk_runs(benchmark_spec):
 
 
 @pytest.fixture(scope="session")
-def desk_effectivity(benchmark_spec, desk_runs):
+def desk_effectivity(desk_runs):
     """Effectivity series of the desk runs.  Only the series are kept: each
     reference solution, with its system on the uniformly refined mesh, is
     freed before the next one is built."""
     return {
-        crit: effectivity(trace, reference_solution(trace, benchmark_spec))
+        crit: effectivity(trace, reference_solution(trace))
         for crit, trace in desk_runs.items()
     }
 

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from sgfem.galerkin import (
     GalerkinSolution,
     MeshOperator,
+    SolverError,
     TensorSystem,
     _inner,
     _QP_DEG5,
@@ -787,20 +788,23 @@ def solve_enhanced(
     indices_q: IndexSet,
     spec: ProblemSpec,
     tol: float = 1e-10,
-    maxiter: int = 100000,
     fine: Mesh | None = None,
 ) -> EnhancedSolution:
-    """Galerkin solve in the enhanced space used by the two-sided estimate."""
+    """Galerkin solve in the enhanced space used by the two-sided estimate;
+    raises SolverError past 1000 PCG iterations."""
     system = EnhancedSystem(mesh, indices_p, indices_q, spec, fine)
     b = system.join(system.load_fine, np.zeros(system.shape2))
-    x, res, its = _pcg(system.apply, system.precondition, b, tol=tol, maxiter=maxiter)
+    x, history = _pcg(system.apply, system.precondition, b, None, tol, 1000,
+                      _inner(b, system.precondition(b)))
+    if history[-1] > tol:
+        raise SolverError(f"enhanced PCG did not reach tol {tol:g} in 1000 iterations", history)
     U1, U2 = system.split(x)
     return EnhancedSolution(
         system=system,
         fine_coeffs=U1,
         detail_coeffs=U2,
-        residual=res,
-        iterations=its,
+        residual=history[-1],
+        iterations=len(history) - 1,
     )
 
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import oracles
 import sgfem
 import sgfem.driver
-from sgfem import Mesh, SolverError, refine, unit_square, write_mesh
+import sgfem.galerkin
+from sgfem import Mesh, SolverError, refine, uniform_refine, unit_square, write_mesh
 from sgfem.mesh import initial_lshape
 from sgfem.cli import (
     CSV_HEADER,
@@ -29,7 +30,7 @@ from sgfem.cli import (
     _parse_range,
     main,
 )
-from test_mesh import DUPLICATE_TRIANGLE_MESHES, STRAY_VERTICES_MESH
+from test_mesh import DUPLICATE_TRIANGLE_MESHES, STRAY_VERTICES_MESH, T_JUNCTION_MESH
 
 RUN_ARGS = ["run", "--criterion", "A", "--tol", "5e-2"]
 
@@ -51,6 +52,18 @@ class TestRun:
         assert all(r[-1] == "" for r in rows)
         # estimator column hits the tolerance on the last row
         assert float(rows[-1][5]) <= 5e-2
+
+    @pytest.mark.parametrize("extra, bound", [
+        # tau = 0.9 at the smallest tolerance: some 200 iterations, cap 2970
+        (["--solver-tol", "1e-300"], 1484),
+        # tau = 0: the preconditioner is exact; rho = 0 is taken as eps
+        (["--amplitude", "0"], 1),
+        (["--amplitude", "0", "--solver-tol", "1e-300"], 20),
+    ])
+    def test_solver_extremes_stay_within_the_bound(self, tmp_path, extra, bound):
+        out = tmp_path / "trace.csv"
+        assert main(RUN_ARGS + extra + ["--output", str(out)]) == EXIT_OK
+        assert max(int(row[11]) for row in read_csv(out)) <= bound
 
     def test_config_echo_written(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -242,6 +255,18 @@ class TestErrors:
         assert "do not tile the region their boundary encloses" in err[0]
         assert not out.exists()
 
+    def test_mesh_file_with_t_junction(self, tmp_path, capsys):
+        # the vertex inside the diagonal left the run no free node at all
+        mesh_file = tmp_path / "t.mesh"
+        mesh_file.write_text(T_JUNCTION_MESH, encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        argv = ["run", "--mesh", str(mesh_file), "--tol", "1e-1", "--output", str(out)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: ")
+        assert "vertex 4 lies inside boundary edge (0, 2)" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("body, missing", [
         ("vertices 100000000000 triangles 1\n0 0 1\n", "line 3 (vertex 1) is missing"),
         ("vertices 3 triangles 1\n0 0 1\n1 0 1\n0 1 1\n", "line 5 (triangle 0) is missing"),
@@ -288,6 +313,23 @@ class TestNumericFailure:
         assert main(RUN_ARGS + ["--output", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err.splitlines()
         assert err == ["sgfem: error: PCG breakdown: r.Mr = nan at iteration 0"]
+        assert not out.exists()
+
+    def test_stalled_solve_exits_at_its_cap(self, tmp_path, monkeypatch, capsys):
+        # without its preconditioner, CG on the L-shape refined four times
+        # (705 free nodes) soon needs more than the cap of 110 iterations
+        mesh = initial_lshape()
+        for _ in range(4):
+            mesh = uniform_refine(mesh)
+        write_mesh(mesh, tmp_path / "fine.mesh")
+        monkeypatch.setattr(sgfem.galerkin.TensorSystem, "precondition", lambda self, R: R.copy())
+        out = tmp_path / "trace.csv"
+        argv = RUN_ARGS + ["--mesh", str(tmp_path / "fine.mesh"), "--output", str(out)]
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "sgfem: error: PCG did not reach tol 1e-10 in its cap of 110 iterations (the bound "
+            "at tau = 0.9 is 54; relative residual ")
         assert not out.exists()
 
     def test_failed_online_check_exit(self, tmp_path, monkeypatch, capsys):

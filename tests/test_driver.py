@@ -40,7 +40,7 @@ def short_trace():
 
 @pytest.fixture(scope="module")
 def short_ref(short_trace):
-    return reference_solution(short_trace, lshape_benchmark())
+    return reference_solution(short_trace)
 
 
 def make_record(level, n_dof, eta, energy=1.0):
@@ -340,7 +340,7 @@ class TestReference:
 
     def test_effectivity_clamps_small_gaps(self, short_trace, short_ref):
         # with an absurd solver tolerance every gap counts as noise
-        zetas = effectivity(short_trace, short_ref, solver_tol=1e3)
+        zetas = effectivity(dataclasses.replace(short_trace, solver_tol=1e3), short_ref)
         assert all(z is None for z in zetas)
 
     def test_contraction_series_positive(self, short_trace, short_ref):
@@ -384,28 +384,42 @@ class TestReference:
             return u
 
         monkeypatch.setattr(sgfem.driver, "solve", watched)
-        reference_solution(short_trace, lshape_benchmark())
+        reference_solution(short_trace)
         assert seen == [False, False]
         [system] = systems
         assert system.A[0] is system.operator.stiffness(0)
 
+    def test_reference_solves_the_runs_problem(self, monkeypatch):
+        # the problem and the solver tolerance come from the trace
+        spec = lshape_benchmark(tau=0.5)
+        trace = run_adaptive(spec, "A", MarkingParams(0.5, 0.5, 1.0), tol=1e-1, solver_tol=1e-8)
+        calls, real = [], sgfem.driver.solve
+
+        def watched(system, **kwargs):
+            calls.append((system.spec, kwargs["tol"]))
+            return real(system, **kwargs)
+
+        monkeypatch.setattr(sgfem.driver, "solve", watched)
+        reference_solution(trace)
+        assert calls == [(spec, 1e-8)]
+
     def test_incomplete_trace_rejected(self):
-        empty = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=1e-2,
-                              solver_tol=1e-10)
+        empty = AdaptiveTrace(spec=lshape_benchmark(), criterion="A", params=MarkingParams(),
+                              tol=1e-2, solver_tol=1e-10)
         with pytest.raises(ValueError):
-            reference_solution(empty, lshape_benchmark())
+            reference_solution(empty)
 
 
 class TestDiagnostics:
     def test_cumulative_cost(self):
-        tr = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=0.1,
-                           solver_tol=1e-10)
+        tr = AdaptiveTrace(spec=lshape_benchmark(), criterion="A", params=MarkingParams(),
+                           tol=0.1, solver_tol=1e-10)
         tr.records = [make_record(0, 10, 1.0), make_record(1, 30, 0.5)]
         assert cumulative_cost(tr) == 40
 
     def test_fit_rate_recovers_synthetic_slope(self):
-        tr = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=0.1,
-                           solver_tol=1e-10)
+        tr = AdaptiveTrace(spec=lshape_benchmark(), criterion="A", params=MarkingParams(),
+                           tol=0.1, solver_tol=1e-10)
         dofs = [10, 40, 160, 640]
         tr.records = [
             make_record(i, n, 3.0 * n**-0.5) for i, n in enumerate(dofs)
@@ -413,16 +427,16 @@ class TestDiagnostics:
         assert fit_rate(tr) == pytest.approx(-0.5, abs=1e-12)
 
     def test_fit_rate_skips_degenerate_records(self):
-        tr = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=0.1,
-                           solver_tol=1e-10)
+        tr = AdaptiveTrace(spec=lshape_benchmark(), criterion="A", params=MarkingParams(),
+                           tol=0.1, solver_tol=1e-10)
         tr.records = [make_record(0, 0, 0.9)] + [
             make_record(i + 1, n, 3.0 * n**-0.3) for i, n in enumerate([10, 100, 1000])
         ]
         assert fit_rate(tr) == pytest.approx(-0.3, abs=1e-12)
 
     def test_fit_rate_needs_three_points(self):
-        tr = AdaptiveTrace(criterion="A", params=MarkingParams(), tol=0.1,
-                           solver_tol=1e-10)
+        tr = AdaptiveTrace(spec=lshape_benchmark(), criterion="A", params=MarkingParams(),
+                           tol=0.1, solver_tol=1e-10)
         tr.records = [make_record(0, 10, 1.0), make_record(1, 20, 0.5)]
         with pytest.raises(ValueError):
             fit_rate(tr)

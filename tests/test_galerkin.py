@@ -620,9 +620,10 @@ class TestNormaliser:
         b = system.load
         assert system.load_norm_sq() == galerkin._inner(b, system.precondition(b))
         u = solve(system, tol=1e-10)
-        x, res, its = _pcg(system.apply, system.precondition, b, tol=1e-10)
+        x, history = _pcg(system.apply, system.precondition, b, None, 1e-10, 1000,
+                          galerkin._inner(b, system.precondition(b)))
         assert np.array_equal(u.coeffs, x)
-        assert (u.residual, u.iterations) == (res, its)
+        assert (u.residual, u.iterations) == (history[-1], len(history) - 1)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 9, 17])
     def test_equals_preconditioned_load(self, mesh2, spec, size):
@@ -898,10 +899,30 @@ class TestSolve:
         assert u2.energy_sq > u1.energy_sq
         assert u3.energy_sq > u1.energy_sq
 
-    def test_solver_cap_raises(self, mesh2, spec):
-        system = tensor_system(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
-        with pytest.raises(SolverError):
-            solve(system, tol=1e-14, maxiter=2)
+    def test_stalled_solve_stops_at_its_cap(self, spec):
+        # unpreconditioned CG on 705 free nodes needs some 150 iterations,
+        # past the cap: twice the bound 54 at tau = 0.9 and tol 1e-10 plus two
+        mesh = initial_lshape()
+        for _ in range(4):
+            mesh = uniform_refine(mesh)
+        system = tensor_system(mesh, IndexSet([ZERO, unit_index(1)]), spec)
+        system.precondition = lambda R: R.copy()
+        with pytest.raises(SolverError, match=r"tol 1e-10 in its cap of 110 iterations \(the "
+                                              r"bound at tau = 0\.9 is 54; ") as exc:
+            solve(system, tol=1e-10)
+        assert len(exc.value.history) == 111 and exc.value.history[-1] > 1e-10
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-10, 2.0, math.nan, math.inf])
+    def test_tol_outside_unit_interval_rejected(self, mesh1, spec, tol):
+        system = tensor_system(mesh1, IndexSet([ZERO, unit_index(1)]), spec)
+        with pytest.raises(ValueError, match="solver tol must lie in"):
+            solve(system, tol=tol)
+
+    def test_zero_amplitude_solves_in_one_iteration(self, mesh2):
+        # tau = 0: the mean-based preconditioner is exact and rho = 0
+        spec0 = lshape_benchmark(tau=0.0)
+        u = solve(tensor_system(mesh2, IndexSet([ZERO, unit_index(1)]), spec0))
+        assert u.iterations == 1 and u.residual <= 1e-10
 
     def test_nan_operator_raises(self, mesh2, spec):
         system = tensor_system(mesh2, IndexSet([ZERO, unit_index(1)]), spec)
@@ -918,7 +939,7 @@ class TestSolve:
     def test_indefinite_operator_raises(self):
         b = np.ones((4, 2))
         with pytest.raises(SolverError, match="p.Ap"):
-            _pcg(lambda x: -x, lambda r: r, b)
+            _pcg(lambda x: -x, lambda r: r, b, None, 1e-10, 10, 8.0)
 
     def test_warm_start_reduces_iterations(self, mesh1, mesh2, spec):
         P = IndexSet([ZERO, unit_index(1)])

@@ -33,6 +33,7 @@ import ctypes
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ import scipy
 
 import sgfem.cli
 from sgfem.cli import CSV_HEADER, format_trace_csv, main
+from sgfem.problem import contrast_bounds, lshape_benchmark
 
 FIXTURE = Path(__file__).with_name("golden_trajectories.json")
 
@@ -214,6 +216,23 @@ def test_desk_run_records(desk_runs, runs_07):
                 assert_close(got["floats"][field], want["floats"][field], (name, crit, field))
 
 
+def test_recorded_iterations_within_the_cg_bound():
+    """Every PCG solve the fixture records, adaptive and reference, takes at
+    most ceil(ln(2 sqrt(kappa) / tol) / -ln rho) iterations, the bound from
+    which ``solve`` sets its cap: all runs here are tau = 0.9 (kappa = 19)
+    at solver tol 1e-10.  Reads the fixture only."""
+    golden = load_fixture()
+    bounds = contrast_bounds(lshape_benchmark(tau=0.9))
+    root = math.sqrt(bounds.Lam / bounds.lam)
+    bound = math.ceil(math.log(2.0 * root / 1e-10) / -math.log((root - 1.0) / (root + 1.0)))
+    assert bound == 54
+    iterations = [int(n) for name in COMMAND_LINES for n in golden[name]["columns"]["solver_iters"]]
+    iterations += [n for name in COMMAND_LINES for n in golden[name]["reference_pcg_iters"]]
+    iterations += [n for runs in ("desk_runs", "runs_07") for crit in golden[runs].values()
+                   for n in crit["integers"]["solver_iterations"]]
+    assert len(iterations) > 100 and max(iterations) <= bound
+
+
 def test_desk_run_digests(desk_runs):
     """The desk runs' CSV bytes, with the digests stored in each criterion's
     record of the fixture."""
@@ -228,7 +247,6 @@ if __name__ == "__main__":
     import tempfile
 
     from conftest import RUN_SETS, criterion_runs
-    from sgfem import lshape_benchmark
 
     # a full regeneration keeps no other kernel's digests: they would be stale
     digests_only = sys.argv[1:] == ["--digests"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 import warnings
 import weakref
@@ -38,6 +39,21 @@ DUPLICATE_TRIANGLE_MESHES = {
     name: f"vertices 3 triangles 2\n0 0 {flag}\n1 0 {flag}\n0 1 {flag}\n0 1 2 0\n0 1 2 0\n"
     for name, flag in (("free", 0), ("boundary", 1))
 }
+
+
+# the unit square cut by its diagonal (0, 2): triangle (0, 2, 3) above it,
+# and below it two triangles meeting at vertex 4, a quarter of the way along
+# the diagonal, a T-junction that is not a midpoint
+T_JUNCTION_MESH = """vertices 5 triangles 3
+0 0 1
+1 0 1
+1 1 1
+0 1 1
+0.25 0.25 1
+0 2 3 0
+0 1 4 0
+1 2 4 0
+"""
 
 
 @pytest.fixture
@@ -464,7 +480,38 @@ class TestIO:
             boundary=np.append(square.boundary, False),
             triangles=np.array([[0, 1, 4], [1, 2, 4], [0, 2, 3]]), ref_edge=np.array([2, 2, 1]))
         self.reject(tmp_path, mesh,
-                    r"hanging node: vertex 4 is the midpoint of boundary edge \(0, 2\)")
+                    r"hanging node: vertex 4 lies inside boundary edge \(0, 2\)")
+
+    def test_read_t_junction(self, tmp_path):
+        path = tmp_path / "t.mesh"
+        path.write_text(T_JUNCTION_MESH)
+        with pytest.raises(ValueError, match=r"hanging node: vertex 4 lies inside boundary "
+                                             r"edge \(0, 2\)"):
+            read_mesh(path)
+
+    def test_read_t_junction_under_every_numbering(self, tmp_path):
+        # the check takes the boundary edges in batches, in the order of
+        # their vertex ids; the 120 numberings of the five vertices put the
+        # cut diagonal into either of the two batches, and each finds it
+        lines = T_JUNCTION_MESH.splitlines()
+        path = tmp_path / "t.mesh"
+        for new in itertools.permutations(range(5)):
+            old = np.argsort(new)
+            tris = [" ".join(str(new[int(v)]) for v in line.split()[:3]) + " 0"
+                    for line in lines[6:]]
+            path.write_text("\n".join([lines[0]] + [lines[1 + k] for k in old] + tris) + "\n")
+            a, b = sorted((new[0], new[2]))
+            with pytest.raises(ValueError, match=rf"vertex {new[4]} lies inside boundary "
+                                                 rf"edge \({a}, {b}\)"):
+                read_mesh(path)
+
+    def test_read_refined_meshes_have_no_t_junction(self, tmp_path):
+        # boundary edges of every direction, one vertex on each side's line
+        # beyond them: collinear, but not inside
+        mesh = refine(uniform_refine(uniform_refine(initial_lshape())), [0, 5, 17])
+        path = tmp_path / "fine.mesh"
+        write_mesh(mesh, path)
+        assert read_mesh(path).num_triangles == mesh.num_triangles
 
     def test_read_boundary_vertex_not_flagged(self, tmp_path):
         square = unit_square()
