@@ -39,7 +39,6 @@ from .indices import (
     detail_index_set,
     unit_index,
 )
-from .legendre import coupling_coefficient
 from .marking import MarkingDecision, MarkingParams, decide, doerfler, maximum_mark
 from .mesh import (
     Mesh,
@@ -56,6 +55,7 @@ from .problem import (
     ProblemSpec,
     amplitude_from_tau,
     contrast_bounds,
+    coupling_coefficient,
     fourier_mode,
     lshape_benchmark,
     mode_frequencies,

@@ -152,30 +152,31 @@ def _add_common_flags(p: _Parser) -> None:
 
 
 def _parse_range(text: str) -> list[float]:
-    """Parse '0.5', '0.1,0.3,0.5', or '0.1..0.9' (optional '..step')."""
-    if ".." in text:
-        parts = text.split("..")
-        if len(parts) == 2:
-            lo, hi, step = float(parts[0]), float(parts[1]), 0.1
-        elif len(parts) == 3:
-            lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
-        else:
-            raise ValueError(f"bad range {text!r}")
-        # a step that never passes hi would append forever
-        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0):
-            raise ValueError(f"bad range {text!r}: bounds must be finite, step positive")
-        values = []
-        k = 0
-        while True:
-            v = round(lo + k * step, 12)
-            if v > hi + 1e-12:
-                break
-            values.append(v)
-            k += 1
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return [float(tok) for tok in text.split(",")]
+    """Parse '0.5', '0.1,0.3,0.5', or '0.1..0.9' (optional '..step'): the
+    points lo + k step, rounded to 12 digits, up to hi."""
+    if ".." not in text:
+        return [float(tok) for tok in text.split(",")]
+    parts = [float(tok) for tok in text.split("..")]
+    if len(parts) not in (2, 3):
+        raise ValueError(f"bad range {text!r}")
+    lo, hi, step = (parts + [0.1])[:3]
+    # every theta lies in [0, 1], and the rounding merges points closer than 1e-12
+    if not (0.0 <= lo <= hi <= 1.0 and 1e-12 <= step < math.inf):
+        raise ValueError(f"bad range {text!r}: need 0 <= lo <= hi <= 1, 1e-12 <= step < inf")
+    values = []
+    # a kept point has k step <= hi - lo + 1.5e-12: the slack and the rounding
+    for k in range(int((hi - lo) / step) + 3):
+        v = round(lo + k * step, 12)
+        if v > hi + 1e-12:
+            break
+        values.append(v)
+    return values
+
+
+def _label(x: float) -> str:
+    """`x` in a file name or summary row: '%g', or the shortest repr where
+    '%g' does not read back as `x`."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
 
 def _run_single(spec, mesh, args, theta_x, theta_p):
@@ -211,6 +212,8 @@ def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
     mesh = _load_mesh(args.mesh)
     grid = [(tx, tp) for tx in _parse_range(args.theta_x) for tp in _parse_range(args.theta_p)]
+    if len(set(grid)) < len(grid):
+        raise ValueError("repeated grid point: each (theta_x, theta_p) runs once")
     threads = os.environ.get("SGFEM_THREADS", "1")
     if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
         raise ValueError(f"SGFEM_THREADS must be a positive integer, got {threads!r}")
@@ -221,7 +224,7 @@ def _cmd_sweep(args) -> int:
     def job(point):
         tx, tp = point
         trace = _run_single(spec, mesh, args, tx, tp)
-        name = f"run_thx{tx:g}_thp{tp:g}.csv"
+        name = f"run_thx{_label(tx)}_thp{_label(tp)}.csv"
         _write_atomic(outdir / name, format_trace_csv(trace))
         try:
             rate = fit_rate(trace)
@@ -237,7 +240,7 @@ def _cmd_sweep(args) -> int:
 
     lines = ["theta_x,theta_p,cost,rate,levels,reached_tol"]
     for tx, tp, cost, rate, levels, ok in results:
-        lines.append(f"{tx:g},{tp:g},{cost},{_g17(rate)},{levels},{int(ok)}")
+        lines.append(f"{_label(tx)},{_label(tp)},{cost},{_g17(rate)},{levels},{int(ok)}")
     _write_atomic(outdir / "summary.csv", "\n".join(lines) + "\n")
     print(f"sweep complete: {len(grid)} runs, summary in {outdir / 'summary.csv'}")
     return EXIT_OK if all(r[5] for r in results) else EXIT_CAP

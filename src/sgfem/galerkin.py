@@ -23,9 +23,11 @@ Every array PCG itself touches is C-ordered (free nodes, #indices).  The
 SPD A_0 is factored by SuperLU in symmetric mode, with the minimum-degree
 ordering of A_0 + A_0^T and no pivoting off the diagonal.
 
-Every integral over a triangle uses one rule, the 7-point symmetric rule of
-degree 5: the two-level estimator bounds the error of the discrete problem
-only if it integrates as the Galerkin assembly does.
+Every integral of the coefficient over a triangle uses one rule, the 7-point
+symmetric rule of degree 5: the two-level estimator bounds the error of the
+discrete problem only if it integrates as the Galerkin assembly does.  The
+load f = 1 needs none: a hat function integrates to a third of the area of
+each triangle it lives on, on the mesh and on its NVB children alike.
 
 A ``TensorSystem`` is the one handle on a (mesh x index set) space, made of
 two objects that outlive it, and the solver, the estimators, the energy
@@ -64,9 +66,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .indices import IndexSet, ZERO, row_positions
-from .legendre import coupling_coefficient
 from .mesh import MIDPOINT_SLOTS, Mesh, bisected_edges, child_corners, kept_triangles
-from .problem import ProblemSpec, contrast_bounds
+from .problem import ProblemSpec, contrast_bounds, coupling_coefficient
 
 __all__ = [
     "SolverError",
@@ -177,15 +178,10 @@ def element_integrals(points: np.ndarray, area: np.ndarray, coefficient):
     return area * (cvals @ _QW_DEG5)
 
 
-def element_load(points: np.ndarray, area: np.ndarray, f) -> np.ndarray:
-    """int_T f phi_i per triangle and local vertex, shape (nt, 3), by the
-    rule at its ``points``; ``f=None`` means f == 1, integrated exactly
-    (area / 3)."""
-    if f is None:
-        return np.repeat(area / 3.0, 3).reshape(-1, 3)
-    fvals = np.asarray(f(points), dtype=np.float64)
-    # int_T f phi_i = area * sum_q w_q f(x_q) lambda_i(x_q)
-    return np.einsum("t,tq,qi->ti", area, fvals, _QP_DEG5 * _QW_DEG5[:, None])
+def element_load(area: np.ndarray) -> np.ndarray:
+    """int_T phi_i per triangle and local vertex, shape (nt, 3): the load
+    f = 1, integrated exactly (area / 3)."""
+    return np.repeat(area / 3.0, 3).reshape(-1, 3)
 
 
 class StiffnessPattern:
@@ -291,10 +287,10 @@ class MeshOperator:
 
     @cached_property
     def load(self) -> np.ndarray:
-        """int f phi_z for the free nodes z."""
+        """int phi_z for the free nodes z: the load f = 1."""
         mesh, pattern = self.mesh, self.pattern
         full = np.zeros(mesh.num_vertices)
-        load = element_load(pattern.points, pattern.area, self.spec.rhs)
+        load = element_load(pattern.area)
         np.add.at(full, mesh.triangles.ravel(), load.ravel())
         return full[mesh.free_nodes]
 
@@ -338,7 +334,7 @@ class MeshOperator:
             w = element_integrals(points, area, self.spec.coefficient(m)).reshape(-1, 4)
             out[m] = (_per_midpoint(w[:, :, None, None] * grads),)
             if m == 0:
-                load = element_load(points, area, self.spec.rhs)
+                load = element_load(area)
                 out[m] += (_per_midpoint(w[:, :, None] * (grads**2).sum(axis=3)),
                            _per_midpoint(load.reshape(-1, 4, 3)))
         return out

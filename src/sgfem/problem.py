@@ -1,8 +1,16 @@
-"""Problem definitions: affine-parametric diffusion coefficients and data.
+"""The model problem: -div(a grad u) = 1 with an affine-parametric coefficient.
 
-The shipped coefficient family consists of planar cosine modes of increasing
-total order with algebraically decaying amplitudes A m^(-sigma).  The mean
-field and the right-hand side default to constant one.
+The coefficient is a(x, y) = 1 + sum_m y_m a_m(x), the modes a_m planar
+cosines of increasing total order with algebraically decaying amplitudes
+A m^(-sigma), and y_m uniform on [-1, 1].  The mean field a_0 and the load f
+are constant one; a problem is set by sigma and the amplitude A alone.
+
+The chaos in y is the Legendre family orthonormal for dy/2 on [-1, 1],
+P_n = sqrt(2n+1) L_n with L_n the classical Legendre polynomial, so that
+P_0 = 1.  The three-term moments of the parametric coupling matrices reduce to
+one coefficient per degree:
+
+    y P_n = c_{n+1} P_{n+1} + c_n P_{n-1},   c_n = n / sqrt(4 n^2 - 1).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from scipy.special import zeta
 __all__ = [
     "ProblemSpec",
     "ContrastBounds",
+    "coupling_coefficient",
     "fourier_mode",
     "mode_frequencies",
     "amplitude_from_tau",
@@ -67,33 +76,33 @@ def amplitude_from_tau(tau: float, sigma: float) -> float:
     return tau / float(zeta(sigma))
 
 
+def coupling_coefficient(n):
+    """Coefficient c_n = integral of y P_n P_{n-1} dy/2 for a degree n >= 1,
+    or elementwise for an integer array of them."""
+    if np.any(np.asarray(n) < 1):
+        raise ValueError("coupling coefficient defined for n >= 1")
+    return n / np.sqrt(4.0 * n * n - 1.0)
+
+
 def _unit_field(x):
-    """The default mean field, one; a module-level function, so that it pickles."""
+    """The mean field a_0, one at every point of `x`."""
     return np.ones(np.asarray(x).shape[:-1])
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Affine diffusion problem on a 2D domain.
-
-    The parametric coefficient is a0(x) + sum_m y_m a_m(x) with
-    a_m = amplitude * m^(-sigma) cosine modes and y_m uniform on [-1, 1].
+    """The model problem of decay `sigma` and `amplitude` A: the coefficient
+    1 + sum_m y_m a_m(x), with a_m = A m^(-sigma) cosine modes, and load 1.
     """
 
     sigma: float
     amplitude: float
-    a0: Callable = _unit_field
-    a0_min: float = 1.0
-    a0_max: float = 1.0
-    rhs: Callable | None = None  # None means f == 1 (handled exactly)
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 1.0):
             raise ValueError(f"decay exponent must be finite with sigma > 1, got {self.sigma}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (0.0 < self.a0_min <= self.a0_max):
-            raise ValueError("mean field bounds must satisfy 0 < a0_min <= a0_max")
         if self.tau >= 1.0:
             raise ValueError(
                 f"inadmissible problem: tau = {self.tau:.6g} >= 1"
@@ -101,13 +110,11 @@ class ProblemSpec:
 
     @property
     def tau(self) -> float:
-        if self.amplitude == 0.0:
-            return 0.0
-        return self.amplitude * float(zeta(self.sigma)) / self.a0_min
+        return self.amplitude * float(zeta(self.sigma))
 
     def coefficient(self, m: int) -> Callable:
         """a_0 for m = 0, otherwise the m-th parametric mode."""
-        return self.a0 if m == 0 else fourier_mode(m, self.amplitude, self.sigma)
+        return _unit_field if m == 0 else fourier_mode(m, self.amplitude, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,7 @@ class ContrastBounds:
 def contrast_bounds(spec: ProblemSpec) -> ContrastBounds:
     """Norm-equivalence constants between the full and mean-field energies."""
     tau = spec.tau
-    lam = spec.a0_min / (spec.a0_max * (1.0 + tau))
-    Lam = spec.a0_max / (spec.a0_min * (1.0 - tau))
-    return ContrastBounds(lam=lam, Lam=Lam)
+    return ContrastBounds(lam=1.0 / (1.0 + tau), Lam=1.0 / (1.0 - tau))
 
 
 def lshape_benchmark(sigma: float = 2.0, tau: float = 0.9) -> ProblemSpec:

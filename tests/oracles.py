@@ -40,12 +40,10 @@ from sgfem.galerkin import (
     element_integrals,
     element_load,
     gather,
-    quadrature_points,
 )
 from sgfem.indices import ZERO, IndexSet, MultiIndex
-from sgfem.legendre import coupling_coefficient
 from sgfem.mesh import Mesh, uniform_refine
-from sgfem.problem import ProblemSpec
+from sgfem.problem import ProblemSpec, coupling_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def fine_mesh_spatial_indicators(u, spec) -> np.ndarray:
     n_modes = u.indices.max_dimension()
     A_fine = [assemble_stiffness(fine, spec.coefficient(m)) for m in range(n_modes + 1)]
     U1 = prolongation_matrix(u.mesh, fine) @ u.coeffs
-    R = assemble_load(fine, spec.rhs, u.indices)
+    R = assemble_load(fine, u.indices)
     R -= A_fine[0] @ U1
     for m in range(1, n_modes + 1):
         G = assemble_coupling(u.indices, u.indices, m)
@@ -397,15 +395,14 @@ def coo_assemble_stiffness(mesh: Mesh, coefficient, restrict: bool = True) -> sp
 
 
 # ---------------------------------------------------------------------------
-# the former load assembly: per call, geometry and quadrature points of the
-# mesh; the operator's load, built from its stiffness pattern, must match it
-# to the bit
+# the former load assembly: per call, the geometry of the mesh; the
+# operator's load, built from its stiffness pattern, must match it to the bit
 
-def assemble_load(mesh: Mesh, f, indices: IndexSet) -> np.ndarray:
+def assemble_load(mesh: Mesh, indices: IndexSet) -> np.ndarray:
     """Load array F[z, nu] over free nodes and indices.
 
-    Deterministic right-hand sides load only the zero-index column; ``f=None``
-    means f == 1 and uses the exact hat-function integral (patch area / 3).
+    The deterministic load f == 1 fills only the zero-index column, with the
+    exact hat-function integral (patch area / 3).
     """
     n_free = mesh.free_nodes.size
     F = np.zeros((n_free, len(indices)))
@@ -415,8 +412,7 @@ def assemble_load(mesh: Mesh, f, indices: IndexSet) -> np.ndarray:
     p = mesh.vertices[mesh.triangles]
     area, _ = element_geometry(p)
     full = np.zeros(mesh.num_vertices)
-    points = None if f is None else quadrature_points(p)
-    load = element_load(points, area, f)
+    load = element_load(area)
     np.add.at(full, mesh.triangles.ravel(), load.ravel())
     F[:, col] = full[mesh.free_nodes]
     return F
@@ -730,7 +726,7 @@ class EnhancedSystem:
         self.Gpp = [assemble_coupling(indices_p, indices_p, m) for m in range(n_modes + 1)]
         self.Gqq = [assemble_coupling(indices_q, indices_q, m) for m in range(n_modes + 1)]
         self.Gpq = [assemble_coupling(indices_p, indices_q, m) for m in range(n_modes + 1)]
-        self.load_fine = assemble_load(fine, spec.rhs, indices_p)
+        self.load_fine = assemble_load(fine, indices_p)
         self.shape1 = (fine.free_nodes.size, len(indices_p))
         self.shape2 = (mesh.free_nodes.size, len(indices_q))
 

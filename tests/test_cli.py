@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -385,6 +386,24 @@ class TestSweep:
             swept = outdir / f"run_thx{tx}_thp0.5.csv"
             assert swept.read_bytes() == single.read_bytes()
 
+    def test_points_equal_to_six_digits_get_their_own_files(self, tmp_path):
+        # '%g' named both points run_thx0.5_thp0.5.csv: one trace was lost
+        outdir = tmp_path / "sweep"
+        argv = ["sweep", "--tol", "1e-1", "--theta-x", "0.5,0.5000001", "--output-dir", str(outdir)]
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in outdir.glob("run_*.csv")) == [
+            "run_thx0.5000001_thp0.5.csv", "run_thx0.5_thp0.5.csv"]
+        summary = (outdir / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[:2] for line in summary[1:]] == [["0.5", "0.5"], ["0.5000001", "0.5"]]
+
+    def test_repeated_grid_point_rejected(self, tmp_path, capsys):
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--theta-x", "0.5,0.5", "--output-dir", str(outdir)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: repeated grid point")
+        assert not outdir.exists()
+
     def test_sweep_cap_exit(self, tmp_path):
         outdir = tmp_path / "sweep"
         code = main(
@@ -429,6 +448,31 @@ class TestParseRange:
         # hi, so the loop would append forever; an infinite step is no range
         with pytest.raises(ValueError, match="bad range"):
             _parse_range(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.1..0.9..1e-300", "0.1..0.9..1e-13", "0..1e9..1", "1..2", "0.5..1.5..0.1"],
+    )
+    def test_range_rejected_before_it_is_built(self, tmp_path, text):
+        # a step below the 12-digit rounding never moved past lo, or only
+        # every tenth time; ends outside [0, 1] built the list before any
+        # theta was checked.  A child with bounded memory and time fails
+        # fast where the parse would never return.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        outdir = tmp_path / "sweep"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(sgfem.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgfem.cli", "sweep", "--theta-x", text,
+             "--output-dir", str(outdir)],
+            env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == EXIT_ERROR
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: bad range")
+        assert not outdir.exists()
 
     def test_sweep_bad_step_exit(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import multiprocessing
 import sys
@@ -44,7 +43,6 @@ from test_estimators import (  # noqa: F401 -- fixtures
     nvb_chain,
     pool_workers,
     random_downward_closed,
-    wavy_rhs,
 )
 
 
@@ -216,13 +214,11 @@ class TestCarry:
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
     @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
-    @pytest.mark.parametrize("rhs", [None, wavy_rhs])
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_equals_fresh_along_chains(self, start, fraction, rhs, seed, spec,
-                                       children_rows):
+    def test_equals_fresh_along_chains(self, start, fraction, seed, spec, children_rows):
         rng = np.random.default_rng(seed + int(10 * fraction))
         mesh = start()
-        operator = MeshOperator(mesh, dataclasses.replace(spec, rhs=rhs))
+        operator = MeshOperator(mesh, spec)
         operator.child_terms(4)
         for _ in range(5):
             num_new = mesh.interior_edge_ids.size
@@ -282,7 +278,6 @@ class TestCarry:
             MeshOperator(grandparent, spec),
             MeshOperator(new, spec),
             MeshOperator(mesh, lshape_benchmark(sigma=1.5)),
-            MeshOperator(mesh, dataclasses.replace(spec, rhs=wavy_rhs)),
         ):
             previous.child_terms(2)
             del children_rows[:]
@@ -843,19 +838,13 @@ class TestLoad:
 
     def test_unit_load_is_patch_area_third(self, mesh1, spec):
         load = MeshOperator(mesh1, spec).load
-        assert np.array_equal(load, oracles.assemble_load(mesh1, None, IndexSet())[:, 0])
+        assert np.array_equal(load, oracles.assemble_load(mesh1, IndexSet())[:, 0])
         assert np.allclose(load, oracles.dense_load_one(mesh1), atol=1e-14)
-
-    def test_quadrature_path_matches_exact(self, mesh2, spec):
-        exact = MeshOperator(mesh2, spec).load
-        via_quad = MeshOperator(mesh2, dataclasses.replace(spec, rhs=ones)).load
-        assert np.array_equal(via_quad, oracles.assemble_load(mesh2, ones, IndexSet())[:, 0])
-        assert np.allclose(exact, via_quad, atol=1e-14)
 
     def test_load_zero_off_mean_index(self, mesh1, spec):
         P = IndexSet([ZERO, unit_index(1)])
-        system = tensor_system(mesh1, P, dataclasses.replace(spec, rhs=wavy_rhs))
-        assert np.array_equal(system.load, oracles.assemble_load(mesh1, wavy_rhs, P))
+        system = tensor_system(mesh1, P, spec)
+        assert np.array_equal(system.load, oracles.assemble_load(mesh1, P))
         assert np.all(system.load[:, 1] == 0.0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -74,7 +75,7 @@ class TestProblemSpec:
         spec = lshape_benchmark()
         assert spec.sigma == 2.0
         assert spec.amplitude == pytest.approx(0.9 * 6.0 / math.pi**2, rel=1e-14)
-        assert spec.rhs is None
+        assert [f.name for f in dataclasses.fields(spec)] == ["sigma", "amplitude"]
 
     def test_mean_field_is_one(self):
         spec = lshape_benchmark()
