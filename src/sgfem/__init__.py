@@ -59,8 +59,6 @@ from .problem import (
     fourier_mode,
     lshape_benchmark,
     mode_frequencies,
-    parse_config,
-    spec_from_config,
 )
 
 __version__ = "0.1.0"

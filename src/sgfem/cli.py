@@ -4,6 +4,7 @@ Subcommands:
   run     one adaptive run, one CSV trace
   sweep   Cartesian grid over the marking parameters, one CSV per point plus
           a summary table (cost and fitted rate per parameter pair)
+Both take the problem from flags over a `key = value` settings file (--config).
 
 Runs are fully deterministic: identical configurations produce byte-identical
 output files under the same numpy, scipy and BLAS kernel; another kernel may
@@ -30,7 +31,7 @@ from .driver import (
 from .galerkin import SolverError
 from .marking import CRITERIA, MarkingParams
 from .mesh import initial_lshape, read_mesh
-from .problem import ProblemSpec, parse_config, spec_from_config
+from .problem import ProblemSpec, lshape_benchmark
 
 __all__ = ["main"]
 
@@ -39,6 +40,8 @@ EXIT_ERROR = 1
 EXIT_CAP = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
+_MAX_GRID = 10_000  # points of one sweep's grid
+_CONFIG_KEYS = {"sigma", "tau", "amplitude", "mesh", "rhs"}
 
 CSV_HEADER = (
     "iter,refine_type,dim_x,card_p,n_total,eta,eta_spatial,eta_param,"
@@ -113,24 +116,43 @@ def _config_echo(args, spec: ProblemSpec) -> str:
     return "".join(f"{k} = {v}\n" for k, v in keys)
 
 
-def _build_spec(args) -> ProblemSpec:
+def _read_config(path: str) -> dict:
+    """The settings of the `key = value` file at `path`, one key per line and
+    '#' to the end of a line a comment (see README, Command line)."""
     settings: dict = {}
-    if args.config:
-        settings = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.sigma is not None:
-        settings["sigma"] = args.sigma
-    if args.tau is not None:
-        settings.pop("amplitude", None)
-        settings["tau"] = args.tau
-    if args.amplitude is not None:
-        if args.tau is not None:
-            raise ValueError("--tau and --amplitude are mutually exclusive")
-        settings.pop("tau", None)
-        settings["amplitude"] = args.amplitude
-    if args.mesh is not None:
-        settings["mesh"] = args.mesh
-    args.mesh = settings.get("mesh", "lshape")
-    return spec_from_config(settings)
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in settings:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        settings[key] = value if key in ("mesh", "rhs") else float(value)
+    if "tau" in settings and "amplitude" in settings:
+        raise ValueError("config keys 'tau' and 'amplitude' are mutually exclusive")
+    if (rhs := settings.pop("rhs", "one")) != "one":
+        raise ValueError(f"unsupported rhs {rhs!r} (only 'one' ships)")
+    return settings
+
+
+def _build_spec(args) -> ProblemSpec:
+    """The problem of the flags over the `--config` file: a flag overrides
+    its key, and `--tau` or `--amplitude` both file keys.  Sets `args.mesh`."""
+    settings = _read_config(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    if "tau" in flags and "amplitude" in flags:
+        raise ValueError("--tau and --amplitude are mutually exclusive")
+    if "tau" in flags or "amplitude" in flags:
+        settings = {k: v for k, v in settings.items() if k not in ("tau", "amplitude")}
+    settings.update(flags)
+    args.mesh = settings.pop("mesh", "lshape")
+    if "amplitude" in settings:
+        return ProblemSpec(settings.get("sigma", 2.0), settings["amplitude"])
+    return lshape_benchmark(**settings)
 
 
 def _load_mesh(source: str):
@@ -151,26 +173,30 @@ def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--config", default=None, help="key=value problem config file")
 
 
-def _parse_range(text: str) -> list[float]:
+def _parse_range(text: str, other: int = 1) -> list[float]:
     """Parse '0.5', '0.1,0.3,0.5', or '0.1..0.9' (optional '..step'): the
-    points lo + k step, rounded to 12 digits, up to hi."""
+    points lo + k step, rounded to 12 digits, up to hi.  Before any is built,
+    their count times `other` (the other axis's) must not exceed _MAX_GRID."""
     if ".." not in text:
-        return [float(tok) for tok in text.split(",")]
-    parts = [float(tok) for tok in text.split("..")]
-    if len(parts) not in (2, 3):
-        raise ValueError(f"bad range {text!r}")
-    lo, hi, step = (parts + [0.1])[:3]
-    # every theta lies in [0, 1], and the rounding merges points closer than 1e-12
-    if not (0.0 <= lo <= hi <= 1.0 and 1e-12 <= step < math.inf):
-        raise ValueError(f"bad range {text!r}: need 0 <= lo <= hi <= 1, 1e-12 <= step < inf")
-    values = []
-    # a kept point has k step <= hi - lo + 1.5e-12: the slack and the rounding
-    for k in range(int((hi - lo) / step) + 3):
-        v = round(lo + k * step, 12)
-        if v > hi + 1e-12:
-            break
-        values.append(v)
-    return values
+        values = [float(tok) for tok in text.split(",")]
+        count = len(values)
+    else:
+        parts = [float(tok) for tok in text.split("..")]
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad range {text!r}")
+        lo, hi, step = (parts + [0.1])[:3]
+        # every theta lies in [0, 1], and the rounding merges points closer than 1e-12
+        if not (0.0 <= lo <= hi <= 1.0 and 1e-12 <= step < math.inf):
+            raise ValueError(f"bad range {text!r}: need 0 <= lo <= hi <= 1, 1e-12 <= step < inf")
+        # each k step <= hi - lo is kept; the slack and the rounding keep at most two more
+        count = int((hi - lo) / step) + 1
+        while round(lo + count * step, 12) <= hi + 1e-12:
+            count += 1
+        values = (round(lo + k * step, 12) for k in range(count))
+    if count * other > _MAX_GRID:
+        raise ValueError(f"bad range {text!r}: a grid of {count * other} points or more, "
+                         f"over the cap of {_MAX_GRID}")
+    return list(values)
 
 
 def _label(x: float) -> str:
@@ -211,7 +237,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _build_spec(args)
     mesh = _load_mesh(args.mesh)
-    grid = [(tx, tp) for tx in _parse_range(args.theta_x) for tp in _parse_range(args.theta_p)]
+    thetas_x = _parse_range(args.theta_x)
+    thetas_p = _parse_range(args.theta_p, len(thetas_x))
+    grid = [(tx, tp) for tx in thetas_x for tp in thetas_p]
     if len(set(grid)) < len(grid):
         raise ValueError("repeated grid point: each (theta_x, theta_p) runs once")
     threads = os.environ.get("SGFEM_THREADS", "1")

@@ -149,6 +149,7 @@ def run_adaptive(
     mesh = mesh if mesh is not None else initial_lshape()
     indices = IndexSet()
     lam = contrast_bounds(spec).lam
+    note = f" (solver_tol {solver_tol})"
 
     trace = AdaptiveTrace(spec, criterion, params, tol, solver_tol)
     prev_solution: GalerkinSolution | None = None
@@ -194,16 +195,14 @@ def run_adaptive(
             )
             # written as not (x <= bound), so that NaN fails them
             if not (-increment <= 1e-8 * max(energy, 1.0)):
-                raise AssertionError(f"energy decreased at level {level}: {increment}")
+                raise AssertionError(f"energy decreased at level {level}: {increment}{note}")
             if not (pyth_dev <= _CHECK_SLACK):
                 raise AssertionError(
-                    f"energy orthogonality violated at level {level}: {pyth_dev}"
-                )
+                    f"energy orthogonality violated at level {level}: {pyth_dev}{note}")
             if not (lower <= (1.0 + _CHECK_SLACK) * diff_energy):
                 raise AssertionError(
                     f"error-reduction lower bound violated at level {level}: "
-                    f"{lower} > {diff_energy}"
-                )
+                    f"{lower} > {diff_energy}{note}")
 
         indicators = ErrorIndicators(
             spatial=spatial_indicators(system, solution),

@@ -3,7 +3,8 @@
 The coefficient is a(x, y) = 1 + sum_m y_m a_m(x), the modes a_m planar
 cosines of increasing total order with algebraically decaying amplitudes
 A m^(-sigma), and y_m uniform on [-1, 1].  The mean field a_0 and the load f
-are constant one; a problem is set by sigma and the amplitude A alone.
+are constant one; a problem is set by sigma and the amplitude A alone, which
+the command line reads from its flags or its settings file (`sgfem.cli`).
 
 The chaos in y is the Legendre family orthonormal for dy/2 on [-1, 1],
 P_n = sqrt(2n+1) L_n with L_n the classical Legendre polynomial, so that
@@ -31,8 +32,6 @@ __all__ = [
     "amplitude_from_tau",
     "contrast_bounds",
     "lshape_benchmark",
-    "parse_config",
-    "spec_from_config",
 ]
 
 
@@ -134,45 +133,3 @@ def lshape_benchmark(sigma: float = 2.0, tau: float = 0.9) -> ProblemSpec:
     modes with decay `sigma` and total relative perturbation `tau`."""
     return ProblemSpec(sigma=sigma, amplitude=amplitude_from_tau(tau, sigma))
 
-
-_CONFIG_KEYS = {"sigma", "tau", "amplitude", "mesh", "rhs"}
-
-
-def parse_config(text: str) -> dict:
-    """Parse a key=value problem configuration.
-
-    Known keys: sigma, tau, amplitude (tau and amplitude are mutually
-    exclusive), mesh ("lshape" or a mesh file path), rhs ("one").
-    Unknown keys are rejected.  Returns a dict of parsed settings.
-    """
-    settings: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in settings:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        if key in ("sigma", "tau", "amplitude"):
-            settings[key] = float(value)
-        else:
-            settings[key] = value
-    if "tau" in settings and "amplitude" in settings:
-        raise ValueError("config keys 'tau' and 'amplitude' are mutually exclusive")
-    if settings.get("rhs", "one") != "one":
-        raise ValueError(f"unsupported rhs {settings['rhs']!r} (only 'one' ships)")
-    return settings
-
-
-def spec_from_config(settings: dict) -> ProblemSpec:
-    """Build a ProblemSpec from parsed config settings."""
-    sigma = float(settings.get("sigma", 2.0))
-    if "amplitude" in settings:
-        amplitude = float(settings["amplitude"])
-    else:
-        amplitude = amplitude_from_tau(float(settings.get("tau", 0.9)), sigma)
-    return ProblemSpec(sigma=sigma, amplitude=amplitude)

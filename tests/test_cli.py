@@ -19,7 +19,16 @@ import oracles
 import sgfem
 import sgfem.driver
 import sgfem.galerkin
-from sgfem import Mesh, SolverError, refine, uniform_refine, unit_square, write_mesh
+from sgfem import (
+    Mesh,
+    ProblemSpec,
+    SolverError,
+    lshape_benchmark,
+    refine,
+    uniform_refine,
+    unit_square,
+    write_mesh,
+)
 from sgfem.mesh import initial_lshape
 from sgfem.cli import (
     CSV_HEADER,
@@ -28,7 +37,10 @@ from sgfem.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _build_spec,
     _parse_range,
+    _read_config,
+    build_parser,
     main,
 )
 from test_mesh import DUPLICATE_TRIANGLE_MESHES, STRAY_VERTICES_MESH, T_JUNCTION_MESH
@@ -303,6 +315,117 @@ class TestErrors:
         assert out.read_bytes() == ref.read_bytes()
 
 
+def config_file(tmp_path, text):
+    cfg = tmp_path / "problem.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return cfg
+
+
+def spec_of(tmp_path, text, *flags):
+    """The problem and mesh that `sgfem run` takes from a config file of
+    `text` and the command-line `flags`."""
+    args = build_parser().parse_args(["run", "--config", str(config_file(tmp_path, text)), *flags])
+    return _build_spec(args), args.mesh
+
+
+class TestConfig:
+    def config(self, tmp_path, text):
+        return _read_config(config_file(tmp_path, text))
+
+    def test_parse_basic(self, tmp_path):
+        text = "sigma = 2.5\ntau = 0.4  # comment\nmesh = lshape\n\n# full-line comment\n"
+        assert self.config(tmp_path, text) == {"sigma": 2.5, "tau": 0.4, "mesh": "lshape"}
+
+    def test_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown key"):
+            self.config(tmp_path, "theta = 0.5\n")
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate"):
+            self.config(tmp_path, "sigma = 2\nsigma = 3\n")
+
+    def test_tau_amplitude_exclusive(self, tmp_path):
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            self.config(tmp_path, "tau = 0.5\namplitude = 0.1\n")
+
+    def test_missing_equals_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="key=value"):
+            self.config(tmp_path, "sigma 2.0\n")
+
+    def test_unsupported_rhs_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="rhs"):
+            self.config(tmp_path, "rhs = sin\n")
+
+    def test_build_spec_defaults(self, tmp_path):
+        spec, mesh = spec_of(tmp_path, "")
+        bench = lshape_benchmark()
+        assert spec.sigma == bench.sigma
+        assert spec.amplitude == pytest.approx(bench.amplitude, rel=1e-14)
+        assert mesh == "lshape"
+
+    def test_build_spec_amplitude(self, tmp_path):
+        spec, _ = spec_of(tmp_path, "sigma = 3.0\namplitude = 0.2\n")
+        assert spec.amplitude == 0.2
+        with pytest.raises(ValueError):
+            spec_of(tmp_path, "sigma = 2.0\namplitude = 0.9\n")
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"tau": 1.0}, r"tau must lie in \[0, 1\)"),
+        ({"tau": -0.1}, r"tau must lie in \[0, 1\)"),
+        pytest.param({"amplitude": 0.9},
+                     r"inadmissible problem: tau = 1.48044 >= 1",
+                     id="settings2-inadmissible amplitude"),
+    ])
+    def test_inadmissible_settings(self, tmp_path, settings, message):
+        # amplitude_from_tau checks a given tau, ProblemSpec the tau of a
+        # given amplitude; the config reader adds no check of its own
+        text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        with pytest.raises(ValueError, match=message):
+            spec_of(tmp_path, text)
+
+    @pytest.mark.parametrize("text, flag, value", [
+        ("sigma = 3\n", "--sigma", "1.5"),
+        ("tau = 0.5\n", "--tau", "0.8"),
+        ("amplitude = 0.2\n", "--amplitude", "0.1"),
+        # the file's mesh is never read
+        ("mesh = missing.mesh\n", "--mesh", "lshape"),
+    ])
+    def test_flag_overrides_file(self, tmp_path, text, flag, value):
+        cfg = config_file(tmp_path, text)
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        argv = RUN_ARGS + [flag, value]
+        assert main(argv + ["--config", str(cfg), "--output", str(both)]) == EXIT_OK
+        assert main(argv + ["--output", str(alone)]) == EXIT_OK
+        for suffix in ("", ".config"):
+            assert (Path(f"{both}{suffix}").read_bytes()
+                    == Path(f"{alone}{suffix}").read_bytes())
+
+    def test_tau_and_amplitude_flags_drop_the_other_key(self, tmp_path):
+        # the file's sigma stays; its amplitude or tau gives way to the flag
+        spec, _ = spec_of(tmp_path, "sigma = 3\namplitude = 0.2\n", "--tau", "0.5")
+        assert spec == lshape_benchmark(sigma=3.0, tau=0.5)
+        spec, _ = spec_of(tmp_path, "sigma = 3\ntau = 0.5\n", "--amplitude", "0.1")
+        assert spec == ProblemSpec(sigma=3.0, amplitude=0.1)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "0.5"), ("--amplitude", "0.1"), ("--sigma", "3"),
+    ])
+    def test_file_with_both_keys_rejected_with_a_flag(self, tmp_path, capsys, flag, value):
+        cfg = config_file(tmp_path, "tau = 0.5\namplitude = 0.1\n")
+        out = tmp_path / "trace.csv"
+        argv = ["run", "--config", str(cfg), flag, value, "--output", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "sgfem: error: config keys 'tau' and 'amplitude' are mutually exclusive"]
+        assert not out.exists()
+
+    def test_both_flags_rejected(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--tau", "0.5", "--amplitude", "0.1", "--output", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "sgfem: error: --tau and --amplitude are mutually exclusive"]
+
+
 class TestNumericFailure:
     @staticmethod
     def failing_solve(*args, **kwargs):
@@ -341,6 +464,16 @@ class TestNumericFailure:
         assert main(RUN_ARGS + ["--output", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("sgfem: error: non-finite energy")
+
+    def test_loose_solver_tol_named_by_the_failed_check(self, tmp_path, capsys):
+        # inexact solves break the Pythagoras identity that the online check
+        # asserts (5.4e-6 > 1e-6 at level 10); the message names the tolerance
+        out = tmp_path / "trace.csv"
+        assert main(RUN_ARGS + ["--solver-tol", "1e-4", "--output", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sgfem: error: energy orthogonality violated")
+        assert err[0].endswith("(solver_tol 0.0001)")
+        assert not out.exists()
 
     def test_sweep_solver_error_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sgfem.driver, "solve", self.failing_solve)
@@ -449,15 +582,11 @@ class TestParseRange:
         with pytest.raises(ValueError, match="bad range"):
             _parse_range(text)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["0.1..0.9..1e-300", "0.1..0.9..1e-13", "0..1e9..1", "1..2", "0.5..1.5..0.1"],
-    )
-    def test_range_rejected_before_it_is_built(self, tmp_path, text):
-        # a step below the 12-digit rounding never moved past lo, or only
-        # every tenth time; ends outside [0, 1] built the list before any
-        # theta was checked.  A child with bounded memory and time fails
-        # fast where the parse would never return.
+    @staticmethod
+    def assert_sweep_rejects_range(tmp_path, *flags):
+        """`sgfem sweep` with `flags` exits 1 with one 'bad range' line and
+        makes no output directory, in a child with bounded memory and time
+        that fails fast where the parse would never return."""
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -465,14 +594,41 @@ class TestParseRange:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             [str(Path(sgfem.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "sgfem.cli", "sweep", "--theta-x", text,
-             "--output-dir", str(outdir)],
+            [sys.executable, "-m", "sgfem.cli", "sweep", *flags, "--output-dir", str(outdir)],
             env=env, capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
         )
         assert proc.returncode == EXIT_ERROR
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("sgfem: error: bad range")
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.1..0.9..1e-300", "0.1..0.9..1e-13", "0..1e9..1", "1..2", "0.5..1.5..0.1",
+         "0..1..1e-12"],
+    )
+    def test_range_rejected_before_it_is_built(self, tmp_path, text):
+        # a step below the 12-digit rounding never moved past lo, or only
+        # every tenth time; ends outside [0, 1] built the list before any
+        # theta was checked; a valid step of 1e-12 asked for 1e12 points
+        self.assert_sweep_rejects_range(tmp_path, "--theta-x", text)
+
+    def test_grid_rejected_before_it_is_built(self, tmp_path):
+        # 1000 valid thetas on each axis: each list is small, the grid of
+        # 1e6 points is not, and would run for days
+        self.assert_sweep_rejects_range(
+            tmp_path, "--theta-x", "0.001..1..1e-3", "--theta-p", "0.001..1..1e-3")
+
+    def test_grid_cap_counts_both_axes(self):
+        # 10,000 points pass, on one axis or as a product; one more fails
+        assert len(_parse_range("0..0.9999..1e-4")) == 10_000
+        assert len(_parse_range("0..0.99..1e-2", 100)) == 100
+        with pytest.raises(ValueError, match="bad range '0..1..1e-4': a grid of 10001 points"):
+            _parse_range("0..1..1e-4")
+        with pytest.raises(ValueError, match="a grid of 10100 points"):
+            _parse_range("0..1..1e-2", 100)
+        with pytest.raises(ValueError, match="a grid of 10001 points"):
+            _parse_range(",".join(["0.5"] * 10_001))
 
     def test_sweep_bad_step_exit(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"

@@ -13,8 +13,6 @@ from sgfem import (
     fourier_mode,
     lshape_benchmark,
     mode_frequencies,
-    parse_config,
-    spec_from_config,
 )
 
 
@@ -122,51 +120,3 @@ class TestProblemSpec:
         assert cb.lam == pytest.approx(1.0 / 1.5, rel=1e-12)
         assert cb.Lam == pytest.approx(2.0, rel=1e-12)
 
-
-class TestConfig:
-    def test_parse_basic(self):
-        text = "sigma = 2.5\ntau = 0.4  # comment\nmesh = lshape\n\n# full-line comment\n"
-        assert parse_config(text) == {"sigma": 2.5, "tau": 0.4, "mesh": "lshape"}
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config("theta = 0.5\n")
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_config("sigma = 2\nsigma = 3\n")
-
-    def test_tau_amplitude_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            parse_config("tau = 0.5\namplitude = 0.1\n")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ValueError, match="key=value"):
-            parse_config("sigma 2.0\n")
-
-    def test_unsupported_rhs_rejected(self):
-        with pytest.raises(ValueError, match="rhs"):
-            parse_config("rhs = sin\n")
-
-    def test_spec_from_config_defaults(self):
-        spec = spec_from_config({})
-        bench = lshape_benchmark()
-        assert spec.sigma == bench.sigma
-        assert spec.amplitude == pytest.approx(bench.amplitude, rel=1e-14)
-
-    def test_spec_from_config_amplitude(self):
-        spec = spec_from_config({"sigma": 3.0, "amplitude": 0.2})
-        assert spec.amplitude == 0.2
-        with pytest.raises(ValueError):
-            spec_from_config({"sigma": 2.0, "amplitude": 0.9})
-
-    @pytest.mark.parametrize("settings, message", [
-        ({"tau": 1.0}, r"tau must lie in \[0, 1\)"),
-        ({"tau": -0.1}, r"tau must lie in \[0, 1\)"),
-        ({"amplitude": 0.9}, r"inadmissible problem: tau = 1.48044 >= 1"),
-    ])
-    def test_inadmissible_settings(self, settings, message):
-        # amplitude_from_tau checks a given tau, ProblemSpec the tau of a
-        # given amplitude; spec_from_config adds no check of its own
-        with pytest.raises(ValueError, match=message):
-            spec_from_config(settings)
