@@ -188,9 +188,11 @@ def _parse_range(text: str, other: int = 1) -> list[float]:
         # every theta lies in [0, 1], and the rounding merges points closer than 1e-12
         if not (0.0 <= lo <= hi <= 1.0 and 1e-12 <= step < math.inf):
             raise ValueError(f"bad range {text!r}: need 0 <= lo <= hi <= 1, 1e-12 <= step < inf")
-        # each k step <= hi - lo is kept; the slack and the rounding keep at most two more
+        # about (hi - lo) / step steps fit; rounding moves a point or two across hi
         count = int((hi - lo) / step) + 1
-        while round(lo + count * step, 12) <= hi + 1e-12:
+        while count > 1 and round(lo + (count - 1) * step, 12) > hi:
+            count -= 1
+        while round(lo + count * step, 12) <= hi:
             count += 1
         values = (round(lo + k * step, 12) for k in range(count))
     if count * other > _MAX_GRID:

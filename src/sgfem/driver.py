@@ -298,7 +298,10 @@ def reference_solution(trace: AdaptiveTrace) -> GalerkinSolution:
     once = trace.final_indices.union(detail_index_set(trace.final_indices))
     indices = once.union(detail_index_set(once))
     system = TensorSystem(MeshOperator(fine, trace.spec), Coupling(indices))
-    del system.operator.pattern  # the solve needs only A_m and the A_0 LU
+    # the solve needs only A_m and the A_0 LU, not the tables that built them
+    del system.operator.pattern, system.operator.load
+    for table in ("_edge_table", "free_index"):
+        vars(fine).pop(table)
     return solve(system, tol=trace.solver_tol, initial=prolong(trace.final_solution, system))
 
 

@@ -33,18 +33,18 @@ A ``TensorSystem`` is the one handle on a (mesh x index set) space, made of
 two objects that outlive it, and the solver, the estimators, the energy
 ``b_energy`` and ``prolong`` all take it; a ``GalerkinSolution`` keeps its
 coefficients and energy but no system.  A ``MeshOperator`` holds what
-depends on the mesh alone: geometry, quadrature points, the free-node CSR
-pattern with its scatter map, A_m per mode (built on first use), the load,
-the LU of A_0 and the spatial estimator's per-mode terms on the NVB
-children of each triangle, laid out by ``mesh``.  A ``Coupling``
-holds the passes of G_m for one index set, against itself and against its
-detail set, and the plans built from them.  An adaptive step changes either
-the mesh or the index set, so the loop keeps one object and drops the
-other: the operator goes with its mesh on refinement, the coupling with its
-index set on enrichment.  Refinement leaves most triangles as they were,
-and the estimator's terms of a triangle depend on it alone, so the operator
-of the refined mesh copies those of the kept triangles from the outgoing
-one and computes only those of the new triangles.  Nothing is cached on the
+depends on the mesh alone: geometry, the free-node CSR pattern with its
+scatter map, per mode the integrals over each triangle and A_m (built on
+first use), the load, the LU of A_0 and the spatial estimator's per-mode
+terms on the NVB children of each triangle, laid out by ``mesh``.  A
+``Coupling`` holds the passes of G_m for one index set, against itself and
+against its detail set, and the plans built from them.  An adaptive step
+changes either the mesh or the index set, so the loop keeps one object and
+drops the other: the operator goes with its mesh on refinement, the
+coupling with its index set on enrichment.  Refinement leaves most
+triangles as they were, so the operator of the refined mesh copies their
+per-triangle rows from the outgoing one and computes only those of the new
+triangles.  Nothing is cached on the
 mesh or at module level but a thread pool, on which large systems apply the
 operator and solve with A_0 in column blocks, each column computed as on
 one thread and written into the one result.  The parametric estimator's
@@ -66,7 +66,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .indices import IndexSet, ZERO, row_positions
-from .mesh import MIDPOINT_SLOTS, Mesh, bisected_edges, child_corners, kept_triangles
+from .mesh import MIDPOINT_SLOTS, Mesh, bisected_edges, child_corners
 from .problem import ProblemSpec, contrast_bounds, coupling_coefficient
 
 __all__ = [
@@ -184,55 +184,85 @@ def element_load(area: np.ndarray) -> np.ndarray:
     return np.repeat(area / 3.0, 3).reshape(-1, 3)
 
 
+def _geometry(p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Areas, basis gradients, quadrature points and gradient products
+    grad_i . grad_j (nt, 3, 3) of triangles with vertex coordinates ``p``."""
+    area, grads = element_geometry(p)
+    return area, grads, quadrature_points(p), np.einsum("tid,tjd->tij", grads, grads)
+
+
 class StiffnessPattern:
     """What P1 stiffness matrices on one mesh share, whatever the coefficient:
     areas, basis gradients, quadrature points, products of basis gradients,
     and the CSR pattern with a scatter map from (triangle, i, j) to data
     slots.  A matrix then costs one coefficient evaluation and one
-    ``bincount``.  The matrices live on the free (interior) nodes."""
+    ``bincount``.  The matrices live on the free (interior) nodes.
 
-    def __init__(self, mesh: Mesh):
-        p = mesh.vertices[mesh.triangles]
-        self.area, self.grads = element_geometry(p)
-        self.points = quadrature_points(p)
-        n = mesh.free_nodes.size
-        local = mesh.free_index[mesh.triangles]
-        rows = np.repeat(local, 3, axis=1).ravel()
-        cols = np.tile(local, (1, 3)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        # entry (t, i, j) of the local matrices is weight_t * grad_i . grad_j
-        self._products = np.einsum("tid,tjd->tij", self.grads, self.grads).ravel()[keep]
-        self._element = np.repeat(np.arange(mesh.num_triangles, dtype=np.int32), 9)[keep]
-        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
-        self._slot = slot.astype(np.int32)
-        self._indices = (keys % n).astype(np.int32)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    The per-triangle arrays of ``_geometry`` may be given.  The CSR pattern,
+    the diagonal and both directions of each edge between free nodes, is
+    read off the mesh's edge table.  ``MeshOperator`` keeps each mode's
+    integrals int_T a_m dx in ``_integrals``, to go with the pattern."""
+
+    def __init__(self, mesh: Mesh, geometry: tuple[np.ndarray, ...] | None = None):
+        if geometry is None:
+            geometry = _geometry(mesh.vertices[mesh.triangles])
+        self.area, self.grads, self.points, self._products = geometry
+        self._integrals: dict[int, np.ndarray] = {}
+        n, free = mesh.free_nodes.size, mesh.free_index
+        a, b = (free[v] for v in np.divmod(mesh.edge_keys, mesh.num_vertices))
+        inner = np.flatnonzero((a >= 0) & (b >= 0))
+        a, b = a[inner], b[inner]
+        # the keys row * n + col of the diagonal and both directions of each
+        # free-free edge; the data slot of each is its place among them, sorted
+        keys = np.concatenate([np.arange(n) * (n + 1), a * n + b, b * n + a])
+        order = np.argsort(keys)
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        diagonal, forward, backward = np.split(place, [n, n + a.size])
+        self._indices = (keys[order] % n).astype(np.int32)
+        self._indptr = np.searchsorted(keys[order], np.arange(n + 1) * n).astype(np.int32)
+        edge_slot = np.zeros((mesh.edge_keys.size, 2), dtype=np.int32)
+        edge_slot[inner] = np.stack([forward, backward], axis=1)
+        tri, local = mesh.triangles, free[mesh.triangles]
+        # local edge k joins local vertices i = k + 1 and j = k + 2 (mod 3);
+        # entry (i, j) is its edge's (b, a) where v_i > v_j
+        i, j = [1, 2, 0], [2, 0, 1]
+        flip = (tri[:, i] > tri[:, j]).astype(np.intp)
+        slot = np.empty(tri.shape + (3,), dtype=np.int32)
+        slot[:, i, j] = edge_slot[mesh.triangle_edges, flip]
+        slot[:, j, i] = edge_slot[mesh.triangle_edges, 1 - flip]
+        slot[:, [0, 1, 2], [0, 1, 2]] = np.append(diagonal, 0)[local]
+        # an entry with a boundary vertex adds to one slot past the data
+        boundary = local < 0
+        slot[boundary[:, :, None] | boundary[:, None, :]] = keys.size
+        self._slot = slot.ravel()
         self.shape = (n, n)
 
     def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
-        """The stiffness matrix of per-triangle weights int_T a dx."""
+        """The stiffness matrix of per-triangle weights int_T a dx: entry
+        (t, i, j) of the local matrices is weight_t * grad_i . grad_j."""
         data = np.bincount(
-            self._slot, weights=weights[self._element] * self._products,
-            minlength=self._indices.size,
-        )
+            self._slot, weights=(weights[:, None, None] * self._products).ravel(),
+            minlength=self._indices.size + 1,
+        )[:-1]
         return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
 
 
-def assemble_stiffness(
-    mesh: Mesh,
-    coefficient,
-    pattern: StiffnessPattern | None = None,
-) -> sp.csr_matrix:
+def assemble_stiffness(mesh: Mesh, coefficient, pattern: StiffnessPattern | None = None,
+                       weights: np.ndarray | None = None) -> sp.csr_matrix:
     """Weighted P1 stiffness matrix with entries int_D a grad(phi_i).grad(phi_j)
     on the free (interior) nodes.
 
     The coefficient is integrated per element with the 7-point rule
     (gradients are elementwise constant).  A ``pattern`` built for the mesh
-    saves rebuilding it.
+    saves rebuilding it, and the integrals over its triangles, where the
+    caller has them as `weights`, save evaluating the coefficient.
     """
     if pattern is None:
         pattern = StiffnessPattern(mesh)
-    return pattern.matrix(element_integrals(pattern.points, pattern.area, coefficient))
+    if weights is None:
+        weights = element_integrals(pattern.points, pattern.area, coefficient)
+    return pattern.matrix(weights)
 
 
 def _per_midpoint(values: np.ndarray) -> np.ndarray:
@@ -250,16 +280,18 @@ class MeshOperator:
     when it refines the mesh.
 
     Coarse side: the stiffness pattern (areas, gradients, quadrature points,
-    CSR scatter), A_m per mode, the load and the LU of A_0.  Estimator side,
-    on the NVB children of each triangle (the uniform refinement, never
-    built as a mesh): per midpoint m, w1, w2 of each triangle the hat terms
-    int a_m grad phi_z per mode, the fine A_0 diagonal and the load.
+    gradient products, CSR scatter, per mode the integrals int_T a_m dx), A_m
+    per mode, the load and the LU of A_0.  Estimator side, on the NVB
+    children of each triangle (the uniform refinement, never built as a
+    mesh): per midpoint m, w1, w2 of each triangle the hat terms int a_m
+    grad phi_z per mode, the fine A_0 diagonal and the load.
 
-    These child terms depend on a triangle's vertices and reference edge
-    alone.  Given the ``previous`` operator, built for the same problem on a
-    mesh that `mesh` is one refinement step from, the new one takes over
-    every mode that one had built: it copies the rows of the triangles the
-    refinement kept and computes only those of the triangles it created.  It
+    Every per-triangle array depends on a triangle's vertices and reference
+    edge alone.  Given the ``previous`` operator, built for the same problem
+    on a mesh that `mesh` is one refinement step from, the triangles the
+    step kept (``Mesh.source``) copy their rows of the geometry, of the
+    integrals of every mode it built and of its child terms; only the new
+    triangles' rows are computed, as a fresh operator computes all rows.  It
     keeps no reference to ``previous``; any other ``previous`` is ignored.
     """
 
@@ -269,8 +301,8 @@ class MeshOperator:
         self._stiffness: dict[int, sp.csr_matrix] = {}
         # per mode: the hat terms, and for mode 0 also the diagonal and load
         self._child_terms: dict[int, tuple[np.ndarray, ...]] = {}
-        if (previous is not None and previous._child_terms
-                and previous.spec == spec and bisected_edges(previous.mesh, mesh) is not None):
+        if (previous is not None and previous.spec == spec
+                and bisected_edges(previous.mesh, mesh) is not None):
             self._carry(previous)
 
     @cached_property
@@ -278,20 +310,19 @@ class MeshOperator:
         return StiffnessPattern(self.mesh)
 
     def stiffness(self, m: int) -> sp.csr_matrix:
-        """A_m on the free nodes, assembled once."""
+        """A_m on the free nodes, assembled once from the integrals of a_m."""
         if m not in self._stiffness:
-            self._stiffness[m] = assemble_stiffness(
-                self.mesh, self.spec.coefficient(m), pattern=self.pattern
-            )
+            pattern, a_m = self.pattern, self.spec.coefficient(m)
+            if m not in pattern._integrals:
+                pattern._integrals[m] = element_integrals(pattern.points, pattern.area, a_m)
+            self._stiffness[m] = assemble_stiffness(self.mesh, a_m, pattern, pattern._integrals[m])
         return self._stiffness[m]
 
     @cached_property
     def load(self) -> np.ndarray:
         """int phi_z for the free nodes z: the load f = 1."""
-        mesh, pattern = self.mesh, self.pattern
-        full = np.zeros(mesh.num_vertices)
-        load = element_load(pattern.area)
-        np.add.at(full, mesh.triangles.ravel(), load.ravel())
+        mesh, load = self.mesh, element_load(self.pattern.area)
+        full = np.bincount(mesh.triangles.ravel(), load.ravel(), minlength=mesh.num_vertices)
         return full[mesh.free_nodes]
 
     @cached_property
@@ -340,20 +371,32 @@ class MeshOperator:
         return out
 
     def _carry(self, previous: MeshOperator) -> None:
-        """Take over the child terms of the operator of the coarser mesh:
-        rows of kept triangles are copied, those of new triangles computed."""
-        nt = self.mesh.num_triangles
-        coarse_rows, rows = kept_triangles(previous.mesh, self.mesh)
-        fresh = np.delete(np.arange(nt), rows)
-        carried = previous._child_terms
-        for m, computed in self._terms(fresh, carried).items():
-            merged = []
-            for old, new in zip(carried[m], computed):
-                values = np.empty((nt,) + new.shape[1:])
-                values[rows] = old[coarse_rows]
-                values[fresh] = new
-                merged.append(values)
-            self._child_terms[m] = tuple(merged)
+        """Take over what the operator of the coarser mesh built: the rows
+        of the triangles the step kept are copied, the others computed."""
+        new = np.flatnonzero(self.mesh.source < 0)
+        # a new row takes row 0 at first, then its computed values
+        origin = np.maximum(self.mesh.source, 0)
+
+        def merged(old, values):
+            out = old.take(origin, axis=0)
+            out[new] = values
+            return out
+
+        # the child terms first: their transients peak before the pattern exists
+        if previous._child_terms:
+            for m, values in self._terms(new, previous._child_terms).items():
+                self._child_terms[m] = tuple(
+                    merged(old, v) for old, v in zip(previous._child_terms[m], values))
+        coarse = vars(previous).get("pattern")
+        if coarse is not None:
+            geometry = _geometry(self.mesh.vertices[self.mesh.triangles[new]])
+            self.pattern = StiffnessPattern(self.mesh, tuple(
+                merged(old, values) for old, values in zip(
+                    (coarse.area, coarse.grads, coarse.points, coarse._products), geometry)))
+            area, _, points, _ = geometry
+            for m, old in coarse._integrals.items():
+                self.pattern._integrals[m] = merged(
+                    old, element_integrals(points, area, self.spec.coefficient(m)))
 
     def child_terms(self, n_modes: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Per triangle and midpoint z: the hat terms int a_m grad phi_z

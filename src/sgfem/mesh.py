@@ -25,8 +25,9 @@ It runs as array passes over the edge table, with no loop over triangles.
 Midpoint coordinates are exact averages, so all vertices of meshes refined
 from a dyadic initial mesh are exactly representable in float64.
 
-A refined mesh records its own step only (``new_vertex_edge``) and keeps no
-reference to the coarser mesh, so a run keeps alive only the meshes it holds.
+A refined mesh records its own step only (``new_vertex_edge``, and in
+``source`` the coarse row of each triangle it kept) and keeps no reference
+to the coarser mesh, so a run keeps alive only the meshes it holds.
 
 ``read_mesh`` is the one way in for a mesh from outside.  It accepts only a
 conforming, positively oriented triangulation that tiles the region its
@@ -53,7 +54,6 @@ __all__ = [
     "MIDPOINT_SLOTS",
     "refine",
     "realized",
-    "kept_triangles",
     "bisected_edges",
     "read_mesh",
     "write_mesh",
@@ -76,6 +76,9 @@ class Mesh:
         bisected edge of the coarser mesh whose midpoint is vertex
         ``num_vertices - k + i``.  The first ``num_vertices - k`` vertices
         are those of the coarser mesh.
+    source : (m,) int32 array, or None for a mesh not made by refinement:
+        the row in the coarser mesh of each triangle the step left as it was
+        (same vertex ids and reference edge), -1 for each one it made.
     """
 
     vertices: np.ndarray
@@ -83,11 +86,12 @@ class Mesh:
     triangles: np.ndarray
     ref_edge: np.ndarray
     new_vertex_edge: np.ndarray | None = None
+    source: np.ndarray | None = None
 
     def __reduce__(self):
         # the cached tables derive from the fields: rebuilt, not pickled
         return Mesh, (self.vertices, self.boundary, self.triangles, self.ref_edge,
-                      self.new_vertex_edge)
+                      self.new_vertex_edge, self.source)
 
     @property
     def num_vertices(self) -> int:
@@ -271,6 +275,7 @@ def _bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
         triangles=triangles,
         ref_edge=ref_edge,
         new_vertex_edge=new_edges,
+        source=np.where(kept, origin, -1).astype(np.int32),
     )
 
 
@@ -357,19 +362,6 @@ def realized(coarse: Mesh, refined: Mesh) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     ids = _one_step(coarse, refined)
     return np.searchsorted(coarse.interior_edge_ids, ids[coarse.edge_counts[ids] == 2])
-
-
-def kept_triangles(coarse: Mesh, refined: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The triangles that one refinement step from `coarse` to `refined`
-    left as they were (same vertex ids, same reference edge): their rows in
-    `coarse`, ascending, and in `refined`.  A triangle is kept when none of
-    its edges was bisected; ``_bisect`` emits the children of each triangle
-    in the order of `coarse`, one more child per bisected edge."""
-    bisected = np.zeros(coarse.edge_keys.size, dtype=np.int64)
-    bisected[_one_step(coarse, refined)] = 1
-    count = 1 + bisected[coarse.triangle_edges].sum(axis=1)
-    rows = np.flatnonzero(count == 1)
-    return rows, np.cumsum(count)[rows] - 1
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -47,7 +47,8 @@ def mode_frequencies(m: int) -> tuple[int, int]:
 
 
 def fourier_mode(m: int, amplitude: float, sigma: float) -> Callable:
-    """Coefficient function a_m(x) = A m^(-sigma) cos(2 pi b1 x1) cos(2 pi b2 x2)."""
+    """Coefficient function a_m(x) = A m^(-sigma) cos(2 pi b1 x1) cos(2 pi b2 x2).
+    A factor of frequency 0 is exactly 1, so it is left out: (A * 1) c = A c."""
     if sigma <= 1.0:
         raise ValueError("decay exponent must satisfy sigma > 1")
     if amplitude < 0.0:
@@ -57,11 +58,11 @@ def fourier_mode(m: int, amplitude: float, sigma: float) -> Callable:
 
     def a_m(x):
         x = np.asarray(x, dtype=np.float64)
-        return (
-            alpha
-            * np.cos(2.0 * np.pi * beta1 * x[..., 0])
-            * np.cos(2.0 * np.pi * beta2 * x[..., 1])
-        )
+        value = alpha
+        for axis, beta in enumerate((beta1, beta2)):
+            if beta:
+                value = value * np.cos(2.0 * np.pi * beta * x[..., axis])
+        return value
 
     return a_m
 

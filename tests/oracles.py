@@ -8,7 +8,8 @@ instead of closed-form coupling coefficients.  The exceptions are former
 library implementations kept as references for their replacements: the
 fine-mesh and the node-major spatial and parametric estimators with their
 node-major coupling product, the COO stiffness assembly,
-the per-call load assembly, the loop-based newest-vertex bisection, the CSR
+the CSR pattern made unique from the triangles' entries, the three-factor
+coefficient modes, the per-call load assembly, the loop-based newest-vertex bisection, the CSR
 coupling blocks with the transposed products formed from them, the
 prolongation matrix, and the loop-based detail set and index embedding, and former library code that only
 tests use: the mesh audit with its minimum angle, the orthonormal Legendre
@@ -43,7 +44,7 @@ from sgfem.galerkin import (
 )
 from sgfem.indices import ZERO, IndexSet, MultiIndex
 from sgfem.mesh import Mesh, uniform_refine
-from sgfem.problem import ProblemSpec, coupling_coefficient
+from sgfem.problem import ProblemSpec, coupling_coefficient, mode_frequencies
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +393,40 @@ def coo_assemble_stiffness(mesh: Mesh, coefficient, restrict: bool = True) -> sp
         free = mesh.free_nodes
         mat = mat[free][:, free].tocsr()
     return mat
+
+
+def unique_csr_pattern(mesh: Mesh):
+    """The former CSR pattern of ``StiffnessPattern``: the free-node keys
+    ``row * n + col`` of the 9 local entries of each triangle, made unique.
+    Returns the mask of the (triangle, i, j) entries with both nodes free,
+    their data slots, and the CSR indices and indptr."""
+    n = mesh.free_nodes.size
+    local = mesh.free_index[mesh.triangles]
+    rows = np.repeat(local, 3, axis=1).ravel()
+    cols = np.tile(local, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return keep, slot, keys % n, indptr
+
+
+# ---------------------------------------------------------------------------
+# the former coefficient modes: all three factors, a cosine of frequency 0
+# included; ``fourier_mode`` must reproduce them bit for bit
+
+def three_factor_mode(m: int, amplitude: float, sigma: float):
+    beta1, beta2 = mode_frequencies(m)
+    alpha = amplitude * m ** (-float(sigma))
+
+    def a_m(x):
+        x = np.asarray(x, dtype=np.float64)
+        return (
+            alpha
+            * np.cos(2.0 * np.pi * beta1 * x[..., 0])
+            * np.cos(2.0 * np.pi * beta2 * x[..., 1])
+        )
+
+    return a_m
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,22 @@ class TestParseRange:
         with pytest.raises(ValueError, match="bad range"):
             _parse_range(text)
 
+    @pytest.mark.parametrize("text, values", [
+        ("0.999999999999..1..1e-12", [0.999999999999, 1.0]),
+        ("0.5..0.5..1e-12", [0.5]),
+    ])
+    def test_no_point_above_hi(self, text, values):
+        # rounded to 12 digits, lo + k step once passed hi by up to 1e-12
+        assert _parse_range(text) == values
+
+    def test_sweep_up_to_one(self, tmp_path):
+        # a theta of 1.000000000001 stopped the sweep after two grid points
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--theta-x", "0.999999999999..1..1e-12", "--theta-p", "0.5",
+                     "--tol", "1e-1", "--output-dir", str(outdir)])
+        assert code == 0
+        assert len((outdir / "summary.csv").read_text().splitlines()) == 3
+
     @staticmethod
     def assert_sweep_rejects_range(tmp_path, *flags):
         """`sgfem sweep` with `flags` exits 1 with one 'bad range' line and

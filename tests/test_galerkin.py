@@ -1,7 +1,9 @@
+import gc
 import math
 import multiprocessing
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from scipy.sparse.linalg import splu
 from sgfem import galerkin
 from sgfem.galerkin import Coupling, MeshOperator, StiffnessPattern, _index_embedding, _pcg
 from sgfem.indices import detail_index_set
-from sgfem.mesh import Mesh, kept_triangles
+from sgfem.mesh import Mesh, read_mesh, write_mesh
 
 import oracles
 from conftest import tensor_system
@@ -133,6 +135,27 @@ class TestPatternAssembly:
                 assert same_csr(got, fresh)
 
 
+    def test_csr_from_edge_table_equals_unique(self, tmp_path):
+        # the L-shape and the unit square have no free node; a read_mesh
+        # mesh with renumbered vertices lists its edges in another order
+        lshape = refine(uniform_refine(initial_lshape()), [0, 3])
+        new_id = np.random.default_rng(4).permutation(lshape.num_vertices)
+        old_id = np.argsort(new_id)
+        write_mesh(Mesh(vertices=lshape.vertices[old_id], boundary=lshape.boundary[old_id],
+                        triangles=new_id[lshape.triangles], ref_edge=lshape.ref_edge),
+                   tmp_path / "renumbered.mesh")
+        meshes = [initial_lshape(), unit_square(), uniform_refine(uniform_refine(unit_square())),
+                  lshape, read_mesh(tmp_path / "renumbered.mesh")]
+        for mesh in meshes:
+            pattern = StiffnessPattern(mesh)
+            keep, slot, indices, indptr = oracles.unique_csr_pattern(mesh)
+            assert np.array_equal(pattern._slot[keep], slot)
+            # an entry with a boundary node adds past the data
+            assert (pattern._slot[~keep] == indices.size).all()
+            assert np.array_equal(pattern._indices, indices)
+            assert np.array_equal(pattern._indptr, indptr)
+
+
 class TestReuse:
     """Systems on a kept operator and coupling equal freshly built ones."""
 
@@ -179,6 +202,16 @@ def same_child_terms(a, b) -> bool:
     )
 
 
+def same_pattern(a, b) -> bool:
+    return (
+        all(np.array_equal(x, y) for x, y in zip(
+            (a.area, a.grads, a.points, a._products, a._slot, a._indices, a._indptr),
+            (b.area, b.grads, b.points, b._products, b._slot, b._indices, b._indptr)))
+        and a._integrals.keys() == b._integrals.keys()
+        and all(np.array_equal(a._integrals[m], b._integrals[m]) for m in a._integrals)
+    )
+
+
 @pytest.fixture
 def children_rows(monkeypatch):
     """The number of triangles of each ``MeshOperator._children`` call."""
@@ -195,21 +228,28 @@ def children_rows(monkeypatch):
 
 class TestCarry:
     """The operator of a refined mesh, given the operator of the mesh it is
-    one step from, copies the child terms of the kept triangles; it equals
-    an operator built from scratch bit for bit."""
+    one step from, copies the pattern's geometry, the integrals of the modes
+    built and the child terms of the kept triangles; it equals an operator
+    built from scratch bit for bit."""
 
     @staticmethod
     def step(mesh, operator, marked, children_rows, n_modes=4):
-        """Refine, carry the terms over and compare with fresh ones."""
+        """Refine, carry over and compare with a fresh operator: the child
+        terms, the pattern, and A_m of every mode built before and of one
+        never built."""
         new = refine(mesh, marked)
+        built = sorted(operator._stiffness)
         del children_rows[:]
         carried = MeshOperator(new, operator.spec, previous=operator)
         terms = carried.child_terms(n_modes)
         # only the new triangles were built, and only once
-        _, kept = kept_triangles(mesh, new)
-        assert children_rows == [new.num_triangles - kept.size]
+        assert children_rows == [np.count_nonzero(new.source < 0)]
         fresh = MeshOperator(new, operator.spec)
         assert same_child_terms(terms, fresh.child_terms(n_modes))
+        for m in built + [len(built)]:
+            assert same_csr(carried.stiffness(m), fresh.stiffness(m))
+        assert same_pattern(carried.pattern, fresh.pattern)
+        assert np.array_equal(carried.load, fresh.load)
         return new, carried
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
@@ -220,6 +260,7 @@ class TestCarry:
         mesh = start()
         operator = MeshOperator(mesh, spec)
         operator.child_terms(4)
+        operator.stiffness(0)
         for _ in range(5):
             num_new = mesh.interior_edge_ids.size
             marked = rng.choice(num_new, size=max(1, int(fraction * num_new)), replace=False)
@@ -231,6 +272,7 @@ class TestCarry:
         mesh = initial_lshape()
         operator = MeshOperator(mesh, spec)
         operator.child_terms(3)
+        operator.stiffness(0)
         for _ in range(30):
             mid = mesh.vertices[mesh.edges[mesh.interior_edge_ids]].mean(axis=1)
             mesh, operator = self.step(
@@ -252,6 +294,33 @@ class TestCarry:
         terms = carried.child_terms(2)
         assert children_rows == [new.num_triangles]
         assert same_child_terms(terms, MeshOperator(new, spec).child_terms(2))
+        # a predecessor with A_1 alone passes on its pattern and integrals
+        previous = MeshOperator(mesh, spec)
+        previous.stiffness(1)
+        del children_rows[:]
+        carried = MeshOperator(new, spec, previous=previous)
+        assert children_rows == []
+        assert "pattern" in vars(carried) and list(carried.pattern._integrals) == [1]
+        fresh = MeshOperator(new, spec)
+        assert same_csr(carried.stiffness(1), fresh.stiffness(1))
+        assert same_pattern(carried.pattern, fresh.pattern)
+
+    def test_keeps_nothing_of_predecessor(self, spec):
+        mesh = refine(initial_lshape(), [0, 2])
+        new = refine(mesh, [1])
+        previous = MeshOperator(mesh, spec)
+        previous.child_terms(2)
+        previous.stiffness(2)
+        old = [previous.pattern.area, previous.pattern.points, previous.pattern._products,
+               previous.pattern._integrals[2], *previous._child_terms[0]]
+        carried = MeshOperator(new, spec, previous=previous)
+        ref = weakref.ref(previous)
+        del previous
+        gc.collect()
+        assert ref() is None
+        arrays = [carried.pattern.area, carried.pattern.points, carried.pattern._products,
+                  carried.pattern._integrals[2], *carried._child_terms[0]]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in old)
 
     def test_twin_predecessor_carried(self, spec, children_rows):
         # a mesh with the very arrays of the one refined is one step from
@@ -264,9 +333,8 @@ class TestCarry:
         previous.child_terms(2)
         del children_rows[:]
         carried = MeshOperator(new, spec, previous=previous)
-        _, kept = kept_triangles(twin, new)
-        assert kept.size > 0
-        assert children_rows == [new.num_triangles - kept.size]
+        assert (new.source >= 0).any()
+        assert children_rows == [np.count_nonzero(new.source < 0)]
         assert same_child_terms(carried.child_terms(2), MeshOperator(new, spec).child_terms(2))
 
     def test_foreign_predecessor_ignored(self, spec, children_rows):
@@ -280,11 +348,13 @@ class TestCarry:
             MeshOperator(mesh, lshape_benchmark(sigma=1.5)),
         ):
             previous.child_terms(2)
+            previous.stiffness(1)
             del children_rows[:]
             carried = MeshOperator(new, spec, previous=previous)
-            assert children_rows == []
+            assert children_rows == [] and "pattern" not in vars(carried)
             assert same_child_terms(carried.child_terms(2), fresh)
             assert children_rows == [new.num_triangles]
+            assert same_csr(carried.stiffness(1), MeshOperator(new, spec).stiffness(1))
 
 
 def dense_coupling(P, m, Q=None):

@@ -278,14 +278,11 @@ class TestRefine:
         with pytest.raises(ValueError, match="one step"):
             realized(lmesh, refine(once, [0]))
 
-    def test_kept_triangles_need_one_step(self, lmesh):
-        kept_triangles = sgfem.mesh.kept_triangles
-        fine = uniform_refine(lmesh)
-        coarse_rows, rows = kept_triangles(lmesh, fine)
-        assert coarse_rows.size == rows.size == 0
-        for coarse, refined in ((lmesh, lmesh), (lmesh, uniform_refine(fine)), (fine, lmesh)):
-            with pytest.raises(ValueError, match="one step"):
-                kept_triangles(coarse, refined)
+    def test_source_of_uniform_refinement(self, lmesh):
+        # a uniform refinement keeps no triangle; a mesh read or made from
+        # scratch has no source
+        assert lmesh.source is None
+        assert (uniform_refine(lmesh).source == -1).all()
 
     def test_bisected_edges_one_step_only(self, lmesh):
         bisected_edges = sgfem.mesh.bisected_edges
@@ -559,8 +556,8 @@ class TestLoopOracle:
         after = np.column_stack([new.triangles, new.ref_edge]).tolist()
         row = {tuple(t): i for i, t in enumerate(before)}
         matches = [(row[tuple(t)], i) for i, t in enumerate(after) if tuple(t) in row]
-        coarse_rows, rows = sgfem.mesh.kept_triangles(mesh, new)
-        assert list(zip(coarse_rows.tolist(), rows.tolist())) == matches
+        rows = np.flatnonzero(new.source >= 0)
+        assert list(zip(new.source[rows].tolist(), rows.tolist())) == matches
         return new
 
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])

@@ -15,6 +15,8 @@ from sgfem import (
     mode_frequencies,
 )
 
+import oracles
+
 
 class TestModeFrequencies:
     def test_enumeration_by_total_order(self):
@@ -41,6 +43,15 @@ class TestFourierMode:
             want = 0.6 * m**-2.0 * np.cos(2 * np.pi * b1 * x[:, 0]) * np.cos(2 * np.pi * b2 * x[:, 1])
             got = fourier_mode(m, 0.6, 2.0)(x)
             assert np.allclose(got, want, atol=1e-15)
+
+    @pytest.mark.parametrize("points", [7, 28])
+    def test_equals_three_factor_oracle(self, points):
+        # a factor of frequency 0 is left out; it was exactly 1
+        x = np.random.default_rng(points).uniform(-1.0, 1.0, size=(50, points, 2))
+        for m in range(1, 31):
+            got = fourier_mode(m, 0.6, 2.0)(x)
+            assert got.shape == (50, points)
+            assert np.array_equal(got, oracles.three_factor_mode(m, 0.6, 2.0)(x))
 
     def test_zero_amplitude_allowed(self):
         assert fourier_mode(1, 0.0, 2.0)(np.zeros((1, 2)))[0] == 0.0
