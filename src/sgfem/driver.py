@@ -91,7 +91,7 @@ class AdaptiveTrace:
     solver_tol: float
     records: list[IterationRecord] = field(default_factory=list)
     checks: list[StepChecks] = field(default_factory=list)
-    stop_reason: str = "running"
+    stop_reason: str = "running"  # then "tol", "max_iter", "max_dof" or "estimator_zero"
     final_mesh: Mesh | None = None
     final_indices: IndexSet | None = None
     final_solution: GalerkinSolution | None = None
@@ -300,6 +300,7 @@ def reference_solution(trace: AdaptiveTrace) -> GalerkinSolution:
     system = TensorSystem(MeshOperator(fine, trace.spec), Coupling(indices))
     # the solve needs only A_m and the A_0 LU, not the tables that built them
     del system.operator.pattern, system.operator.load
+    system.operator.table.clear()
     for table in ("_edge_table", "free_index"):
         vars(fine).pop(table)
     return solve(system, tol=trace.solver_tol, initial=prolong(trace.final_solution, system))

@@ -33,23 +33,24 @@ A ``TensorSystem`` is the one handle on a (mesh x index set) space, made of
 two objects that outlive it, and the solver, the estimators, the energy
 ``b_energy`` and ``prolong`` all take it; a ``GalerkinSolution`` keeps its
 coefficients and energy but no system.  A ``MeshOperator`` holds what
-depends on the mesh alone: geometry, the free-node CSR pattern with its
-scatter map, per mode the integrals over each triangle and A_m (built on
-first use), the load, the LU of A_0 and the spatial estimator's per-mode
-terms on the NVB children of each triangle, laid out by ``mesh``.  A
-``Coupling`` holds the passes of G_m for one index set, against itself and
-against its detail set, and the plans built from them.  An adaptive step
-changes either the mesh or the index set, so the loop keeps one object and
-drops the other: the operator goes with its mesh on refinement, the
-coupling with its index set on enrichment.  Refinement leaves most
-triangles as they were, so the operator of the refined mesh copies their
-per-triangle rows from the outgoing one and computes only those of the new
-triangles.  Nothing is cached on the
-mesh or at module level but a thread pool, on which large systems apply the
-operator and solve with A_0 in column blocks, each column computed as on
-one thread and written into the one result.  The parametric estimator's
-A_0 solves take such blocks at every size, in turn below the pool's gate,
-so that none wakes scipy's OpenBLAS worker (see ``_BLOCK``).
+depends on the mesh alone: the stiffness pattern (geometry and the
+free-node CSR pattern with its scatter map), A_m per mode (built on first
+use), the load, the LU of A_0 and one per-triangle table of each mode's
+integrals over the triangles and of the spatial estimator's terms on the
+NVB children of each triangle, laid out by ``mesh``.  A ``Coupling`` holds
+the passes of G_m for one index set, against itself and against its detail
+set, and the plans built from them.  An adaptive step changes either the
+mesh or the index set, so the loop keeps one object and drops the other:
+the operator goes with its mesh on refinement, the coupling with its index
+set on enrichment.  Refinement leaves most triangles as they were, so the
+operator of the refined mesh copies their rows of the table from the
+outgoing one and computes only those of the new triangles; the geometry is
+rebuilt.  Nothing is cached on the mesh or at module level but a thread
+pool, on which large systems apply the operator and solve with A_0 in
+column blocks, each column computed as on one thread and written into the
+one result.  The parametric estimator's A_0 solves take such blocks at
+every size, in turn below the pool's gate, so that none wakes scipy's
+OpenBLAS worker (see ``_BLOCK``).
 """
 
 from __future__ import annotations
@@ -184,30 +185,18 @@ def element_load(area: np.ndarray) -> np.ndarray:
     return np.repeat(area / 3.0, 3).reshape(-1, 3)
 
 
-def _geometry(p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Areas, basis gradients, quadrature points and gradient products
-    grad_i . grad_j (nt, 3, 3) of triangles with vertex coordinates ``p``."""
-    area, grads = element_geometry(p)
-    return area, grads, quadrature_points(p), np.einsum("tid,tjd->tij", grads, grads)
-
-
 class StiffnessPattern:
     """What P1 stiffness matrices on one mesh share, whatever the coefficient:
-    areas, basis gradients, quadrature points, products of basis gradients,
-    and the CSR pattern with a scatter map from (triangle, i, j) to data
-    slots.  A matrix then costs one coefficient evaluation and one
-    ``bincount``.  The matrices live on the free (interior) nodes.
+    areas, basis gradients, products of basis gradients, and the CSR pattern
+    with a scatter map from (triangle, i, j) to data slots, all built from
+    the mesh alone.  A matrix then costs one ``bincount`` of the integrals
+    of its coefficient over the triangles.  The matrices live on the free
+    (interior) nodes; the CSR pattern, the diagonal and both directions of
+    each edge between free nodes, is read off the mesh's edge table."""
 
-    The per-triangle arrays of ``_geometry`` may be given.  The CSR pattern,
-    the diagonal and both directions of each edge between free nodes, is
-    read off the mesh's edge table.  ``MeshOperator`` keeps each mode's
-    integrals int_T a_m dx in ``_integrals``, to go with the pattern."""
-
-    def __init__(self, mesh: Mesh, geometry: tuple[np.ndarray, ...] | None = None):
-        if geometry is None:
-            geometry = _geometry(mesh.vertices[mesh.triangles])
-        self.area, self.grads, self.points, self._products = geometry
-        self._integrals: dict[int, np.ndarray] = {}
+    def __init__(self, mesh: Mesh):
+        self.area, self.grads = element_geometry(mesh.vertices[mesh.triangles])
+        self._products = np.einsum("tid,tjd->tij", self.grads, self.grads)
         n, free = mesh.free_nodes.size, mesh.free_index
         a, b = (free[v] for v in np.divmod(mesh.edge_keys, mesh.num_vertices))
         inner = np.flatnonzero((a >= 0) & (b >= 0))
@@ -261,7 +250,8 @@ def assemble_stiffness(mesh: Mesh, coefficient, pattern: StiffnessPattern | None
     if pattern is None:
         pattern = StiffnessPattern(mesh)
     if weights is None:
-        weights = element_integrals(pattern.points, pattern.area, coefficient)
+        points = quadrature_points(mesh.vertices[mesh.triangles])
+        weights = element_integrals(points, pattern.area, coefficient)
     return pattern.matrix(weights)
 
 
@@ -279,19 +269,20 @@ class MeshOperator:
     kept while the operator lives; the adaptive loop replaces the operator
     when it refines the mesh.
 
-    Coarse side: the stiffness pattern (areas, gradients, quadrature points,
-    gradient products, CSR scatter, per mode the integrals int_T a_m dx), A_m
-    per mode, the load and the LU of A_0.  Estimator side, on the NVB
-    children of each triangle (the uniform refinement, never built as a
-    mesh): per midpoint m, w1, w2 of each triangle the hat terms int a_m
-    grad phi_z per mode, the fine A_0 diagonal and the load.
+    Coarse side: the stiffness pattern (areas, gradients, gradient products,
+    CSR scatter), A_m per mode, the load and the LU of A_0.  Per triangle,
+    ``table`` keeps by (kind, mode) the integrals int_T a_m dx that A_m is
+    assembled from ("integrals"), and the estimator's terms on the NVB
+    children of the triangle (the uniform refinement, never built as a
+    mesh): per midpoint m, w1, w2 the hat terms int a_m grad phi_z, and for
+    mode 0 also the fine A_0 diagonal and the load ("children").
 
-    Every per-triangle array depends on a triangle's vertices and reference
-    edge alone.  Given the ``previous`` operator, built for the same problem
-    on a mesh that `mesh` is one refinement step from, the triangles the
-    step kept (``Mesh.source``) copy their rows of the geometry, of the
-    integrals of every mode it built and of its child terms; only the new
-    triangles' rows are computed, as a fresh operator computes all rows.  It
+    A row of the table depends on a triangle's vertices and reference edge
+    alone.  Given the ``previous`` operator, built for the same problem on a
+    mesh that `mesh` is one refinement step from, the new operator fills
+    every entry of the previous table at once: the triangles the step kept
+    (``Mesh.source``) take their rows from it, and only the new triangles'
+    rows are computed.  The pattern is rebuilt from the mesh.  The operator
     keeps no reference to ``previous``; any other ``previous`` is ignored.
     """
 
@@ -299,11 +290,48 @@ class MeshOperator:
         self.mesh = mesh
         self.spec = spec
         self._stiffness: dict[int, sp.csr_matrix] = {}
-        # per mode: the hat terms, and for mode 0 also the diagonal and load
-        self._child_terms: dict[int, tuple[np.ndarray, ...]] = {}
+        self.table: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
         if (previous is not None and previous.spec == spec
                 and bisected_edges(previous.mesh, mesh) is not None):
-            self._carry(previous)
+            self._fill(previous.table, carried=previous.table)
+
+    def _fill(self, keys, carried: dict | None = None) -> None:
+        """Compute the entries `keys` of the table that it lacks, on every
+        triangle; or, from the `carried` table of the operator of the mesh
+        one step coarser, on the new triangles, the kept ones taking their
+        rows from it by ``Mesh.source``."""
+        keys = [key for key in keys if key not in self.table]
+        mesh = self.mesh
+        if carried is None:
+            rows = np.arange(mesh.num_triangles)
+        else:
+            rows = np.flatnonzero(mesh.source < 0)
+            # a new row takes row 0 at first, then its computed values
+            origin = np.maximum(mesh.source, 0)
+        kinds = {kind for kind, _ in keys}
+        if "integrals" in kinds:
+            corners = mesh.vertices[mesh.triangles[rows]]
+            area, points = element_geometry(corners)[0], quadrature_points(corners)
+        if "children" in kinds:
+            corners = child_corners(mesh, rows).reshape(4 * rows.size, 3, 2)
+            child_area, grads = element_geometry(corners)
+            child_points, grads = quadrature_points(corners), grads.reshape(-1, 4, 3, 2)
+        for kind, m in keys:
+            a_m = self.spec.coefficient(m)
+            if kind == "integrals":
+                values = (element_integrals(points, area, a_m),)
+            else:
+                w = element_integrals(child_points, child_area, a_m).reshape(-1, 4)
+                values = (_per_midpoint(w[:, :, None, None] * grads),)
+                if m == 0:
+                    values += (_per_midpoint(w[:, :, None] * (grads**2).sum(axis=3)),
+                               _per_midpoint(element_load(child_area).reshape(-1, 4, 3)))
+            if carried is not None:
+                merged = tuple(old.take(origin, axis=0) for old in carried[kind, m])
+                for out, new in zip(merged, values):
+                    out[rows] = new
+                values = merged
+            self.table[kind, m] = values
 
     @cached_property
     def pattern(self) -> StiffnessPattern:
@@ -312,10 +340,9 @@ class MeshOperator:
     def stiffness(self, m: int) -> sp.csr_matrix:
         """A_m on the free nodes, assembled once from the integrals of a_m."""
         if m not in self._stiffness:
-            pattern, a_m = self.pattern, self.spec.coefficient(m)
-            if m not in pattern._integrals:
-                pattern._integrals[m] = element_integrals(pattern.points, pattern.area, a_m)
-            self._stiffness[m] = assemble_stiffness(self.mesh, a_m, pattern, pattern._integrals[m])
+            self._fill([("integrals", m)])
+            self._stiffness[m] = assemble_stiffness(
+                self.mesh, self.spec.coefficient(m), self.pattern, self.table["integrals", m][0])
         return self._stiffness[m]
 
     @cached_property
@@ -348,67 +375,13 @@ class MeshOperator:
                 block(c)
         return out
 
-    def _children(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Areas (4 nr), basis gradients (nr, 4, 3, 2) and quadrature points
-        (4 nr, #points, 2) of the four NVB children of the triangles `rows`."""
-        child = child_corners(self.mesh, rows).reshape(4 * rows.size, 3, 2)
-        area, grads = element_geometry(child)
-        return area, grads.reshape(-1, 4, 3, 2), quadrature_points(child)
-
-    def _terms(self, rows: np.ndarray, modes) -> dict[int, tuple[np.ndarray, ...]]:
-        """The child terms of `modes` on the triangles `rows`.  The children's
-        geometry is four times the mesh's and cheap to rebuild, so it is not
-        kept."""
-        area, grads, points = self._children(rows)
-        out = {}
-        for m in modes:
-            w = element_integrals(points, area, self.spec.coefficient(m)).reshape(-1, 4)
-            out[m] = (_per_midpoint(w[:, :, None, None] * grads),)
-            if m == 0:
-                load = element_load(area)
-                out[m] += (_per_midpoint(w[:, :, None] * (grads**2).sum(axis=3)),
-                           _per_midpoint(load.reshape(-1, 4, 3)))
-        return out
-
-    def _carry(self, previous: MeshOperator) -> None:
-        """Take over what the operator of the coarser mesh built: the rows
-        of the triangles the step kept are copied, the others computed."""
-        new = np.flatnonzero(self.mesh.source < 0)
-        # a new row takes row 0 at first, then its computed values
-        origin = np.maximum(self.mesh.source, 0)
-
-        def merged(old, values):
-            out = old.take(origin, axis=0)
-            out[new] = values
-            return out
-
-        # the child terms first: their transients peak before the pattern exists
-        if previous._child_terms:
-            for m, values in self._terms(new, previous._child_terms).items():
-                self._child_terms[m] = tuple(
-                    merged(old, v) for old, v in zip(previous._child_terms[m], values))
-        coarse = vars(previous).get("pattern")
-        if coarse is not None:
-            geometry = _geometry(self.mesh.vertices[self.mesh.triangles[new]])
-            self.pattern = StiffnessPattern(self.mesh, tuple(
-                merged(old, values) for old, values in zip(
-                    (coarse.area, coarse.grads, coarse.points, coarse._products), geometry)))
-            area, _, points, _ = geometry
-            for m, old in coarse._integrals.items():
-                self.pattern._integrals[m] = merged(
-                    old, element_integrals(points, area, self.spec.coefficient(m)))
-
     def child_terms(self, n_modes: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Per triangle and midpoint z: the hat terms int a_m grad phi_z
         (nt, 3, 2) for m = 0..n_modes, and the parts of B_0(phi_z, phi_z) and
-        of int f phi_z (nt, 3).  Missing modes are built on every triangle."""
-        missing = [m for m in range(n_modes + 1) if m not in self._child_terms]
-        if missing:
-            self._child_terms.update(
-                self._terms(np.arange(self.mesh.num_triangles), missing)
-            )
-        _, diagonal, load = self._child_terms[0]
-        return [self._child_terms[m][0] for m in range(n_modes + 1)], diagonal, load
+        of int f phi_z (nt, 3)."""
+        self._fill([("children", m) for m in range(n_modes + 1)])
+        _, diagonal, load = self.table["children", 0]
+        return [self.table["children", m][0] for m in range(n_modes + 1)], diagonal, load
 
 
 def _coupling_passes(rows: IndexSet, cols: IndexSet) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -539,7 +512,10 @@ class TensorSystem:
         self.mesh = operator.mesh
         self.spec = operator.spec
         self.indices = coupling.indices
-        self.A = [operator.stiffness(m) for m in range(self.indices.max_dimension() + 1)]
+        modes = range(self.indices.max_dimension() + 1)
+        # the integrals a fresh operator lacks come from one quadrature geometry
+        operator._fill([("integrals", m) for m in modes])
+        self.A = [operator.stiffness(m) for m in modes]
         self.load = np.zeros(self.shape)
         if ZERO in self.indices:
             self.load[:, self.indices.position(ZERO)] = operator.load
@@ -642,10 +618,10 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pcg(apply_op, precond, b, x0, tol, cap, b_norm_sq):
-    """Preconditioned CG on arrays from x0 (zero for None), for at most `cap`
-    iterations; returns x and the history of residuals relative to
-    sqrt(b_norm_sq) = sqrt(<b, M^{-1} b>), which ends above `tol` if the cap
-    stopped it.
+    """Preconditioned CG on arrays from x0 (zero for None), which it updates
+    in place, for at most `cap` iterations; returns x and the history of
+    residuals relative to sqrt(b_norm_sq) = sqrt(<b, M^{-1} b>), which ends
+    above `tol` if the cap stopped it.
 
     Raises SolverError on breakdown: a non-finite preconditioned norm, or a
     curvature p.Ap that is non-finite or not positive (the operator or the
@@ -660,7 +636,7 @@ def _pcg(apply_op, precond, b, x0, tol, cap, b_norm_sq):
     denom = math.sqrt(max(finite("b.Mb", b_norm_sq), 0.0))
     if denom == 0.0:
         return np.zeros_like(b), [0.0]
-    x = np.zeros_like(b) if x0 is None else x0.copy()
+    x = np.zeros_like(b) if x0 is None else x0
     r = b - apply_op(x)
     z = precond(r)
     rho = finite("r.Mr", _inner(r, z))
@@ -704,6 +680,8 @@ def solve(
     rho = max((k - 1.0) / (k + 1.0), np.finfo(float).eps)
     bound = math.ceil((math.log(2.0 * k) - math.log(tol)) / -math.log(rho))
     cap = 2 * bound + 2
+    # PCG iterates on a copy; the caller's guess is not held while it runs
+    initial = None if initial is None else initial.copy()
     U, history = _pcg(system.apply, system.precondition, system.load, initial, tol, cap,
                       system.load_norm_sq())
     if history[-1] > tol:

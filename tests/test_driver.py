@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sgfem.driver
 import sgfem.galerkin
@@ -22,10 +24,13 @@ from sgfem import (
     cumulative_cost,
     effectivity,
     fit_rate,
+    initial_lshape,
     lshape_benchmark,
     prolong,
+    refine,
     reference_solution,
     run_adaptive,
+    unit_square,
 )
 
 import oracles
@@ -261,14 +266,14 @@ class TestCarriedEstimatorTerms:
 
     @pytest.mark.parametrize("criterion", ["A", "B"])
     def test_only_new_triangles_built(self, monkeypatch, criterion):
-        built = []  # (mesh, triangles) per call
-        children = sgfem.galerkin.MeshOperator._children
+        built = []  # (mesh, triangles) per computation of child terms
+        children = sgfem.galerkin.child_corners
 
-        def counted(self, rows):
-            built.append((self.mesh, rows.size))
-            return children(self, rows)
+        def counted(mesh, rows):
+            built.append((mesh, rows.size))
+            return children(mesh, rows)
 
-        monkeypatch.setattr(sgfem.galerkin.MeshOperator, "_children", counted)
+        monkeypatch.setattr(sgfem.galerkin, "child_corners", counted)
         trace = run_adaptive(
             lshape_benchmark(), criterion, MarkingParams(0.5, 0.5, 1.0), tol=5e-2
         )
@@ -370,13 +375,15 @@ class TestReference:
         )
 
     def test_reference_solve_holds_no_pattern(self, short_trace, monkeypatch):
-        # the stiffness pattern of the reference mesh is dropped once its
-        # system is assembled: the solve needs only A_m and the A_0 LU
+        # the stiffness pattern, the load and the per-triangle table of the
+        # reference mesh are dropped once its system is assembled: the solve
+        # needs only A_m and the A_0 LU
         seen, systems = [], []
         real = sgfem.driver.solve
 
         def watched(system, **kwargs):
             systems.append(system)
+            assert system.operator.table == {} and "load" not in vars(system.operator)
             seen.append("pattern" in vars(system.operator))
             u = real(system, **kwargs)
             seen.append("pattern" in vars(system.operator))
@@ -439,3 +446,46 @@ class TestDiagnostics:
         tr.records = [make_record(0, 10, 1.0), make_record(1, 20, 0.5)]
         with pytest.raises(ValueError):
             fit_rate(tr)
+
+
+@st.composite
+def adaptive_runs(draw):
+    """run_adaptive's arguments over their admissible ranges, on loose
+    tolerances and small caps: a criterion, its marking parameters, the
+    problem, a starting mesh refined 0-2 times, `tol`, `max_iter` and
+    `max_dof`."""
+    criterion = draw(st.sampled_from("ABCD"))
+    bulk = st.floats(0.0, 1.0, exclude_min=True)
+    theta_p = draw(bulk if criterion in "AB" else st.one_of(st.just(0.0), bulk))
+    params = MarkingParams(draw(bulk), theta_p, draw(st.floats(0.1, 10.0)))
+    spec = lshape_benchmark(sigma=draw(st.floats(1.0, 4.0, exclude_min=True)),
+                            tau=draw(st.floats(0.0, 0.95)))
+    mesh = draw(st.sampled_from([initial_lshape, unit_square]))()
+    for _ in range(draw(st.integers(0, 2))):
+        num_new = mesh.interior_edge_ids.size
+        mesh = refine(mesh, draw(st.sets(st.integers(0, num_new - 1), min_size=1)))
+    return dict(spec=spec, criterion=criterion, params=params, mesh=mesh,
+                tol=draw(st.floats(5e-2, 0.5)), max_iter=draw(st.integers(0, 8)),
+                max_dof=draw(st.integers(1, 20_000)))
+
+
+# Derandomized: about 1 in 1000 random draws runs into the quadrature defect
+# pinned below, which would make the suite fail at random.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run=adaptive_runs())
+# The Pythagoras check trips at level 3 (deviation 5.05e-6): the 7-point rule
+# integrates a_1 = A cos(2 pi y) on the coarse triangles and on their
+# children differently, so B of the fine mesh at the prolonged coarse
+# solution is not the coarse energy.
+@example(run=dict(spec=lshape_benchmark(sigma=3.0, tau=0.75), criterion="A",
+                  params=MarkingParams(0.5, 1.0, 3.0), mesh=refine(initial_lshape(), [0, 2, 3]),
+                  tol=5e-2, max_iter=8, max_dof=20_000)).xfail(
+    raises=AssertionError, reason="quadrature differs between a mesh and its refinement")
+def test_guarantees_on_drawn_problems(run):
+    # the online checks raise AssertionError; past them, the energy grows
+    # and every realized step reduces the error by at least its lower bound
+    trace = run_adaptive(**run)
+    assert trace.stop_reason in ("tol", "max_iter", "max_dof", "estimator_zero")
+    energies = [r.energy_sq for r in trace.records]
+    assert all(a <= b for a, b in zip(energies, energies[1:])), energies
+    assert all(c.reduction_ratio <= 1.0 + sgfem.driver._CHECK_SLACK for c in trace.checks)

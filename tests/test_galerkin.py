@@ -202,52 +202,72 @@ def same_child_terms(a, b) -> bool:
     )
 
 
+def pattern_arrays(pattern) -> list:
+    return [pattern.area, pattern.grads, pattern._products, pattern._slot, pattern._indices,
+            pattern._indptr]
+
+
 def same_pattern(a, b) -> bool:
-    return (
-        all(np.array_equal(x, y) for x, y in zip(
-            (a.area, a.grads, a.points, a._products, a._slot, a._indices, a._indptr),
-            (b.area, b.grads, b.points, b._products, b._slot, b._indices, b._indptr)))
-        and a._integrals.keys() == b._integrals.keys()
-        and all(np.array_equal(a._integrals[m], b._integrals[m]) for m in a._integrals)
-    )
+    return all(np.array_equal(x, y) for x, y in zip(pattern_arrays(a), pattern_arrays(b)))
+
+
+def same_table(a, b) -> bool:
+    return a.keys() == b.keys() and all(
+        len(a[key]) == len(b[key]) and all(np.array_equal(x, y) for x, y in zip(a[key], b[key]))
+        for key in a)
+
+
+def table_rows(keys, num_triangles) -> list:
+    """The integrals computed for the table entries `keys` on
+    `num_triangles` triangles: one per triangle, or one per NVB child."""
+    return sorted(num_triangles * (4 if kind == "children" else 1) for kind, _ in keys)
 
 
 @pytest.fixture
-def children_rows(monkeypatch):
-    """The number of triangles of each ``MeshOperator._children`` call."""
+def computed(monkeypatch):
+    """The number of triangles of each ``element_integrals`` call of the
+    mesh operator, sorted: one call per table entry that it computes."""
     rows = []
-    children = MeshOperator._children
+    integrals = galerkin.element_integrals
 
-    def counted(self, r):
-        rows.append(r.size)
-        return children(self, r)
+    def counted(points, area, coefficient):
+        rows.append(area.size)
+        rows.sort()
+        return integrals(points, area, coefficient)
 
-    monkeypatch.setattr(MeshOperator, "_children", counted)
+    monkeypatch.setattr(galerkin, "element_integrals", counted)
     return rows
 
 
 class TestCarry:
     """The operator of a refined mesh, given the operator of the mesh it is
-    one step from, copies the pattern's geometry, the integrals of the modes
-    built and the child terms of the kept triangles; it equals an operator
-    built from scratch bit for bit."""
+    one step from, takes the rows of the triangles the step kept from every
+    entry of its per-triangle table (the integrals of the modes built and
+    the child terms) and computes the new triangles' rows; it equals an
+    operator built from scratch bit for bit."""
 
     @staticmethod
-    def step(mesh, operator, marked, children_rows, n_modes=4):
-        """Refine, carry over and compare with a fresh operator: the child
-        terms, the pattern, and A_m of every mode built before and of one
-        never built."""
+    def step(mesh, operator, marked, computed, n_modes=4):
+        """Refine, carry over and compare with a fresh operator: the table,
+        the child terms, the pattern, the load, and A_m of every mode built
+        before and of one never built."""
         new = refine(mesh, marked)
-        built = sorted(operator._stiffness)
-        del children_rows[:]
+        built, keys = sorted(operator._stiffness), list(operator.table)
+        del computed[:]
         carried = MeshOperator(new, operator.spec, previous=operator)
+        # only the new triangles were computed, and only once
+        assert computed == table_rows(keys, np.count_nonzero(new.source < 0))
+        assert list(carried.table) == keys and "pattern" not in vars(carried)
+        del computed[:]
         terms = carried.child_terms(n_modes)
-        # only the new triangles were built, and only once
-        assert children_rows == [np.count_nonzero(new.source < 0)]
+        matrices = [carried.stiffness(m) for m in built + [len(built)]]
+        # an entry the predecessor lacked is computed on every triangle
+        assert computed == table_rows(set(carried.table) - set(keys), new.num_triangles)
         fresh = MeshOperator(new, operator.spec)
         assert same_child_terms(terms, fresh.child_terms(n_modes))
-        for m in built + [len(built)]:
-            assert same_csr(carried.stiffness(m), fresh.stiffness(m))
+        for m, matrix in zip(built + [len(built)], matrices):
+            assert same_csr(matrix, fresh.stiffness(m))
+        assert same_table(carried.table, fresh.table)
         assert same_pattern(carried.pattern, fresh.pattern)
         assert np.array_equal(carried.load, fresh.load)
         return new, carried
@@ -255,7 +275,7 @@ class TestCarry:
     @pytest.mark.parametrize("start", [initial_lshape, unit_square])
     @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_equals_fresh_along_chains(self, start, fraction, seed, spec, children_rows):
+    def test_equals_fresh_along_chains(self, start, fraction, seed, spec, computed):
         rng = np.random.default_rng(seed + int(10 * fraction))
         mesh = start()
         operator = MeshOperator(mesh, spec)
@@ -264,9 +284,9 @@ class TestCarry:
         for _ in range(5):
             num_new = mesh.interior_edge_ids.size
             marked = rng.choice(num_new, size=max(1, int(fraction * num_new)), replace=False)
-            mesh, operator = self.step(mesh, operator, marked, children_rows)
+            mesh, operator = self.step(mesh, operator, marked, computed)
 
-    def test_closure_heavy_markings(self, spec, children_rows):
+    def test_closure_heavy_markings(self, spec, computed):
         # grade towards the reentrant corner one edge at a time, then mark
         # single edges whose closures run through the graded region
         mesh = initial_lshape()
@@ -276,33 +296,34 @@ class TestCarry:
         for _ in range(30):
             mid = mesh.vertices[mesh.edges[mesh.interior_edge_ids]].mean(axis=1)
             mesh, operator = self.step(
-                mesh, operator, [int(np.argmin(np.hypot(*mid.T)))], children_rows, 3)
+                mesh, operator, [int(np.argmin(np.hypot(*mid.T)))], computed, 3)
         # NVB halves areas exactly: some triangle is 60 bisections deep
         assert mesh.signed_areas().min() <= 0.5 * 2.0**-60
         rng = np.random.default_rng(3)
         longest = 0
         for pos in rng.choice(mesh.interior_edge_ids.size, size=8, replace=False):
-            new, _ = self.step(mesh, operator, [pos], children_rows, 3)
+            new, _ = self.step(mesh, operator, [pos], computed, 3)
             longest = max(longest, realized(mesh, new).size)
         assert longest > 50
 
-    def test_predecessor_without_child_terms(self, spec, children_rows):
+    def test_predecessor_without_child_terms(self, spec, computed):
         mesh = refine(initial_lshape(), [0, 2])
         new = refine(mesh, [1])
         carried = MeshOperator(new, spec, previous=MeshOperator(mesh, spec))
-        assert children_rows == []
+        assert computed == [] and carried.table == {}
         terms = carried.child_terms(2)
-        assert children_rows == [new.num_triangles]
+        assert computed == table_rows([("children", m) for m in range(3)], new.num_triangles)
         assert same_child_terms(terms, MeshOperator(new, spec).child_terms(2))
-        # a predecessor with A_1 alone passes on its pattern and integrals
+        # a predecessor with A_1 alone passes on its integrals
         previous = MeshOperator(mesh, spec)
         previous.stiffness(1)
-        del children_rows[:]
+        del computed[:]
         carried = MeshOperator(new, spec, previous=previous)
-        assert children_rows == []
-        assert "pattern" in vars(carried) and list(carried.pattern._integrals) == [1]
+        assert computed == [np.count_nonzero(new.source < 0)]
+        assert list(carried.table) == [("integrals", 1)]
         fresh = MeshOperator(new, spec)
         assert same_csr(carried.stiffness(1), fresh.stiffness(1))
+        assert same_table(carried.table, fresh.table)
         assert same_pattern(carried.pattern, fresh.pattern)
 
     def test_keeps_nothing_of_predecessor(self, spec):
@@ -311,37 +332,41 @@ class TestCarry:
         previous = MeshOperator(mesh, spec)
         previous.child_terms(2)
         previous.stiffness(2)
-        old = [previous.pattern.area, previous.pattern.points, previous.pattern._products,
-               previous.pattern._integrals[2], *previous._child_terms[0]]
+        old_pattern = pattern_arrays(previous.pattern)
+        old_table = [a for values in previous.table.values() for a in values]
         carried = MeshOperator(new, spec, previous=previous)
         ref = weakref.ref(previous)
         del previous
         gc.collect()
         assert ref() is None
-        arrays = [carried.pattern.area, carried.pattern.points, carried.pattern._products,
-                  carried.pattern._integrals[2], *carried._child_terms[0]]
-        assert not any(np.shares_memory(a, b) for a in arrays for b in old)
+        table = [a for values in carried.table.values() for a in values]
+        assert len(table) == len(old_table) == 6
+        assert not any(np.shares_memory(a, b) for a in table for b in old_table + old_pattern)
+        pattern = pattern_arrays(carried.pattern)
+        assert not any(np.shares_memory(a, b) for a in pattern for b in old_pattern + old_table)
 
-    def test_twin_predecessor_carried(self, spec, children_rows):
+    def test_twin_predecessor_carried(self, spec, computed):
         # a mesh with the very arrays of the one refined is one step from
-        # the refined mesh as well, so its operator's terms are carried
+        # the refined mesh as well, so its operator's table is carried
         grandparent = refine(initial_lshape(), [0, 2])
         mesh = refine(grandparent, [1])
         new = refine(mesh, [3])
         twin = refine(grandparent, [1])
         previous = MeshOperator(twin, spec)
         previous.child_terms(2)
-        del children_rows[:]
+        del computed[:]
         carried = MeshOperator(new, spec, previous=previous)
         assert (new.source >= 0).any()
-        assert children_rows == [np.count_nonzero(new.source < 0)]
+        assert computed == table_rows(previous.table, np.count_nonzero(new.source < 0))
         assert same_child_terms(carried.child_terms(2), MeshOperator(new, spec).child_terms(2))
 
-    def test_foreign_predecessor_ignored(self, spec, children_rows):
+    def test_foreign_predecessor_ignored(self, spec, computed):
         grandparent = refine(initial_lshape(), [0, 2])
         mesh = refine(grandparent, [1])
         new = refine(mesh, [3])
-        fresh = MeshOperator(new, spec).child_terms(2)
+        fresh = MeshOperator(new, spec)
+        fresh.child_terms(2)
+        fresh.stiffness(1)
         for previous in (
             MeshOperator(grandparent, spec),
             MeshOperator(new, spec),
@@ -349,12 +374,13 @@ class TestCarry:
         ):
             previous.child_terms(2)
             previous.stiffness(1)
-            del children_rows[:]
+            del computed[:]
             carried = MeshOperator(new, spec, previous=previous)
-            assert children_rows == [] and "pattern" not in vars(carried)
-            assert same_child_terms(carried.child_terms(2), fresh)
-            assert children_rows == [new.num_triangles]
-            assert same_csr(carried.stiffness(1), MeshOperator(new, spec).stiffness(1))
+            assert computed == [] and carried.table == {} and "pattern" not in vars(carried)
+            assert same_child_terms(carried.child_terms(2), fresh.child_terms(2))
+            assert same_csr(carried.stiffness(1), fresh.stiffness(1))
+            assert computed == table_rows(fresh.table, new.num_triangles)
+            assert same_table(carried.table, fresh.table)
 
 
 def dense_coupling(P, m, Q=None):
@@ -1008,6 +1034,33 @@ class TestSolve:
         warm = solve(system2, initial=prolong(u1, system2))
         assert warm.iterations <= cold.iterations
         assert np.allclose(warm.coeffs, cold.coeffs, atol=1e-8)
+
+    def test_initial_guess_freed_before_pcg(self, mesh1, mesh2, spec):
+        # solve keeps only its copy of the guess while PCG runs, and leaves
+        # the caller's array as it was
+        P = IndexSet([ZERO, unit_index(1)])
+        u1 = solve(tensor_system(mesh1, P, spec))
+        system = tensor_system(mesh2, P, spec)
+        guess = prolong(u1, system)
+        kept = guess.copy()
+        refs, alive = [], []
+        apply = system.apply
+
+        def watched(U):
+            alive.append(refs[0]() is not None)
+            return apply(U)
+
+        def initial():
+            copy = guess.copy()
+            refs.append(weakref.ref(copy))
+            return copy
+
+        system.apply = watched
+        warm = solve(system, initial=initial())
+        assert alive and not any(alive)
+        held = solve(tensor_system(mesh2, P, spec), initial=guess)
+        assert np.array_equal(warm.coeffs, held.coeffs)
+        assert np.array_equal(guess, kept)
 
 
 class TestProlongation:
