@@ -97,7 +97,7 @@ def spatial_indicators(system: TensorSystem, u: GalerkinSolution) -> np.ndarray:
     res -= tested(terms[0], grad_u)
     rows = grad_u.reshape(grad_u.shape[0], -1)
     for m, targets, passes in system.coupling.plan():
-        g = gather(rows, passes, axis=0).reshape((-1,) + grad_u.shape[1:])
+        g = gather(rows, passes).reshape((-1,) + grad_u.shape[1:])
         res[targets] -= tested(terms[m], g)
 
     # scatter the two triangles' contributions to each z in N+, midpoint

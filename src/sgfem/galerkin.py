@@ -15,11 +15,15 @@ into most columns by index.  ``accumulate`` is the one index-major kernel:
 on U^T of shape (#indices, free nodes) it gathers each mode's sources as
 contiguous rows and adds A_m times each to its row of the transposed
 result.  Below the pool's gate ``apply`` runs it, transposing U once on the
-way in and the result once on the way out.  Solves use PCG with the
+way in and the result once on the way out.  On the pool ``apply`` transposes
+U once, and each worker forms U G_m on its column range as one CSR product
+of G_m^T on the range (``Coupling.range_matrices``) with U^T, made
+node-major by one transpose for A_m.  Solves use PCG with the
 mean-based preconditioner A_0 x I; its normaliser <b, (A_0^{-1} x I) b>
 solves only the column block that holds the load.  PCG gives up past twice
 the iteration bound that the problem's contrast gives, plus two (``solve``).
-Every array PCG itself touches is C-ordered (free nodes, #indices).  The
+Every array PCG itself touches is C-ordered (free nodes, #indices), and it
+scales its updates in the buffer of the product A p.  The
 SPD A_0 is factored by SuperLU in symmetric mode, with the minimum-degree
 ordering of A_0 + A_0^T and no pivoting off the diagonal.
 
@@ -422,7 +426,7 @@ class Coupling:
         self._passes = {False: _coupling_passes(indices, indices)}
         if detail is not None:
             self._passes[True] = _coupling_passes(indices, detail)
-        # per (block, column range): see ``plan``
+        # per (block, column range): see ``plan`` and ``range_matrices``
         self._plans: dict[tuple, list] = {}
 
     def _mode(self, m: int, detail: bool):
@@ -449,10 +453,9 @@ class Coupling:
         that adds anything.  A mode adds on its ``coupled_columns`` in the
         range, and is left out where those or its passes are none.  Its
         targets are those columns counted from the start of the range (a
-        slice where it is worked full width), its passes are restricted to
-        them, and ``gather`` sums them in either layout.  Built once per
-        block and range, on the calling thread: the pool's workers only read
-        plans."""
+        slice where it is worked full width), and its passes are restricted
+        to them, for ``gather``.  Built once per block and range, on the
+        calling thread: the pool's workers only read plans."""
         key = (detail, within.start, within.stop)
         if key not in self._plans:
             start = within.indices(len(self.detail if detail else self.indices))[0]
@@ -466,19 +469,36 @@ class Coupling:
             self._plans[key] = plan
         return self._plans[key]
 
+    def range_matrices(self, detail: bool = False, within: slice = slice(None)) -> list:
+        """``plan(detail, within)`` with each entry's passes as one CSR
+        matrix: (m, targets, Gt), Gt the transpose of G_m on the targets, of
+        shape (#targets, #P).  Row j holds the passes' entries of target j in
+        pass order, a padded pass as an explicit zero, so ``Gt @ U^T`` sums
+        each row as ``gather`` does.  Built once per block and range, on the
+        calling thread, for the pool's workers."""
+        key = (detail, within.start, within.stop, "csr")
+        if key not in self._plans:
+            matrices = []
+            for m, targets, passes in self.plan(detail, within):
+                sources, coefficients = (np.stack(a, axis=1) for a in zip(*passes))
+                indptr = np.arange(0, sources.size + 1, len(passes))
+                Gt = sp.csr_matrix((coefficients.ravel(), sources.ravel(), indptr),
+                                   shape=(sources.shape[0], len(self.indices)))
+                matrices.append((m, targets, Gt))
+            self._plans[key] = matrices
+        return self._plans[key]
 
-def gather(U: np.ndarray, passes, axis: int) -> np.ndarray | None:
-    """Apply G_m, given as the passes of a ``Coupling.plan`` entry, to U on
-    the passes' columns: U G_m for a node-major U of shape (n, P) and axis 1,
-    (U G_m)^T for an index-major U^T of shape (P, n) and axis 0.  Pass k
-    gathers, for every column, the k-th of its rows mu +- e_m as a slice of U
-    along ``axis`` and scales it.  Summing the passes in row order sums as
-    scipy's sparse product does, whatever the layout and the columns.  None
-    without passes."""
+
+def gather(UT: np.ndarray, passes) -> np.ndarray | None:
+    """(U G_m)^T on the passes' columns of a ``Coupling.plan`` entry, for an
+    index-major U^T of shape (P, n).  Pass k gathers, for every column, the
+    k-th of its rows mu +- e_m of U^T and scales it.  Summing the passes in
+    row order sums as scipy's sparse product does, whatever the columns.
+    None without passes."""
     out = None
     for source, coefficient in passes:
-        term = np.take(U, source, axis=axis)
-        term *= coefficient if axis == 1 else coefficient[:, None]
+        term = np.take(UT, source, axis=0)
+        term *= coefficient[:, None]
         out = term if out is None else np.add(out, term, out=out)
     return out
 
@@ -493,7 +513,7 @@ def accumulate(RT: np.ndarray, UT: np.ndarray, plan, stiffness) -> None:
     rows = np.arange(RT.shape[0])
     for m, targets, passes in plan:
         A = stiffness(m)
-        for j, row in zip(rows[targets], gather(UT, passes, axis=0)):
+        for j, row in zip(rows[targets], gather(UT, passes)):
             RT[j] += A @ row
 
 
@@ -537,7 +557,8 @@ class TensorSystem:
         system splits the columns into one range per worker of the pool,
         each computed node-major and copied into its columns of the
         result: there one product by A_m per range, which reads A_m once,
-        beats one per index row.  Both walk the coupling's plans."""
+        beats one per index row.  Both walk the coupling's plans, the pool
+        as ``Coupling.range_matrices``."""
         if U.size >= PARALLEL_DOFS:
             return self._apply_on_pool(U)
         RT = np.ascontiguousarray((self.A[0] @ U).T)
@@ -545,25 +566,31 @@ class TensorSystem:
         return np.ascontiguousarray(RT.T)
 
     def _apply_on_pool(self, U: np.ndarray) -> np.ndarray:
+        """``apply`` in one column range per worker.  U is transposed once,
+        here, and each worker reads the shared U^T; the range matrices are
+        built here too, never on a worker."""
         bounds = [U.shape[1] * k // _WORKERS for k in range(_WORKERS + 1)]
         ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-        # the plans are built here, never on a worker
-        plans = [self.coupling.plan(within=c) for c in ranges]
+        matrices = [self.coupling.range_matrices(within=c) for c in ranges]
+        UT = np.ascontiguousarray(U.T)
         R = np.empty(self.shape)
 
         def columns(job):
             c, plan = job
-            R[:, c] = self._columns(U, c, plan)
+            R[:, c] = self._columns(U, UT, c, plan)
 
-        _on_pool(columns, list(zip(ranges, plans)))
+        _on_pool(columns, list(zip(ranges, matrices)))
         return R
 
-    def _columns(self, U: np.ndarray, c: slice, plan) -> np.ndarray:
+    def _columns(self, U: np.ndarray, UT: np.ndarray, c: slice, plan) -> np.ndarray:
         """Columns c of sum_m A_m U G_m, node-major, each summed as in the
-        whole product."""
+        whole product.  For each (m, targets, Gt) of ``range_matrices``, U
+        G_m on the targets is one sparse product ``Gt @ U^T`` (rows of U^T
+        read whole, not columns of U gathered with a stride), made
+        node-major by one transpose for the product by A_m."""
         R = self.A[0] @ U[:, c]
-        for m, targets, passes in plan:
-            R[:, targets] += self.A[m] @ gather(U, passes, axis=1)
+        for m, targets, Gt in plan:
+            R[:, targets] += self.A[m] @ np.ascontiguousarray((Gt @ UT).T)
         return R
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
@@ -621,7 +648,10 @@ def _pcg(apply_op, precond, b, x0, tol, cap, b_norm_sq):
     """Preconditioned CG on arrays from x0 (zero for None), which it updates
     in place, for at most `cap` iterations; returns x and the history of
     residuals relative to sqrt(b_norm_sq) = sqrt(<b, M^{-1} b>), which ends
-    above `tol` if the cap stopped it.
+    above `tol` if the cap stopped it.  It overwrites each array that
+    `apply_op` returns with its scaled updates and drops it before calling
+    `precond`: no array of the system's size but x, r, p and z is alive at
+    a `precond` call.
 
     Raises SolverError on breakdown: a non-finite preconditioned norm, or a
     curvature p.Ap that is non-finite or not positive (the operator or the
@@ -641,13 +671,13 @@ def _pcg(apply_op, precond, b, x0, tol, cap, b_norm_sq):
     z = precond(r)
     rho = finite("r.Mr", _inner(r, z))
     p = z.copy()
-    scratch = np.empty_like(p)
     history.append(math.sqrt(max(rho, 0.0)) / denom)
     while history[-1] > tol and it < cap:
         Ap = apply_op(p)
         alpha = rho / finite("p.Ap", _inner(p, Ap), positive=True)
-        x += np.multiply(p, alpha, out=scratch)
-        r -= np.multiply(Ap, alpha, out=scratch)
+        r -= np.multiply(Ap, alpha, out=Ap)
+        x += np.multiply(p, alpha, out=Ap)
+        del Ap
         z = precond(r)
         rho_new = finite("r.Mr", _inner(r, z))
         p *= rho_new / rho

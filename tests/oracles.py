@@ -40,7 +40,6 @@ from sgfem.galerkin import (
     element_geometry,
     element_integrals,
     element_load,
-    gather,
 )
 from sgfem.indices import ZERO, IndexSet, MultiIndex
 from sgfem.mesh import Mesh, uniform_refine
@@ -274,16 +273,30 @@ def fine_mesh_spatial_indicators(u, spec) -> np.ndarray:
 # node-major estimators built on it; the coupling's plans and the index-major
 # kernel must match them to the bit
 
+def node_major_gather(U: np.ndarray, passes) -> np.ndarray | None:
+    """U G_m on the passes' columns of a ``Coupling.plan`` entry, for a
+    node-major U of shape (n, P): the former node-major branch of
+    ``galerkin.gather``.  Pass k gathers, for every column, the k-th of its
+    rows mu +- e_m as a column of U and scales it; the passes are summed in
+    row order.  None without passes."""
+    out = None
+    for source, coefficient in passes:
+        term = np.take(U, source, axis=1)
+        term *= coefficient
+        out = term if out is None else np.add(out, term, out=out)
+    return out
+
+
 def coupling_product(coupling, U: np.ndarray, m: int, detail: bool = False,
                      columns=slice(None)) -> np.ndarray:
     """(U @ G_m)[:, columns] in C order, for a finite U of shape (n, P), a
     mode m >= 1 and a slice or index array ``columns``; on P x Q with
     ``detail``.  The coupling's gather passes of mode m on those columns,
-    summed by ``gather``."""
+    summed by ``node_major_gather``."""
     sources, coefficients, _ = coupling._mode(m, detail)
     passes = [(source[columns], coefficient[columns])
               for source, coefficient in zip(sources, coefficients)]
-    out = gather(U, passes, axis=1)
+    out = node_major_gather(U, passes)
     if out is None:
         width = len(coupling.detail if detail else coupling.indices)
         return np.zeros((U.shape[0], width))[:, columns].copy()

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -509,11 +510,14 @@ def pool_ranges(width, workers):
 
 
 class TestPlan:
-    """``Coupling.plan`` against the reference product on both blocks, on
-    the whole width and on the pool's column ranges: each entry's passes,
-    gathered node-major or index-major, equal (U G_m) on its targets, a
-    column of the range outside the targets and a mode left out hold only
-    zeros, and the plan is built once per block and range."""
+    """``Coupling.plan`` and ``Coupling.range_matrices`` against the
+    reference product on both blocks, on the whole width and on the pool's
+    column ranges for 1-4 workers: each entry's passes, summed node-major
+    (``oracles.node_major_gather``) or index-major (``gather``), and its
+    range matrix Gt, as ``Gt @ U^T`` for U in C and in Fortran order, equal
+    (U G_m) on its targets to the bit; a column of the range outside the
+    targets and a mode left out hold only zeros, some mode of each block is
+    left out of some range, and both are built once per block and range."""
 
     @pytest.mark.parametrize("seed, size, detail_size",
                              [(0, 12, None), (1, 18, 6), (2, 30, 6), (5, 24, None)])
@@ -526,32 +530,44 @@ class TestPlan:
         U = np.random.default_rng(seed).standard_normal((5, len(P)))
         UT = np.ascontiguousarray(U.T)
         width = max(P.max_dimension(), Q.max_dimension())
-        kinds = set()
+        kinds, left_out = set(), set()
         for detail, cols in ((False, P), (True, Q)):
             if not detail or detail_size is not None:
                 # some modes are worked on their coupled columns, some full width
                 assert all(coupled_counts(coupling, detail))
             whole = {m: oracles.coupling_product(coupling, U, m, detail)
                      for m in range(1, width + 2)}
-            for within in [slice(None)] + pool_ranges(len(cols), 2) + pool_ranges(len(cols), 3):
+            somewhere = {m for m, _, _ in coupling.plan(detail)}
+            ranges = [c for workers in range(1, 5) for c in pool_ranges(len(cols), workers)]
+            for within in [slice(None)] + ranges:
                 start, stop, _ = within.indices(len(cols))
                 plan = coupling.plan(detail, within)
+                matrices = coupling.range_matrices(detail, within)
                 assert coupling.plan(detail, within) is plan
+                assert coupling.range_matrices(detail, within) is matrices
                 modes = [m for m, _, _ in plan]
-                assert modes == sorted(set(modes)) and modes[0] >= 1
-                for m, targets, passes in plan:
+                assert modes == sorted(set(modes)) and min(modes, default=1) >= 1
+                assert [m for m, _, _ in matrices] == modes
+                for (m, targets, passes), (_, range_targets, Gt) in zip(plan, matrices):
                     block = whole[m][:, start:stop]
                     rows = np.arange(stop - start)[targets]
                     kinds.add((detail, isinstance(targets, slice)))
                     where = (m, detail, within)
-                    assert np.array_equal(galerkin.gather(U, passes, axis=1), block[:, rows]), where
-                    assert np.array_equal(galerkin.gather(UT, passes, axis=0), block[:, rows].T), where
+                    assert np.array_equal(oracles.node_major_gather(U, passes), block[:, rows]), where
+                    assert np.array_equal(galerkin.gather(UT, passes), block[:, rows].T), where
+                    assert range_targets is targets and Gt.shape == (rows.size, len(P)), where
+                    for V in (U, np.asfortranarray(U)):
+                        assert np.array_equal(Gt @ V.T, block[:, rows].T), where
                     assert not np.delete(block, rows, axis=1).any(), where
                 for m in set(whole) - set(modes):
                     assert not whole[m][:, start:stop].any(), (m, detail, within)
+                if somewhere - set(modes):
+                    left_out.add(detail)
         assert {(False, True), (False, False)} <= kinds
+        assert False in left_out
         if detail_size is not None:
             assert {(True, True), (True, False)} <= kinds
+            assert True in left_out
 
 
 class TestModeSparse:
@@ -1061,6 +1077,38 @@ class TestSolve:
         held = solve(tensor_system(mesh2, P, spec), initial=guess)
         assert np.array_equal(warm.coeffs, held.coeffs)
         assert np.array_equal(guess, kept)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_pcg_holds_four_arrays_at_precondition(self, large_system, pool_workers, pooled):
+        # at every preconditioner call PCG holds x, r, p and z of the
+        # system's size and nothing else: it scales both updates in the
+        # buffer of the operator's product, which it drops before the call
+        system = large_system
+        if pooled:
+            pool_workers(2)
+        else:
+            system = TensorSystem(system.operator, Coupling(random_downward_closed(5, 20)))
+        assert (system.num_dof >= galerkin.PARALLEL_DOFS) == pooled
+        b, norm = system.load, system.load_norm_sq()
+        # the plans and the factor are built before anything is counted
+        want, history = _pcg(system.apply, system.precondition, b, None, 1e-10, 100, norm)
+        held = []
+
+        def precondition(R):
+            held.append((tracemalloc.get_traced_memory()[0] - base) / b.nbytes)
+            return system.precondition(R)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            x, _ = _pcg(system.apply, precondition, b, None, 1e-10, 100, norm)
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, want)
+        assert len(held) == len(history) > 2
+        # x and r at the first call; x, r, p and the last z at every other
+        assert 1.9 < held[0] < 2.1, held
+        assert all(3.9 < n < 4.1 for n in held[1:]), held
 
 
 class TestProlongation:
